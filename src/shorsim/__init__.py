@@ -8,22 +8,26 @@ semiprimes.
 """
 
 from .distribution import (
+    MAX_ORACLE_QUBITS,
     MAX_REGISTER_QUBITS,
     METHOD_ORACLE,
     METHOD_PER_K,
     METHOD_TWO_TERM,
+    FejerProposal,
     OrderInfo,
     OutputDistribution,
     PeakModel,
     ProblemInstance,
     capture_probability_d01,
     envelope,
+    fejer_kernel,
     oracle_distribution,
     peak_deviation_prob,
     peaks,
     per_k_distribution,
     sample,
     sample_from,
+    sample_states,
     two_term_distribution,
 )
 from .errors import ContractError, DomainError, NoOrderError, ResourceError
@@ -46,6 +50,7 @@ from .experiments import (
 from .number_theory import (
     ContinuedFractionExpansion,
     best_convergent_bounded,
+    carmichael_lambda,
     continued_fraction,
     gcd,
     lcm,
@@ -54,6 +59,8 @@ from .number_theory import (
     order_from_multiple,
 )
 from .pipeline import (
+    MAX_RUN_MODULUS,
+    MAX_RUN_QUBITS,
     Classification,
     GuaranteeReport,
     RecoveryResult,
@@ -70,4 +77,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -23,6 +23,18 @@ floating-point thresholds.
 
 Construction is pure and single-threaded with a fixed per-entry
 summation order, so results are bit-identical from run to run.
+
+``sample_states`` draws states from the same law without building any
+vector.  With g = gcd(r, N), r' = r/g and N' = N/g, a class of size L
+contributes the Fejer kernel sin^2(pi*L*t/N') / sin^2(pi*t/N') of
+t = r'*c mod N', whose total mass over Z_N' is N'*L (Parseval); the k0
+larger classes therefore carry exactly k0*(M0+2)/N of the probability.
+A draw picks L by that class mass, samples t from the kernel by von
+Neumann rejection (``FejerProposal``), and lifts t to one of its g
+preimages c = (r'^-1 * t mod N') + j*N'.  Every integer choice is an
+unbiased bounded draw (Lemire's multiply-and-reject), so the law is the
+two-term distribution itself (up to the double rounding of the acceptance
+test), at any register width.
 """
 
 import math
@@ -33,12 +45,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, ResourceError
-from .number_theory import multiplicative_order
+from .number_theory import carmichael_lambda, multiplicative_order, order_from_multiple
 from .rng import SplitMix64
 
-#: Hard cap on the exponent-register width for full-distribution work.
-#: One float per state; 2^24 states is the agreed desk-scale limit.
+#: Cap on the exponent-register width of the vector routes (two-term,
+#: per-k, and everything built on them: dist, fig1, capture).  They hold
+#: one float64 per state, and 2^24 states (128 MiB a vector) is the
+#: desk-scale limit.  ``sample_states`` builds no vector and has no cap.
 MAX_REGISTER_QUBITS = 24
+
+#: Cap on the literal phasor-sum oracle, whose work grows as N^2:
+#: q_A = 12 takes under a second, q_A = 14 over ten.
+MAX_ORACLE_QUBITS = 13
 
 METHOD_ORACLE = "oracle_sum"
 METHOD_PER_K = "per_k_closed_form"
@@ -89,8 +107,13 @@ class OrderInfo:
     M0 = floor((N-r)/r) is the smaller of the two per-class exponent
     bounds; k0 is the first residue class whose bound drops to M0, so
     classes k < k0 hold M0+2 exponents and classes k >= k0 hold M0+1.
+    That makes k0 = N mod r (and M0 = -1, k0 = N when N < r).
     delta_min = 1/((n-1)*n) is the worst-case gap between the true
     ratio and the nearest wrong candidate fraction during recovery.
+
+    r is reduced from Carmichael's lambda(n), a multiple of every order
+    mod n; ``multiplicative_order`` is the brute-force oracle it is
+    tested against.
     """
 
     r: int
@@ -100,16 +123,10 @@ class OrderInfo:
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "OrderInfo":
-        r = multiplicative_order(inst.x, inst.n)
+        r = order_from_multiple(inst.x, inst.n, carmichael_lambda(inst.n))
         N = inst.N
-        M0 = (N - r) // r
-        k0 = r
-        for k in range(r):
-            if (N - k - 1) // r == M0:
-                k0 = k
-                break
         delta_min = 1.0 / ((inst.n - 1) * inst.n)
-        return cls(r=r, M0=M0, k0=k0, delta_min=delta_min)
+        return cls(r=r, M0=(N - r) // r, k0=N % r, delta_min=delta_min)
 
 
 @dataclass(eq=False)
@@ -138,12 +155,10 @@ class PeakModel:
     delta_nu: float
 
 
-def _guard_register(inst: ProblemInstance):
-    if inst.q_A > MAX_REGISTER_QUBITS:
-        raise ResourceError(
-            f"q_A={inst.q_A} exceeds the desk-scale cap of {MAX_REGISTER_QUBITS} "
-            "for full-distribution construction"
-        )
+def _guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
+                    route: str = "full-distribution construction"):
+    if inst.q_A > cap:
+        raise ResourceError(f"q_A={inst.q_A} exceeds the desk-scale cap of {cap} for {route}")
 
 
 def _class_size(N: int, r: int, k: int) -> int:
@@ -158,8 +173,9 @@ def oracle_distribution(inst: ProblemInstance) -> OutputDistribution:
     exp(2*pi*i*a*c/N) over all a = e*r + k, divided by N; the class
     contributes its squared magnitude.  O(N^2) work, no closed form,
     no shared trigonometric shortcuts: this is the reference oracle.
+    Capped at q_A <= MAX_ORACLE_QUBITS because of that cost.
     """
-    _guard_register(inst)
+    _guard_register(inst, MAX_ORACLE_QUBITS, "the O(N^2) phasor-sum oracle")
     r = multiplicative_order(inst.x, inst.n)
     N = inst.N
     c = np.arange(N, dtype=np.int64)
@@ -297,7 +313,11 @@ def sample(dist: OutputDistribution, seed: int, count: int) -> list[int]:
 
 
 def sample_from(dist: OutputDistribution, rng: SplitMix64, count: int) -> list[int]:
-    """Inverse-CDF sampling out of a caller-owned SplitMix64 stream."""
+    """Inverse-CDF sampling out of a caller-owned SplitMix64 stream.
+
+    The route for many draws from one built vector (capture); for a few
+    draws, ``sample_states`` needs no vector at all.
+    """
     p = dist.probabilities
     if np.any(p < 0.0):
         raise DomainError("distribution has negative entries")
@@ -309,3 +329,150 @@ def sample_from(dist: OutputDistribution, rng: SplitMix64, count: int) -> list[i
     idx = np.searchsorted(cdf, u, side="right")
     np.clip(idx, 0, len(p) - 1, out=idx)
     return [int(i) for i in idx]
+
+
+def _bounded(rng: SplitMix64, s: int) -> int:
+    """Unbiased integer in [0, s) by Lemire's multiply-and-reject.
+
+    Lemire, "Fast random integer generation in an interval", ACM TOMACS
+    29(1), 2019, widened from one 64-bit word to as many words as s needs.
+    The bound s = 1 consumes no word.
+    """
+    if s == 1:
+        return 0
+    bits = 64 * ((s.bit_length() + 63) // 64)
+    mask = (1 << bits) - 1
+    threshold = None
+    while True:
+        x = 0
+        for _ in range(bits // 64):
+            x = (x << 64) | rng.next_uint64()
+        m = x * s
+        low = m & mask
+        if low >= s:
+            return m >> bits
+        if threshold is None:
+            threshold = (mask + 1) % s
+        if low >= threshold:
+            return m >> bits
+
+
+def fejer_kernel(L: int, Np: int, t: int) -> float:
+    """sin^2(pi*L*t/Np) / sin^2(pi*t/Np) on Z_Np, with the limit L^2 at t = 0.
+
+    Both angles are reduced exactly in integers to [0, Np/2] before any
+    float conversion, so the zeros (L*t = 0 mod Np) come out exactly 0.
+    """
+    t %= Np
+    if t == 0:
+        return float(L * L)
+    a = min(t, Np - t)
+    b = L * t % Np
+    b = min(b, Np - b)
+    return (math.sin(math.pi * b / Np) / math.sin(math.pi * a / Np)) ** 2
+
+
+class FejerProposal:
+    """Exact von Neumann sampler for the Fejer kernel of size L on Z_Np.
+
+    The envelope is min(L^2, Np^2/(4 t^2)) on the centred residues
+    |t| <= Np/2 (sin(pi*t/Np) >= 2|t|/Np there): flat on |t| <= h with
+    h = floor(Np/(2L)), and beyond it the Pareto tail 1/v^2 rounded to
+    the integer cells (m - 1/2, m + 1/2], whose exact mass
+    Np^2/(4m^2 - 1) exceeds Np^2/(4m^2) because 1/v^2 is convex.  The tail
+    is drawn by inverting a uniform real whose bits are generated until
+    they fix the cell, so the proposal law is exactly ``pmf``.  A
+    proposal t is kept with probability ``acceptance(t)``, and
+    pmf * acceptance is proportional to the kernel.  The one rounding in
+    a draw is that of the acceptance ratio and its 53-bit uniform.
+    """
+
+    def __init__(self, L: int, Np: int):
+        if L < 1 or Np < 1:
+            raise DomainError(f"need L >= 1 and Np >= 1, got L={L}, Np={Np}")
+        self.L, self.Np = L, Np
+        self.h = min(Np // (2 * L), (Np - 1) // 2)
+        self.T = Np // 2
+        self._alpha, self._beta = 2 * self.h + 1, 2 * self.T + 1
+        # centre and tail masses, (2h+1)L^2 and Np^2 (1/(2h+1) - 1/(2T+1)),
+        # both scaled by (2h+1)(2T+1) to integers
+        self._centre = self._alpha ** 2 * self._beta * L * L
+        self._tail = Np * Np * (self._beta - self._alpha)
+
+    def _envelope(self, t: int) -> tuple[int, int]:
+        """Unnormalised envelope mass of residue t as (numerator, denominator);
+        the two signed tail cells coincide at t = Np/2."""
+        m = min(t % self.Np, -t % self.Np)
+        if m <= self.h:
+            return self.L * self.L, 1
+        return self.Np * self.Np * (2 if 2 * m == self.Np else 1), 4 * m * m - 1
+
+    def pmf(self, t: int) -> Fraction:
+        """Exact probability that one proposal lands on residue t."""
+        num, den = self._envelope(t)
+        return Fraction(num * self._alpha * self._beta, den * (self._centre + self._tail))
+
+    def acceptance(self, t: int) -> float:
+        """Probability of keeping a proposed residue t."""
+        num, den = self._envelope(t)
+        return fejer_kernel(self.L, self.Np, t) * den / num
+
+    def _tail_magnitude(self, rng: SplitMix64) -> int:
+        """m in [h+1, T] with probability proportional to 1/(m-1/2) - 1/(m+1/2).
+
+        With u uniform in [0, 1), v = ab / (2(a + u(b-a))) has density
+        proportional to 1/v^2 on (a/2, b/2], and m = ceil(v - 1/2).  u is
+        known to lie in [A/D, (A+1)/D); another word refines it until both
+        ends give the same m.
+        """
+        a, b = self._alpha, self._beta
+        A, D = rng.next_uint64(), 1 << 64
+        while True:
+            lo = a * D + A * (b - a)  # 2v - 1 = (ab D - lo) / lo at u = A/D
+            hi = lo + (b - a)  # ... and at u = (A+1)/D
+            m_max = -((lo - a * b * D) // (2 * lo))
+            m_min = (a * b * D - hi) // (2 * hi) + 1
+            if m_max == m_min:
+                return m_max
+            A, D = (A << 64) | rng.next_uint64(), D << 64
+
+    def propose(self, rng: SplitMix64) -> int:
+        """One residue t in [0, Np) drawn from ``pmf``."""
+        z = _bounded(rng, self._centre + self._tail) if self._tail else 0
+        if z >= self._tail:
+            return (_bounded(rng, self._alpha) - self.h) % self.Np
+        m = self._tail_magnitude(rng)
+        return m if 2 * z < self._tail else self.Np - m  # the tail mass is even
+
+    def draw(self, rng: SplitMix64) -> int:
+        """One residue t in [0, Np) drawn from the normalised kernel."""
+        while True:
+            t = self.propose(rng)
+            if rng.random() < self.acceptance(t):
+                return t
+
+
+def sample_states(inst: ProblemInstance, info: OrderInfo, rng: SplitMix64, count: int) -> list[int]:
+    """Draw `count` i.i.d. states from the two-term law without building it.
+
+    Each draw picks the class size L = M0+2 with probability k0*(M0+2)/N
+    (else M0+1), draws t from the size-L Fejer kernel on Z_N', and returns
+    c = (r'^-1 * t mod N') + j*N' for a uniform j in [0, g).  A draw
+    takes about ten 64-bit words at any N; the stream is deterministic
+    given `rng`.
+    """
+    if count < 0:
+        raise DomainError(f"count must be non-negative, got {count}")
+    N, r = inst.N, info.r
+    g = math.gcd(r, N)
+    Np = N // g
+    r_inv = pow(r // g, -1, Np)
+    large = info.k0 * (info.M0 + 2)
+    # M0 + 1 is 0 when N < r, and then never drawn (large = N)
+    proposals = {L: FejerProposal(L, Np) for L in (info.M0 + 1, info.M0 + 2) if L >= 1}
+    out = []
+    for _ in range(count):
+        L = info.M0 + 2 if _bounded(rng, N) < large else info.M0 + 1
+        t = proposals[L].draw(rng)
+        out.append(r_inv * t % Np + Np * _bounded(rng, g))
+    return out

@@ -269,6 +269,8 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
 def capture_rate_empirical(n: int, x: int, q_A: int, samples: int, seed: int = 0) -> CaptureReport:
     """Peak-cell capture: exact mass on the cells {c_nu, c_nu + 1} and the
     matching sampled fraction (deviation taken against the nearest peak)."""
+    if samples < 1:
+        raise DomainError(f"samples must be positive, got {samples}")
     inst = ProblemInstance.create(n, x, q_A)
     if inst.N < n * n:
         raise DomainError(f"need N >= n^2 for capture analysis, got N={inst.N}, n={n}")

@@ -5,7 +5,8 @@ approximation.
 Everything in this module is integer-exact; no floating point is used
 anywhere.  `multiplicative_order` deliberately walks successive powers:
 it is the reference that every faster path elsewhere in the package is
-tested against.
+tested against.  The fast path reduces the Carmichael exponent lambda(n),
+a multiple of every order mod n, with `order_from_multiple`.
 """
 
 import math
@@ -77,6 +78,26 @@ def _distinct_prime_factors(m: int) -> list[int]:
     if rest > 1:
         primes.append(rest)
     return primes
+
+
+def carmichael_lambda(n: int) -> int:
+    """Carmichael's lambda(n): the exponent of the unit group mod n >= 2.
+
+    lambda is the lcm over the prime powers p**e exactly dividing n of
+    p**(e-1)*(p-1), except that lambda(2**e) = 2**(e-2) for e >= 3.  The
+    order of every unit mod n divides it.
+    """
+    if n < 2:
+        raise DomainError(f"modulus must be >= 2, got {n}")
+    result = 1
+    for p in _distinct_prime_factors(n):
+        e, rest = 0, n
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        part = p ** (e - 1) * (p - 1) if p > 2 or e < 3 else 1 << (e - 2)
+        result = lcm(result, part)
+    return result
 
 
 def order_from_multiple(x: int, n: int, multiple: int) -> int:

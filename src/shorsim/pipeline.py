@@ -1,12 +1,12 @@
 """End-to-end simulated factorization runs.
 
-A run validates the modulus, shortcut-checks the base, builds the output
-distribution, samples one measured state, recovers an order candidate by
-continued fractions, verifies it, and extracts factors.  The retry layer
-re-tries recoverable failures (an unverified candidate, or the dead
-zero-state) with multiplier trials and fresh samples, but never swaps in
-a new base: rebuilding the machine for a different x is the caller's
-decision.
+A run validates the modulus, shortcut-checks the base, draws one measured
+state from the exact output law (``sample_states``, which builds no
+vector), recovers an order candidate by continued fractions, verifies it,
+and extracts factors.  The retry layer re-tries recoverable failures (an
+unverified candidate, or the dead zero-state) with multiplier trials and
+fresh samples, but never swaps in a new base: rebuilding the machine for
+a different x is the caller's decision.
 """
 
 import math
@@ -14,10 +14,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .distribution import OrderInfo, ProblemInstance, peaks, sample_from, two_term_distribution
-from .errors import ContractError, DomainError
+from .distribution import OrderInfo, ProblemInstance, peaks, sample_states
+from .errors import ContractError, DomainError, ResourceError
 from .number_theory import best_convergent_bounded, gcd, mod_pow, order_from_multiple
 from .rng import SplitMix64
+
+#: Resource guard of the run route, which costs microseconds per draw at
+#: any register width.  What grows with the input is trial division
+#: (semiprime validation, lambda(n)), about sqrt(n)/2 steps, so the
+#: modulus stays below 2^31; the register stays at or below the default
+#: width of such a modulus (N >= n^2 at q_A <= 62).
+MAX_RUN_MODULUS = 1 << 31
+MAX_RUN_QUBITS = 62
 
 
 class Classification(str, Enum):
@@ -187,6 +195,13 @@ def extract_factors(n: int, x: int, r: int) -> tuple[Classification, tuple[int, 
     raise ContractError(f"no nontrivial factor from x**(r/2) +- 1 (n={n} not a semiprime?)")
 
 
+def _guard_run(n: int, q_A: int | None):
+    if n >= MAX_RUN_MODULUS:
+        raise ResourceError(f"n={n} exceeds the run route's cap of 2^31 on the modulus")
+    if q_A is not None and q_A > MAX_RUN_QUBITS:
+        raise ResourceError(f"q_A={q_A} exceeds the run route's cap of {MAX_RUN_QUBITS}")
+
+
 def _validated_semiprime(n: int):
     if semiprime_factors(n) is None:
         raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")
@@ -228,16 +243,15 @@ def _resolve(n: int, x: int, rec: RecoveryResult) -> tuple[Classification, tuple
 
 
 def run_once(n: int, x: int, q_A: int | None = None, seed: int = 0) -> RunOutcome:
-    """One full attempt: precheck, build, sample one state, recover, extract."""
+    """One full attempt: precheck, sample one state, recover, extract."""
+    _guard_run(n, q_A)
     _validated_semiprime(n)
     g = precheck(n, x)
     if g is not None:
         return _shortcut_outcome(n, x, g)
     inst = ProblemInstance.create(n, x, q_A)
     info = OrderInfo.from_instance(inst)
-    dist = two_term_distribution(inst, info)
-    rng = SplitMix64(seed)
-    c = sample_from(dist, rng, 1)[0]
+    c = sample_states(inst, info, SplitMix64(seed), 1)[0]
     rec = recover_order(c, inst)
     classification, factors = _resolve(n, x, rec)
     return RunOutcome(
@@ -267,17 +281,17 @@ def run_with_retries(
     Exhausted outcome carrying the last attempt.
     """
     policy = policy or RetryPolicy()
+    _guard_run(n, q_A)
     _validated_semiprime(n)
     g = precheck(n, x)
     if g is not None:
         return _shortcut_outcome(n, x, g)
     inst = ProblemInstance.create(n, x, q_A)
     info = OrderInfo.from_instance(inst)
-    dist = two_term_distribution(inst, info)
     rng = SplitMix64(seed)
     events: list[RetryEvent] = []
 
-    c = sample_from(dist, rng, 1)[0]
+    c = sample_states(inst, info, rng, 1)[0]
     rec = recover_order(c, inst)
     resamples = 0
     while True:
@@ -306,7 +320,7 @@ def run_with_retries(
         if resamples >= policy.max_resamples:
             classification, factors = Classification.EXHAUSTED, None
             break
-        c = sample_from(dist, rng, 1)[0]
+        c = sample_states(inst, info, rng, 1)[0]
         resamples += 1
         events.append(RetryEvent(kind="resample", c=c))
         rec = recover_order(c, inst)

@@ -227,3 +227,33 @@ class TestOutFile:
         assert code == EXIT_OK and out == ""
         content = target.read_text()
         assert content.splitlines()[1] == "nu,sigma_nu,c_nu,delta_nu"
+
+
+class TestRouteGuards:
+    """Each costly route has its own resource cap; bad sample counts are
+    domain errors.  Every failure is one line on stderr."""
+
+    def test_run_at_default_wide_register(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--n", "35263", "--x", "2")
+        assert code == EXIT_OK and err == ""
+        obj = json.loads(out)
+        assert obj["qA"] == 31 and obj["N"] == 1 << 31
+        assert obj["classification"] in ("Success", "OddOrder", "TrivialSquareRoot", "Exhausted")
+        if obj["classification"] == "Success":
+            assert obj["factors"] == [179, 197]
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--n", "4294967297", "--x", "3"),  # 641 * 6700417, beyond the modulus cap
+        ("run", "--n", "21", "--x", "10", "--qa", "63"),
+        ("dist", "--n", "21", "--x", "10", "--qa", "14", "--method", "oracle"),
+    ])
+    def test_route_caps_exit_resource(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_capture_sample_count_is_a_domain_error(self, capsys, samples):
+        code, out, err = run_cli(capsys, "capture", "--n", "21", "--x", "10", "--samples", samples)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("shorsim: error:") and err.count("\n") == 1

@@ -36,13 +36,13 @@ def default_q_A(n):
 
 def first_seed_sampling(n, x, q_A, target_c, limit=4000):
     """Smallest seed whose first draw lands on target_c (deterministic forever)."""
-    from shorsim.distribution import sample, two_term_distribution
+    from shorsim.distribution import sample_states
+    from shorsim.rng import SplitMix64
 
     inst = ProblemInstance.create(n, x, q_A)
     info = OrderInfo.from_instance(inst)
-    dist = two_term_distribution(inst, info)
     for seed in range(limit):
-        if sample(dist, seed, 1)[0] == target_c:
+        if sample_states(inst, info, SplitMix64(seed), 1)[0] == target_c:
             return seed
     raise AssertionError(f"no seed below {limit} samples c={target_c}")
 
