@@ -10,6 +10,7 @@ semiprimes.
 from .distribution import (
     MAX_ORACLE_QUBITS,
     MAX_REGISTER_QUBITS,
+    MAX_RUN_MODULUS,
     METHOD_ORACLE,
     METHOD_PER_K,
     METHOD_TWO_TERM,
@@ -32,6 +33,8 @@ from .distribution import (
 )
 from .errors import ContractError, DomainError, NoOrderError, ResourceError
 from .experiments import (
+    CENSUS_HEURISTIC_LIMIT,
+    MAX_CENSUS_NMAX,
     CaptureReport,
     CensusAggregate,
     FailureCensus,
@@ -59,7 +62,6 @@ from .number_theory import (
     order_from_multiple,
 )
 from .pipeline import (
-    MAX_RUN_MODULUS,
     MAX_RUN_QUBITS,
     Classification,
     GuaranteeReport,

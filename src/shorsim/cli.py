@@ -25,6 +25,7 @@ from .distribution import (
 )
 from .errors import DomainError, ResourceError
 from .experiments import (
+    CENSUS_HEURISTIC_LIMIT,
     capture_rate_empirical,
     census_aggregate,
     census_sweep,
@@ -196,6 +197,7 @@ def _cmd_census(args) -> str:
             "band_low": band[0],
             "band_high": band[1],
             "band_ok": band[0] <= agg.aggregate_bad_fraction <= band[1],
+            "heuristic_limit": CENSUS_HEURISTIC_LIMIT,
         })
     lines = ["n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction"]
     for r in rows:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ResourceError
 from .number_theory import carmichael_lambda, multiplicative_order, order_from_multiple
@@ -53,6 +52,11 @@ from .rng import SplitMix64
 #: one float64 per state, and 2^24 states (128 MiB a vector) is the
 #: desk-scale limit.  ``sample_states`` builds no vector and has no cap.
 MAX_REGISTER_QUBITS = 24
+
+#: Cap on the modulus of every route that needs the order r.  r is reduced
+#: from lambda(n), and lambda(n) needs n trial-divided, about sqrt(n)/2
+#: steps: a few milliseconds below 2^31, unbounded above it.
+MAX_RUN_MODULUS = 1 << 31
 
 #: Cap on the literal phasor-sum oracle, whose work grows as N^2:
 #: q_A = 12 takes under a second, q_A = 14 over ten.
@@ -123,6 +127,8 @@ class OrderInfo:
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "OrderInfo":
+        if inst.n >= MAX_RUN_MODULUS:
+            raise ResourceError(f"n={inst.n} exceeds the cap of 2^31 on the modulus")
         r = order_from_multiple(inst.x, inst.n, carmichael_lambda(inst.n))
         N = inst.N
         delta_min = 1.0 / ((inst.n - 1) * inst.n)
@@ -291,16 +297,18 @@ def capture_probability_d01() -> float:
     """Probability that a peak sample lands on its floor or ceiling cell,
     averaged over a uniformly distributed displacement.
 
-    Quadrature of peak_deviation_prob(0, delta) + peak_deviation_prob(1, delta)
-    over delta in [0, 1); the integrand is smooth (both endpoint limits equal 1).
+    The integral of peak_deviation_prob(0, delta) + peak_deviation_prob(1, delta)
+    over delta in [0, 1) is (2/pi) * Si(2*pi), one integration by parts
+    away; Si is summed from its Taylor series (Abramowitz & Stegun 5.2.14),
+    whose largest term at 2*pi is about 11, so the sum keeps ~15 digits.
     """
-    def integrand(delta: float) -> float:
-        if delta >= 1.0:  # quadrature nodes are interior; belt and braces
-            delta = math.nextafter(1.0, 0.0)
-        return peak_deviation_prob(0, delta) + peak_deviation_prob(1, delta)
-
-    value, _err = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return value
+    x = 2.0 * math.pi
+    si, term, k = 0.0, x, 0  # term = (-1)^k x^(2k+1) / (2k+1)!
+    while abs(term) > 1e-18:
+        si += term / (2 * k + 1)
+        term *= -x * x / ((2 * k + 2) * (2 * k + 3))
+        k += 1
+    return 2.0 * si / math.pi
 
 
 def sample(dist: OutputDistribution, seed: int, count: int) -> list[int]:

@@ -14,17 +14,22 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .distribution import OrderInfo, ProblemInstance, peaks, sample_states
+from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, peaks, sample_states
 from .errors import ContractError, DomainError, ResourceError
-from .number_theory import best_convergent_bounded, gcd, mod_pow, order_from_multiple
+from .number_theory import (
+    _distinct_prime_factors,
+    best_convergent_bounded,
+    gcd,
+    mod_pow,
+    order_from_multiple,
+)
 from .rng import SplitMix64
 
 #: Resource guard of the run route, which costs microseconds per draw at
 #: any register width.  What grows with the input is trial division
-#: (semiprime validation, lambda(n)), about sqrt(n)/2 steps, so the
-#: modulus stays below 2^31; the register stays at or below the default
-#: width of such a modulus (N >= n^2 at q_A <= 62).
-MAX_RUN_MODULUS = 1 << 31
+#: (semiprime validation, lambda(n)), so the modulus stays below
+#: MAX_RUN_MODULUS, checked here before validation; the register stays at
+#: or below the default width of such a modulus (N >= n^2 at q_A <= 62).
 MAX_RUN_QUBITS = 62
 
 
@@ -118,28 +123,14 @@ class RunOutcome:
     retries: list[RetryEvent] = field(default_factory=list)
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1 if f == 2 else 2
-    return True
-
-
 def semiprime_factors(n: int) -> tuple[int, int] | None:
     """(p, q) with p < q odd primes and p*q = n, else None."""
-    if n < 15 or n % 2 == 0:
+    if n % 2 == 0:
         return None
-    p = 3
-    while p * p < n:
-        if n % p == 0:
-            q = n // p
-            return (p, q) if _is_prime(q) else None
-        p += 2
-    return None  # prime, or an odd square p*p
+    factors = _distinct_prime_factors(n)
+    if len(factors) == 2 and factors[0] * factors[1] == n:
+        return factors[0], factors[1]
+    return None
 
 
 def precheck(n: int, x: int) -> int | None:

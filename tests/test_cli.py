@@ -1,6 +1,8 @@
 """Command-line behavior: formats, schemas, determinism, and exit codes."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -147,6 +149,24 @@ class TestCensus:
         assert obj["total_x"] > 0
         assert 0 < obj["aggregate_bad_fraction"] < 0.5
 
+    @pytest.mark.parametrize("nmax,digest", [
+        (100, "365926404448b05dd0187f9b5ec6e6963f98804f7c0e4cd4a34b72b58d172f00"),
+        (10_000, "6eef8c81fa3430ebaeceb3d554d2108ea2ea128b753e11cc329161476d0f922a"),
+        (30_000, "a9be58d2f280ef8098530659a19a1c421aef7e183ab8fe55a8351651c9ce27d4"),
+    ])
+    def test_csv_bytes_are_pinned(self, capsys, nmax, digest):
+        # SHA-256 of the output of the literal per-base sweep
+        code, out, _ = run_cli(capsys, "census", "--nmax", str(nmax))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_ends_with_heuristic_limit(self, capsys):
+        _, out, _ = run_cli(capsys, "census", "--nmax", "10000", "--format", "json")
+        obj = json.loads(out)
+        assert list(obj)[-1] == "heuristic_limit"
+        assert obj["heuristic_limit"] == 7 / 27
+        assert obj["aggregate_bad_fraction"] == 0.289314364554564
+
     def test_known_row_rendering_is_stable(self, capsys):
         _, out, _ = run_cli(capsys, "census", "--nmax", "25")
         rows = out.splitlines()[2:]
@@ -249,6 +269,29 @@ class TestRouteGuards:
     ])
     def test_route_caps_exit_resource(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
+
+    def test_census_cap_exits_resource_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--nmax", "10000001")
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--qa", "8"),
+        ("peaks", "--qa", "8"),
+        ("guarantee", "--qa", "8"),
+        ("capture",),  # default q_A: a narrower register is a domain error first
+        ("neighbors",),
+    ])
+    def test_vector_routes_cap_the_modulus(self, capsys, argv):
+        command, *flags = argv
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--n", "1000000000000000000000000000057",
+                                 "--x", "2", *flags)
+        assert time.perf_counter() - started < 2.0
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
 

@@ -284,6 +284,21 @@ class TestCaptureProbability:
         si_2pi = sici(2 * math.pi)[0]
         assert capture_probability_d01() == pytest.approx(2 * si_2pi / math.pi, abs=1e-6)
 
+    def test_matches_quadrature_of_deviation_weights(self):
+        from scipy.integrate import quad
+
+        def integrand(delta):
+            return peak_deviation_prob(0, delta) + peak_deviation_prob(1, delta)
+
+        value, _ = quad(integrand, 0, 1, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert capture_probability_d01() == pytest.approx(value, abs=1e-10)
+
+    def test_series_is_accurate_to_double_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            reference = 2 * mpmath.si(2 * mpmath.pi) / mpmath.pi
+            assert abs(mpmath.mpf(capture_probability_d01()) - reference) < 1e-15
+
     def test_halves_are_symmetric(self):
         from scipy.integrate import quad
 

@@ -1,18 +1,25 @@
 """Census, valuation-model Monte Carlo, capture rates, neighbor probes,
-and the reference-instance dump.  The census shortcuts (per-prime order
-tables, matched-valuation test for trivial square roots) are checked
-differentially against the brute-force order walk and direct modular
-powers.
+and the reference-instance dump.
+
+The closed-form census is checked against a literal per-base sweep kept
+here as the oracle: orders read from per-prime primitive-root tables
+(themselves checked against the brute-force order walk) and combined by
+lcm, with the matched-valuation test for trivial square roots (checked
+against direct modular powers).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from shorsim.errors import DomainError
+from shorsim.errors import DomainError, ResourceError
 from shorsim.experiments import (
-    _prime_order_table,
+    MAX_CENSUS_NMAX,
+    FailureCensus,
     capture_rate_empirical,
     census_aggregate,
     census_sweep,
@@ -26,6 +33,82 @@ from shorsim.number_theory import mod_pow, multiplicative_order
 from shorsim.pipeline import Classification, extract_factors
 
 SEMIPRIMES = [15, 21, 33, 35, 39, 51, 55, 57]
+
+
+@lru_cache(maxsize=None)
+def _prime_order_table(p):
+    """orders[x] = multiplicative order of x mod p, for 1 <= x < p.
+
+    Built by walking a primitive root g: the order of g**i is
+    (p-1)/gcd(p-1, i).
+    """
+    group = p - 1
+    prime_factors = []
+    rest, f = group, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            prime_factors.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        prime_factors.append(rest)
+    g = 2
+    while any(pow(g, group // f, p) == 1 for f in prime_factors):
+        g += 1
+    orders = np.zeros(p, dtype=np.int64)
+    value = 1
+    for i in range(group):
+        orders[value] = group // math.gcd(group, i)
+        value = value * g % p
+    return orders
+
+
+def sweep_census(n, p, q):
+    """The census of n = p*q by classifying every base 1 < x < n.
+
+    r = lcm(order mod p, order mod q); the base is odd-order when r is
+    odd, and a trivial square root when the two per-prime orders share
+    the same positive 2-adic valuation (exactly then x**(r/2) is -1 mod
+    both primes, hence mod n).
+    """
+    xs = np.arange(2, n, dtype=np.int64)
+    xp = xs % p
+    xq = xs % q
+    coprime = (xp != 0) & (xq != 0)
+    r1 = _prime_order_table(p)[xp[coprime]]
+    r2 = _prime_order_table(q)[xq[coprime]]
+    v1 = np.log2((r1 & -r1).astype(np.float64)).astype(np.int64)
+    v2 = np.log2((r2 & -r2).astype(np.float64)).astype(np.int64)
+    odd = (v1 == 0) & (v2 == 0)  # r = lcm(r1, r2) is odd iff both are odd
+    trivial = (v1 == v2) & (v1 >= 1)
+    num_x = int(coprime.sum())
+    n_odd = int(odd.sum())
+    n_trivial = int(trivial.sum())
+    return FailureCensus(
+        n=n, p1=p, p2=q,
+        num_x=num_x,
+        odd_r=n_odd,
+        trivial_sqrt=n_trivial,
+        good=num_x - n_odd - n_trivial,
+        common_factor_skipped=int((~coprime).sum()),
+        fraction_odd=n_odd / num_x,
+        fraction_trivial_sqrt=n_trivial / num_x,
+        fraction_bad=(n_odd + n_trivial) / num_x,
+    )
+
+
+def _is_odd_prime(m):
+    return m > 2 and m % 2 == 1 and all(m % f for f in range(3, math.isqrt(m) + 1, 2))
+
+
+def _next_prime(m):
+    while not _is_odd_prime(m):
+        m += 1
+    return m
+
+
+SMALL_ODD_PRIMES = [p for p in range(3, 1000) if _is_odd_prime(p)]
 
 
 def brute_classification(n, x):
@@ -133,6 +216,25 @@ class TestFailureCensus:
         for n in (9, 10, 17, 25, 105):
             with pytest.raises(DomainError):
                 failure_census(n)
+
+    def test_closed_form_matches_sweep_below_10k(self):
+        rows = semiprimes_below(10_000)
+        assert len(rows) == 1932
+        expected = [sweep_census(n, p, q) for n, p, q in rows]
+        assert [failure_census(n) for n, _p, _q in rows] == expected
+        assert census_sweep(10_000) == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_matches_sweep_on_random_semiprimes(self, data):
+        p = data.draw(st.sampled_from(SMALL_ODD_PRIMES), label="p")
+        q = _next_prime(data.draw(st.integers(min_value=p + 1, max_value=(10**6 - 1) // p)))
+        assume(p * q < 10**6)
+        assert failure_census(p * q) == sweep_census(p * q, p, q)
+
+    def test_sweep_is_capped(self):
+        with pytest.raises(ResourceError):
+            census_sweep(MAX_CENSUS_NMAX + 1)
 
     def test_half_bound_over_moderate_sweep(self):
         rows = census_sweep(1500)

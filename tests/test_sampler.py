@@ -15,6 +15,7 @@ import pytest
 from scipy.stats import chi2
 
 from shorsim.distribution import (
+    MAX_RUN_MODULUS,
     FejerProposal,
     OrderInfo,
     ProblemInstance,
@@ -23,7 +24,7 @@ from shorsim.distribution import (
     two_term_distribution,
 )
 from shorsim.distribution import _bounded
-from shorsim.errors import DomainError
+from shorsim.errors import DomainError, ResourceError
 from shorsim.number_theory import carmichael_lambda, multiplicative_order
 from shorsim.rng import SplitMix64
 
@@ -221,3 +222,9 @@ class TestOrderFastPath:
             1, 2, 2, 4, 6, 4, 6, 178 * 196 // math.gcd(178, 196)]
         with pytest.raises(DomainError):
             carmichael_lambda(1)
+
+    def test_order_info_caps_the_modulus(self):
+        below = ProblemInstance.create(46327 * 46337, 2, q_A=8)  # just below the cap
+        assert OrderInfo.from_instance(below).r > 1
+        with pytest.raises(ResourceError):
+            OrderInfo.from_instance(ProblemInstance.create(MAX_RUN_MODULUS + 1, 2, q_A=8))
