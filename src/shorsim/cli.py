@@ -6,6 +6,10 @@ re-running a command reproduces its output byte for byte.
 
 Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
 64 usage error.
+
+The table commands (dist, fig1, census) return their output as a stream
+of text chunks that is written as it is formatted, so the full text is
+never held; the other commands return one string.
 """
 
 import argparse
@@ -46,6 +50,10 @@ EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
 
+#: Rows per chunk of a streamed table: one C-level %-format of about 1 MB
+#: of text per chunk.
+_CHUNK_ROWS = 1 << 15
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the documented usage exit code."""
@@ -84,6 +92,46 @@ def _render(args, obj: dict) -> str:
     return _json(obj) if args.format == "json" else _kv_csv(obj)
 
 
+def _csv_chunks(header: str, row_format: str, count: int, fields):
+    """A CSV document with `count` rows, as text chunks.
+
+    `fields(start, stop)` gives the fields of rows start..stop-1 as one
+    flat list of Python values, row after row; each chunk of rows is
+    formatted by a single `%` on `row_format` repeated.
+    """
+    yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
+    for start in range(0, count, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, count)
+        yield row_format * (stop - start) % tuple(fields(start, stop))
+
+
+def _distribution_csv(probabilities):
+    """The `c,P(c)` table of a distribution, as text chunks."""
+
+    def fields(start, stop):
+        flat = [None] * (2 * (stop - start))
+        flat[0::2] = range(start, stop)
+        flat[1::2] = probabilities[start:stop].tolist()
+        return flat
+
+    return _csv_chunks("c,P(c)", "%d,%.15e\n", len(probabilities), fields)
+
+
+def _json_chunks(obj: dict, key: str):
+    """`_json(obj)` as text chunks, where `obj[key]` is a float array.
+
+    json.dumps prints a finite float as its repr, so joining the reprs
+    gives the same bytes; the probabilities are finite and never empty.
+    """
+    head, _, tail = _json({**obj, key: None}).partition(f'"{key}": null')
+    values = obj[key]
+    prefix = f'{head}"{key}": [\n    '
+    for start in range(0, len(values), _CHUNK_ROWS):
+        yield prefix + ",\n    ".join(map(float.__repr__, values[start:start + _CHUNK_ROWS].tolist()))
+        prefix = ",\n    "
+    yield "\n  ]" + tail
+
+
 _METHODS = {
     "two-term": (METHOD_TWO_TERM, two_term_distribution),
     "per-k": (METHOD_PER_K, per_k_distribution),
@@ -99,22 +147,15 @@ def _build_distribution(args):
     return inst, info, dist
 
 
-def _distribution_rows(dist) -> list[str]:
-    lines = ["c,P(c)"]
-    for c, p in enumerate(dist.probabilities):
-        lines.append(f"{c},{_fmt(p)}")
-    return lines
-
-
-def _cmd_dist(args) -> str:
-    _inst, _info, dist = _build_distribution(args)
+def _cmd_dist(args):
+    inst, _info, dist = _build_distribution(args)
     if args.format == "json":
-        return _json({
-            "n": args.n, "x": args.x, "qA": _inst.q_A, "N": _inst.N,
+        return _json_chunks({
+            "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
             "method": dist.method,
-            "probabilities": [float(p) for p in dist.probabilities],
-        })
-    return _csv(_distribution_rows(dist))
+            "probabilities": dist.probabilities,
+        }, "probabilities")
+    return _distribution_csv(dist.probabilities)
 
 
 def _peak_rows(peak_models) -> list[str]:
@@ -139,22 +180,25 @@ def _cmd_peaks(args) -> str:
     return _csv(_peak_rows(pk))
 
 
-def _cmd_fig1(args) -> str:
+def _fig1_csv(dist, pk):
+    yield from _distribution_csv(dist.probabilities)
+    yield "# peaks: nu,sigma_nu,c_nu,delta_nu\n" + "".join(
+        f"# peak {p.nu},{_fmt(p.sigma_nu)},{p.c_nu},{_fmt(p.delta_nu)}\n" for p in pk
+    )
+
+
+def _cmd_fig1(args):
     inst, dist, pk = figure1_data()
     if args.format == "json":
-        return _json({
+        return _json_chunks({
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
-            "probabilities": [float(p) for p in dist.probabilities],
+            "probabilities": dist.probabilities,
             "peaks": [
                 {"nu": p.nu, "sigma_nu": p.sigma_nu, "c_nu": p.c_nu, "delta_nu": p.delta_nu}
                 for p in pk
             ],
-        })
-    lines = _distribution_rows(dist)
-    lines.append("# peaks: nu,sigma_nu,c_nu,delta_nu")
-    for p in pk:
-        lines.append(f"# peak {p.nu},{_fmt(p.sigma_nu)},{p.c_nu},{_fmt(p.delta_nu)}")
-    return _csv(lines)
+        }, "probabilities")
+    return _fig1_csv(dist, pk)
 
 
 def _cmd_run(args) -> str:
@@ -177,7 +221,7 @@ def _cmd_run(args) -> str:
     return _render(args, obj)
 
 
-def _cmd_census(args) -> str:
+def _cmd_census(args):
     rows = census_sweep(args.nmax)
     if not rows:
         raise DomainError(f"no odd distinct-prime semiprimes below {args.nmax}")
@@ -199,12 +243,13 @@ def _cmd_census(args) -> str:
             "band_ok": band[0] <= agg.aggregate_bad_fraction <= band[1],
             "heuristic_limit": CENSUS_HEURISTIC_LIMIT,
         })
-    lines = ["n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction"]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.p1},{r.p2},{r.num_x},{r.odd_r},{r.trivial_sqrt},{_fmt(r.fraction_bad)}"
-        )
-    return _csv(lines)
+
+    def fields(start, stop):
+        return [value for r in rows[start:stop]
+                for value in (r.n, r.p1, r.p2, r.num_x, r.odd_r, r.trivial_sqrt, r.fraction_bad)]
+
+    return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction",
+                       "%d,%d,%d,%d,%d,%d,%.15e\n", len(rows), fields)
 
 
 def _cmd_mc_valuation(args) -> str:
@@ -220,7 +265,7 @@ def _cmd_mc_valuation(args) -> str:
 
 
 def _cmd_capture(args) -> str:
-    qa = args.qa if args.qa is not None else (args.n * args.n - 1).bit_length()
+    qa = args.qa if args.qa is not None else ProblemInstance.default_q_A(args.n)
     rep = capture_rate_empirical(args.n, args.x, qa, args.samples, seed=args.seed)
     return _render(args, {
         "n": rep.n, "x": rep.x, "qA": rep.q_A,
@@ -245,7 +290,7 @@ def _cmd_guarantee(args) -> str:
 
 
 def _cmd_neighbors(args) -> str:
-    qa = args.qa if args.qa is not None else (args.n * args.n - 1).bit_length()
+    qa = args.qa if args.qa is not None else ProblemInstance.default_q_A(args.n)
     rep = neighbor_state_check(args.n, args.x, qa)
     obj = {
         "n": rep.n, "x": rep.x, "qA": rep.q_A, "r": rep.r,
@@ -314,18 +359,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help exits 0; usage errors exit 64
         return int(exc.code or 0)
     try:
-        text = args.func(args)
+        output = args.func(args)
     except ResourceError as exc:
         print(f"shorsim: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except DomainError as exc:
         print(f"shorsim: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    chunks = [output] if isinstance(output, str) else output
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+        return EXIT_OK
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early, which is not an error.  Point stdout at
+        # devnull so that the interpreter's final flush stays quiet.
+        import os  # needed on this path only
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

@@ -98,10 +98,15 @@ class ProblemInstance:
         if n < 3:
             raise DomainError(f"modulus n must be >= 3, got {n}")
         if q_A is None:
-            q_A = (n * n - 1).bit_length()  # smallest q with 2^q >= n^2
+            q_A = cls.default_q_A(n)
         if q_B is None:
             q_B = (n - 1).bit_length()  # smallest q with 2^q >= n
         return cls(n=n, x=x, q_A=q_A, q_B=q_B)
+
+    @staticmethod
+    def default_q_A(n: int) -> int:
+        """The default measured-register width: the smallest q with 2^q >= n^2."""
+        return (n * n - 1).bit_length()
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import shorsim
+from shorsim import cli
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 
@@ -300,3 +305,89 @@ class TestRouteGuards:
         code, out, err = run_cli(capsys, "capture", "--n", "21", "--x", "10", "--samples", samples)
         assert code == EXIT_DOMAIN and out == ""
         assert err.startswith("shorsim: error:") and err.count("\n") == 1
+
+
+# SHA-256 of each command's output as rendered by the one-string-per-row
+# renderer, before rows were streamed in chunks.  q_A 15 gives exactly one
+# full chunk of rows, q_A 16 two.
+PINNED_OUTPUT = {
+    "dist --n 21 --x 10 --qa 8": "91f61bc96c553cdfa6d3cc356f6666b2220ef0ccfefd110568117d5a33013dbd",
+    "dist --n 21 --x 10 --qa 8 --format json":
+        "3d2a6afeae1d5a94e87fd01531784002d3e116a92a399eb666683304ccc27ddb",
+    "dist --n 21 --x 10 --qa 15": "1044ada41bdf5f32859dd00fa35547fbccbc1fd98e04447677dc15dee30ce0e0",
+    "dist --n 21 --x 10 --qa 15 --format json":
+        "ca5239910cf4c942ee03e6c00d720ad3add9ecdff751611a14ea93c8ca23b65d",
+    "dist --n 1007 --x 5 --qa 16": "0f591e726fb51604f21aec9e68afac2d474a2f18fc4ab1c57e788b5ed11bd412",
+    "dist --n 1007 --x 5 --qa 16 --format json":
+        "0ad444fdfb9d9fb6419d62103bbd0366aa82073ceb68185481e2059cb8e6e3e4",
+    "dist --n 15 --x 2 --method oracle": "d566c3e1cac08ed9290d2756a16e05bd28ab897025a470bc90e72e43f4e4fd9b",
+    "dist --n 15 --x 2 --method oracle --format json":
+        "d4b5cc8912376a3997f77b3054e1a6db2c5c49173e1ed0c5253ac719b816cae1",
+    "fig1": "51a1d1d26bb9e5f45fdc3a5c9758a6606a66e800f1371d52ae892b3572d8f479",
+    "fig1 --format json": "a0be9bba78f64b18d11b88a705475e37041c911df259cdc9275cd49e08eccd1c",
+    "census --nmax 10000": "6eef8c81fa3430ebaeceb3d554d2108ea2ea128b753e11cc329161476d0f922a",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestStreamedOutput:
+    """Tables are written in chunks; the bytes must not depend on that."""
+
+    @pytest.mark.parametrize("command", PINNED_OUTPUT)
+    def test_stdout_and_out_file_bytes_are_pinned(self, capsys, tmp_path, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert sha256(out) == PINNED_OUTPUT[command]
+        target = tmp_path / "out"
+        code, quiet, _ = run_cli(capsys, *command.split(), "--out", str(target))
+        assert code == EXIT_OK and quiet == ""
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 100, 255, 256, 257])
+    @pytest.mark.parametrize("command", [
+        "dist --n 21 --x 10 --qa 8",  # 256 rows
+        "dist --n 21 --x 10 --qa 8 --format json",
+        "fig1",
+        "fig1 --format json",
+        "census --nmax 10000",  # 1932 rows
+    ])
+    def test_chunk_size_does_not_change_bytes(self, capsys, monkeypatch, chunk_rows, command):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert sha256(out) == PINNED_OUTPUT[command]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("flags,expected", [
+        (("--n", "21", "--x", "7"), EXIT_DOMAIN),  # x shares a factor with n
+        (("--n", "21", "--x", "10", "--qa", "25"), EXIT_RESOURCE),
+        (("--n", "1000000000000000000000000000057", "--x", "2", "--qa", "8"), EXIT_RESOURCE),
+    ])
+    def test_error_leaves_no_file(self, capsys, tmp_path, fmt, flags, expected):
+        target = tmp_path / "out"
+        code, _, err = run_cli(capsys, "dist", *flags, "--format", fmt, "--out", str(target))
+        assert code == expected and err.count("\n") == 1
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--n", "1007", "--x", "5", "--qa", "16"),
+        ("dist", "--n", "1007", "--x", "5", "--qa", "16", "--format", "json"),
+        ("census", "--nmax", "30000"),
+    ])
+    def test_reader_closing_early_is_not_an_error(self, argv):
+        src = os.path.dirname(os.path.dirname(shorsim.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        writer = subprocess.Popen([sys.executable, "-m", "shorsim.cli", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert writer.stdout.readline()
+            writer.stdout.close()
+            err = writer.stderr.read()
+            assert writer.wait(timeout=60) == EXIT_OK
+        finally:
+            writer.kill()
+            writer.wait()
+        assert err == b""
