@@ -60,6 +60,7 @@ from .number_theory import (
     mod_pow,
     multiplicative_order,
     order_from_multiple,
+    semiprime_factors,
 )
 from .pipeline import (
     MAX_RUN_QUBITS,
@@ -75,7 +76,6 @@ from .pipeline import (
     recover_order,
     run_once,
     run_with_retries,
-    semiprime_factors,
 )
 from .rng import SplitMix64
 

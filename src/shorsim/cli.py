@@ -7,9 +7,9 @@ re-running a command reproduces its output byte for byte.
 Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
 64 usage error.
 
-The table commands (dist, fig1, census) return their output as a stream
-of text chunks that is written as it is formatted, so the full text is
-never held; the other commands return one string.
+The tables (dist, fig1, census, and the peaks and neighbors CSV) are
+returned as a stream of text chunks that is written as it is formatted,
+so the full text is never held; other output is one string.
 """
 
 import argparse
@@ -64,20 +64,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.15e}"
-
-
-def _csv(lines: list[str]) -> str:
-    return "\n".join([f"# schema_version={SCHEMA_VERSION}"] + lines) + "\n"
-
-
 def _json(obj: dict) -> str:
     return json.dumps({"schema_version": SCHEMA_VERSION, **obj}, indent=2) + "\n"
 
 
 def _kv_csv(obj: dict) -> str:
-    lines = ["key,value"]
+    lines = [f"# schema_version={SCHEMA_VERSION}", "key,value"]
     for key, value in obj.items():
         if isinstance(value, (list, tuple, dict)):
             value = json.dumps(value)
@@ -85,7 +77,7 @@ def _kv_csv(obj: dict) -> str:
         if "," in text or '"' in text:
             text = '"' + text.replace('"', '""') + '"'
         lines.append(f"{key},{text}")
-    return _csv(lines)
+    return "\n".join(lines) + "\n"
 
 
 def _render(args, obj: dict) -> str:
@@ -158,33 +150,36 @@ def _cmd_dist(args):
     return _distribution_csv(dist.probabilities)
 
 
-def _peak_rows(peak_models) -> list[str]:
-    lines = ["nu,sigma_nu,c_nu,delta_nu"]
-    for p in peak_models:
-        lines.append(f"{p.nu},{_fmt(p.sigma_nu)},{p.c_nu},{_fmt(p.delta_nu)}")
-    return lines
+_PEAK_HEADER = "nu,sigma_nu,c_nu,delta_nu"
+_PEAK_ROW = "%d,%.15e,%d,%.15e\n"
 
 
-def _cmd_peaks(args) -> str:
+def _peak_fields(pk) -> list:
+    """The `_PEAK_ROW` fields of the peaks, row after row."""
+    return [value for p in pk for value in (p.nu, p.sigma_nu, p.c_nu, p.delta_nu)]
+
+
+def _peak_dicts(pk) -> list[dict]:
+    return [{"nu": p.nu, "sigma_nu": p.sigma_nu, "c_nu": p.c_nu, "delta_nu": p.delta_nu}
+            for p in pk]
+
+
+def _cmd_peaks(args):
     inst = ProblemInstance.create(args.n, args.x, args.qa)
     info = OrderInfo.from_instance(inst)
     pk = peaks(inst, info)
     if args.format == "json":
         return _json({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N, "r": info.r,
-            "peaks": [
-                {"nu": p.nu, "sigma_nu": p.sigma_nu, "c_nu": p.c_nu, "delta_nu": p.delta_nu}
-                for p in pk
-            ],
+            "peaks": _peak_dicts(pk),
         })
-    return _csv(_peak_rows(pk))
+    return _csv_chunks(_PEAK_HEADER, _PEAK_ROW, len(pk),
+                       lambda start, stop: _peak_fields(pk[start:stop]))
 
 
 def _fig1_csv(dist, pk):
     yield from _distribution_csv(dist.probabilities)
-    yield "# peaks: nu,sigma_nu,c_nu,delta_nu\n" + "".join(
-        f"# peak {p.nu},{_fmt(p.sigma_nu)},{p.c_nu},{_fmt(p.delta_nu)}\n" for p in pk
-    )
+    yield f"# peaks: {_PEAK_HEADER}\n" + ("# peak " + _PEAK_ROW) * len(pk) % tuple(_peak_fields(pk))
 
 
 def _cmd_fig1(args):
@@ -193,10 +188,7 @@ def _cmd_fig1(args):
         return _json_chunks({
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
             "probabilities": dist.probabilities,
-            "peaks": [
-                {"nu": p.nu, "sigma_nu": p.sigma_nu, "c_nu": p.c_nu, "delta_nu": p.delta_nu}
-                for p in pk
-            ],
+            "peaks": _peak_dicts(pk),
         }, "probabilities")
     return _fig1_csv(dist, pk)
 
@@ -289,7 +281,7 @@ def _cmd_guarantee(args) -> str:
     })
 
 
-def _cmd_neighbors(args) -> str:
+def _cmd_neighbors(args):
     qa = args.qa if args.qa is not None else ProblemInstance.default_q_A(args.n)
     rep = neighbor_state_check(args.n, args.x, qa)
     obj = {
@@ -309,10 +301,12 @@ def _cmd_neighbors(args) -> str:
     }
     if args.format == "json":
         return _json(obj)
-    lines = ["nu,c_nu,delta_nu,differs"]
-    for p in rep.probes:
-        lines.append(f"{p.nu},{p.c_nu},{_fmt(p.delta_nu)},{len(p.neighbors_differ)}")
-    return _csv(lines)
+
+    def fields(start, stop):
+        return [value for p in rep.probes[start:stop]
+                for value in (p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))]
+
+    return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n", len(rep.probes), fields)
 
 
 def build_parser() -> _Parser:
@@ -368,7 +362,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
     chunks = [output] if isinstance(output, str) else output
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"shorsim: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_DOMAIN
+        with fh:
             fh.writelines(chunks)
         return EXIT_OK
     try:

@@ -120,9 +120,9 @@ class OrderInfo:
     delta_min = 1/((n-1)*n) is the worst-case gap between the true
     ratio and the nearest wrong candidate fraction during recovery.
 
-    r is reduced from Carmichael's lambda(n), a multiple of every order
-    mod n; ``multiplicative_order`` is the brute-force oracle it is
-    tested against.
+    r is reduced from a multiple of the order, Carmichael's lambda(n)
+    unless the caller already knows one; ``multiplicative_order`` is the
+    brute-force oracle it is tested against.
     """
 
     r: int
@@ -134,7 +134,12 @@ class OrderInfo:
     def from_instance(cls, inst: ProblemInstance) -> "OrderInfo":
         if inst.n >= MAX_RUN_MODULUS:
             raise ResourceError(f"n={inst.n} exceeds the cap of 2^31 on the modulus")
-        r = order_from_multiple(inst.x, inst.n, carmichael_lambda(inst.n))
+        return cls.from_multiple(inst, carmichael_lambda(inst.n))
+
+    @classmethod
+    def from_multiple(cls, inst: ProblemInstance, multiple: int) -> "OrderInfo":
+        """The order info of inst, given a multiple of the order of x mod n."""
+        r = order_from_multiple(inst.x, inst.n, multiple)
         N = inst.N
         delta_min = 1.0 / ((inst.n - 1) * inst.n)
         return cls(r=r, M0=(N - r) // r, k0=N % r, delta_min=delta_min)

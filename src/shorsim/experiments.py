@@ -39,7 +39,8 @@ from .distribution import (
     two_term_distribution,
 )
 from .errors import DomainError, ResourceError
-from .pipeline import RecoveryResult, recover_order, semiprime_factors
+from .number_theory import semiprime_factors
+from .pipeline import RecoveryResult, recover_order
 from .rng import SplitMix64
 
 #: Cap on the census route.  The closed form costs microseconds per

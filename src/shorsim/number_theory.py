@@ -80,6 +80,16 @@ def _distinct_prime_factors(m: int) -> list[int]:
     return primes
 
 
+def semiprime_factors(n: int) -> tuple[int, int] | None:
+    """(p, q) with p < q odd primes and p*q = n, else None."""
+    if n % 2 == 0:
+        return None
+    factors = _distinct_prime_factors(n)
+    if len(factors) == 2 and factors[0] * factors[1] == n:
+        return factors[0], factors[1]
+    return None
+
+
 def carmichael_lambda(n: int) -> int:
     """Carmichael's lambda(n): the exponent of the unit group mod n >= 2.
 

@@ -6,7 +6,10 @@ vector), recovers an order candidate by continued fractions, verifies it,
 and extracts factors.  The retry layer re-tries recoverable failures (an
 unverified candidate, or the dead zero-state) with multiplier trials and
 fresh samples, but never swaps in a new base: rebuilding the machine for
-a different x is the caller's decision.
+a different x is the caller's decision.  Both go through one run body:
+``run_once`` is the first attempt of ``run_with_retries``, returned as it
+is.  Validation factors n, and the order is reduced from lcm(p-1, q-1),
+so a run trial-divides n once.
 """
 
 import math
@@ -17,19 +20,21 @@ from fractions import Fraction
 from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, peaks, sample_states
 from .errors import ContractError, DomainError, ResourceError
 from .number_theory import (
-    _distinct_prime_factors,
     best_convergent_bounded,
     gcd,
+    lcm,
     mod_pow,
     order_from_multiple,
+    semiprime_factors,
 )
 from .rng import SplitMix64
 
 #: Resource guard of the run route, which costs microseconds per draw at
-#: any register width.  What grows with the input is trial division
-#: (semiprime validation, lambda(n)), so the modulus stays below
-#: MAX_RUN_MODULUS, checked here before validation; the register stays at
-#: or below the default width of such a modulus (N >= n^2 at q_A <= 62).
+#: any register width.  What grows with the input is trial division of n
+#: (semiprime validation, which also gives lambda(n)), so the modulus
+#: stays below MAX_RUN_MODULUS, checked before validation; the register
+#: stays at or below the default width of such a modulus (N >= n^2 at
+#: q_A <= 62).
 MAX_RUN_QUBITS = 62
 
 
@@ -123,16 +128,6 @@ class RunOutcome:
     retries: list[RetryEvent] = field(default_factory=list)
 
 
-def semiprime_factors(n: int) -> tuple[int, int] | None:
-    """(p, q) with p < q odd primes and p*q = n, else None."""
-    if n % 2 == 0:
-        return None
-    factors = _distinct_prime_factors(n)
-    if len(factors) == 2 and factors[0] * factors[1] == n:
-        return factors[0], factors[1]
-    return None
-
-
 def precheck(n: int, x: int) -> int | None:
     """gcd screen before any machine is built: a shared factor of x and n
     is itself the answer.  Returns the factor, or None to proceed."""
@@ -186,26 +181,6 @@ def extract_factors(n: int, x: int, r: int) -> tuple[Classification, tuple[int, 
     raise ContractError(f"no nontrivial factor from x**(r/2) +- 1 (n={n} not a semiprime?)")
 
 
-def _guard_run(n: int, q_A: int | None):
-    if n >= MAX_RUN_MODULUS:
-        raise ResourceError(f"n={n} exceeds the run route's cap of 2^31 on the modulus")
-    if q_A is not None and q_A > MAX_RUN_QUBITS:
-        raise ResourceError(f"q_A={q_A} exceeds the run route's cap of {MAX_RUN_QUBITS}")
-
-
-def _validated_semiprime(n: int):
-    if semiprime_factors(n) is None:
-        raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")
-
-
-def _shortcut_outcome(n: int, x: int, g: int) -> RunOutcome:
-    return RunOutcome(
-        n=n, x=x, instance=None, c=None, recovery=None,
-        classification=Classification.COMMON_FACTOR_SHORTCUT,
-        factors=(g, n // g), r_true=None,
-    )
-
-
 def _opportunistic_factor(n: int, x: int, r_candidate: int) -> int | None:
     """Sometimes an even under-estimate of the order still splits n:
     try the usual gcd pair as if the candidate were the order."""
@@ -233,61 +208,35 @@ def _resolve(n: int, x: int, rec: RecoveryResult) -> tuple[Classification, tuple
     return extract_factors(n, x, exact_r)
 
 
-def run_once(n: int, x: int, q_A: int | None = None, seed: int = 0) -> RunOutcome:
-    """One full attempt: precheck, sample one state, recover, extract."""
-    _guard_run(n, q_A)
-    _validated_semiprime(n)
+def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None) -> RunOutcome:
+    """The run route: one attempt, then retries under policy (none when None)."""
+    if n >= MAX_RUN_MODULUS:
+        raise ResourceError(f"n={n} exceeds the run route's cap of 2^31 on the modulus")
+    if q_A is not None and q_A > MAX_RUN_QUBITS:
+        raise ResourceError(f"q_A={q_A} exceeds the run route's cap of {MAX_RUN_QUBITS}")
+    pq = semiprime_factors(n)
+    if pq is None:
+        raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")
     g = precheck(n, x)
     if g is not None:
-        return _shortcut_outcome(n, x, g)
+        return RunOutcome(
+            n=n, x=x, instance=None, c=None, recovery=None,
+            classification=Classification.COMMON_FACTOR_SHORTCUT,
+            factors=(g, n // g), r_true=None,
+        )
     inst = ProblemInstance.create(n, x, q_A)
-    info = OrderInfo.from_instance(inst)
-    c = sample_states(inst, info, SplitMix64(seed), 1)[0]
-    rec = recover_order(c, inst)
-    classification, factors = _resolve(n, x, rec)
-    return RunOutcome(
-        n=n, x=x, instance=inst, c=c, recovery=rec,
-        classification=classification, factors=factors, r_true=info.r,
-    )
-
-
-def run_with_retries(
-    n: int,
-    x: int,
-    policy: RetryPolicy | None = None,
-    seed: int = 0,
-    q_A: int | None = None,
-) -> RunOutcome:
-    """run_once plus recovery from retriable failures.
-
-    On an unverified candidate, small multipliers mu = 2..max_mu of the
-    candidate are tried first (x**(mu*candidate) = 1 picks out the lost
-    factor); only then is a fresh state sampled, up to max_resamples
-    times.  A failed multiplier scan additionally logs any factor the
-    bare candidate happens to reveal through the usual gcd pair, as a
-    diagnostic that never steers the run.  The dead zero state is also
-    retried by resampling.  Odd orders and trivial square roots are
-    base-level failures and are returned as terminal outcomes; the
-    retry layer never substitutes a new x.  Exhausted budgets yield an
-    Exhausted outcome carrying the last attempt.
-    """
-    policy = policy or RetryPolicy()
-    _guard_run(n, q_A)
-    _validated_semiprime(n)
-    g = precheck(n, x)
-    if g is not None:
-        return _shortcut_outcome(n, x, g)
-    inst = ProblemInstance.create(n, x, q_A)
-    info = OrderInfo.from_instance(inst)
+    # lambda(pq) = lcm(p-1, q-1): n is not trial-divided a second time
+    info = OrderInfo.from_multiple(inst, lcm(pq[0] - 1, pq[1] - 1))
     rng = SplitMix64(seed)
     events: list[RetryEvent] = []
 
-    c = sample_states(inst, info, rng, 1)[0]
-    rec = recover_order(c, inst)
+    rec = recover_order(sample_states(inst, info, rng, 1)[0], inst)
     resamples = 0
     while True:
         classification, factors = _resolve(n, x, rec)
-        if classification not in (Classification.ZERO_PEAK, Classification.UNVERIFIED_ORDER):
+        if policy is None or classification not in (
+            Classification.ZERO_PEAK, Classification.UNVERIFIED_ORDER,
+        ):
             break
         if classification is Classification.UNVERIFIED_ORDER and rec.r_candidate is not None:
             found = None
@@ -322,7 +271,36 @@ def run_with_retries(
     )
 
 
-def order_recovery_guarantee(inst: ProblemInstance, info: OrderInfo | None = None) -> GuaranteeReport:
+def run_once(n: int, x: int, q_A: int | None = None, seed: int = 0) -> RunOutcome:
+    """The first attempt of run_with_retries, with no retries: precheck,
+    sample one state, recover, extract."""
+    return _run(n, x, q_A, seed, None)
+
+
+def run_with_retries(
+    n: int,
+    x: int,
+    policy: RetryPolicy | None = None,
+    seed: int = 0,
+    q_A: int | None = None,
+) -> RunOutcome:
+    """run_once plus recovery from retriable failures.
+
+    On an unverified candidate, small multipliers mu = 2..max_mu of the
+    candidate are tried first (x**(mu*candidate) = 1 picks out the lost
+    factor); only then is a fresh state sampled, up to max_resamples
+    times.  A failed multiplier scan additionally logs any factor the
+    bare candidate happens to reveal through the usual gcd pair, as a
+    diagnostic that never steers the run.  The dead zero state is also
+    retried by resampling.  Odd orders and trivial square roots are
+    base-level failures and are returned as terminal outcomes; the
+    retry layer never substitutes a new x.  Exhausted budgets yield an
+    Exhausted outcome carrying the last attempt.
+    """
+    return _run(n, x, q_A, seed, policy or RetryPolicy())
+
+
+def order_recovery_guarantee(inst: ProblemInstance) -> GuaranteeReport:
     """Report whether peak cells d in {0, 1} are guaranteed to recover r.
 
     The distance from a peak cell to the true ratio is |d - delta|/N,
@@ -330,7 +308,7 @@ def order_recovery_guarantee(inst: ProblemInstance, info: OrderInfo | None = Non
     1/((n-1)*n).  With N >= n^2 the distance is always inside the gap,
     so recovery from d in {0, 1} is exact.
     """
-    info = info or OrderInfo.from_instance(inst)
+    info = OrderInfo.from_instance(inst)
     pk = peaks(inst, info)
     max_d0 = max(p.delta_nu for p in pk) / inst.N
     max_d1 = max(1.0 - p.delta_nu for p in pk) / inst.N

@@ -254,6 +254,17 @@ class TestOutFile:
         assert content.splitlines()[1] == "nu,sigma_nu,c_nu,delta_nu"
 
 
+class TestOutErrors:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_path_is_one_line(self, capsys, tmp_path, fmt, where):
+        target = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+        code, out, err = run_cli(capsys, "dist", "--n", "21", "--x", "10", "--qa", "8",
+                                 "--format", fmt, "--out", str(target))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith(f"shorsim: error: cannot write {target}") and err.count("\n") == 1
+
+
 class TestRouteGuards:
     """Each costly route has its own resource cap; bad sample counts are
     domain errors.  Every failure is one line on stderr."""
@@ -326,6 +337,30 @@ PINNED_OUTPUT = {
     "fig1": "51a1d1d26bb9e5f45fdc3a5c9758a6606a66e800f1371d52ae892b3572d8f479",
     "fig1 --format json": "a0be9bba78f64b18d11b88a705475e37041c911df259cdc9275cd49e08eccd1c",
     "census --nmax 10000": "6eef8c81fa3430ebaeceb3d554d2108ea2ea128b753e11cc329161476d0f922a",
+    # taken while run_once and run_with_retries were two copies of the
+    # attempt and each peak row had its own f-string
+    "run --n 21 --x 10 --qa 9 --seed 3": "535f0fc446f8079f5e222fe5a2794111d359105a34904df37d4b56b88e4d7b85",
+    "run --n 21 --x 10 --qa 9 --seed 3 --format csv":
+        "f0a9a70ab73083ccf2a745c82479059500751d56a3368ca02090b47e723f276a",
+    "run --n 21 --x 7": "63b7fcdb10d6467867b7b2e176c9bb188bed4184ccb59d977f72b2fd940be9df",
+    "run --n 21 --x 10 --qa 9 --seed 11 --max-mu 2 --max-resamples 1 --format csv":
+        "8db6e2c48d57719aa330c1e8791fba30b3e067668919e4925b2b801a513108a2",
+    "run --n 1007 --x 5 --seed 7": "8edcac8eb5a6b8aa0001b352b36d705697db29d52caeb95896eb5a4cad0a0d00",
+    "peaks --n 21 --x 10 --qa 8": "ecd2d3a084a91b9926aa43f6bd8a2c4e32ab3c82d4535d14af1c70ae1e95f158",
+    "peaks --n 21 --x 10 --qa 8 --format json":
+        "87057089ebeefd8da213efd9770e7362db9d6cd2ceb616b2714c6f481e556014",
+    "peaks --n 1007 --x 5 --qa 16": "505cf34fc22366ca17d3b2342b00200e9d7d23fc2349e816aaf96c43c02bf7ce",
+    "peaks --n 1007 --x 5 --qa 16 --format json":
+        "badf7e03d881723543abf8251034b1f0bb579339152e49c85888c4983018d7ec",
+    "guarantee --n 21 --x 10 --qa 9": "4a67db5dbf70134caf001a36962ad5771ae805ba588b5f7e973f5e77e8e79601",
+    "guarantee --n 21 --x 10 --qa 8 --format csv":
+        "7a117bb6e58924b40adccc7a3d9e87abf33decf8bc215e7835af698dca1c1dd4",
+    "neighbors --n 21 --x 10": "65c18d7291a1122b146ed629deb9958b81605fad17ddd48f11cfe2eb02ed0a5d",
+    "neighbors --n 21 --x 10 --format csv":
+        "13f81288487ac854ec56ec122520435a4cdf3b8769641d4a5372df16dc94a76c",
+    "neighbors --n 1007 --x 5": "093a810d192e70f0b2be3e8e52bc1fc31967777cb9fed479d5c8baadf10bd72a",
+    "neighbors --n 1007 --x 5 --format csv":
+        "4a9d46a3c97aa41f88746bde1c2aaf3880ffd7d8aa855e5343061bc7e53b3dda",
 }
 
 

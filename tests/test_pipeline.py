@@ -3,11 +3,13 @@ factor extraction, retry handling, and the recovery guarantee, with the
 exhaustive peak sweep over a fixed list of small semiprimes.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+from shorsim import distribution, experiments, number_theory, pipeline
 from shorsim.distribution import OrderInfo, ProblemInstance, peaks
 from shorsim.errors import ContractError, DomainError
 from shorsim.number_theory import mod_pow, multiplicative_order
@@ -358,3 +360,79 @@ class TestGuarantee:
             x = coprime_bases(n)[0]
             rep = order_recovery_guarantee(ProblemInstance.create(n, x))
             assert rep.holds, n
+
+
+# The run grid whose outcomes are pinned: a shared-factor base, bases of
+# every order class, the default and a narrow register (which misses the
+# peaks often enough to exercise every retry action), and four policies.
+RUN_GRID = {
+    15: (2, 5, 7, 14),
+    21: (2, 4, 5, 7, 10, 20),
+    33: (2, 4, 5, 10, 11, 32),
+    1007: (2, 3, 5, 19, 1006),
+}
+RUN_POLICIES = (None, RetryPolicy(1, 0), RetryPolicy(2, 0), RetryPolicy(64, 0))
+
+
+def run_grid_reprs(n):
+    """The reprs of run_once and run_with_retries over the pinned grid for n."""
+    lines = []
+    for x in RUN_GRID[n]:
+        for q_A in (None, default_q_A(n) - 3):
+            for seed in range(30):
+                lines.append(repr(run_once(n, x, q_A=q_A, seed=seed)))
+                for policy in RUN_POLICIES:
+                    lines.append(repr(run_with_retries(n, x, policy=policy, seed=seed, q_A=q_A)))
+    return "\n".join(lines)
+
+
+# SHA-256 of run_grid_reprs(n), taken when run_once and run_with_retries
+# were still two separate copies of the attempt.
+PINNED_RUNS = {
+    15: "368860184012b7426ff90ad4ceaaf2236ee5096b1ee1cc07efb8f53c0f355caf",
+    21: "1c319f53ff9b6bb8e34adf3dab457b1d230b0386ef8416af782e183d2922f06b",
+    33: "a7b4e223383e0b0496ebeb4c987e356168813ac41ae9a3f62a649e3326370ad9",
+    1007: "20572047e8cdde7e0be95bd9feae11af360e0e011c0c6525b1d3c07c6f663fb5",
+}
+
+
+class TestRunRoute:
+    @pytest.mark.parametrize("n", PINNED_RUNS)
+    def test_outcomes_are_pinned(self, n):
+        digest = hashlib.sha256(run_grid_reprs(n).encode()).hexdigest()
+        assert digest == PINNED_RUNS[n]
+
+    @pytest.mark.parametrize("run", [run_once, run_with_retries])
+    def test_modulus_is_trial_divided_once(self, monkeypatch, run):
+        n = 46327 * 46337
+        original = number_theory._distinct_prime_factors
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        for module in (number_theory, distribution, pipeline, experiments):
+            if getattr(module, "_distinct_prime_factors", None) is original:
+                monkeypatch.setattr(module, "_distinct_prime_factors", counted)
+        run(n, 3, seed=1)
+        assert calls.count(n) == 1
+
+    @pytest.mark.parametrize("x", [2, 3, 5, 46326])
+    def test_order_at_the_top_of_the_modulus_range(self, x):
+        # the brute walk would take up to 2^31 steps here: check the order's
+        # defining property instead, over the primes of r by trial division
+        n = 46327 * 46337
+        r = run_once(n, x, seed=0).r_true
+        assert mod_pow(x, r, n) == 1
+        rest, f, primes = r, 2, []
+        while f * f <= rest:
+            if rest % f == 0:
+                primes.append(f)
+                while rest % f == 0:
+                    rest //= f
+            f += 1
+        primes += [rest] if rest > 1 else []
+        assert primes
+        for f in primes:
+            assert mod_pow(x, r // f, n) != 1, (x, r, f)
