@@ -29,7 +29,9 @@ from .distribution import (
     sample,
     sample_from,
     sample_states,
+    two_term_at,
     two_term_distribution,
+    two_term_prefix_sums,
 )
 from .errors import ContractError, DomainError, NoOrderError, ResourceError
 from .experiments import (
@@ -43,9 +45,11 @@ from .experiments import (
     ValuationModelResult,
     capture_rate_empirical,
     census_aggregate,
+    census_rows,
     census_sweep,
     failure_census,
     figure1_data,
+    figure1_instance,
     neighbor_state_check,
     semiprimes_below,
     valuation_model_mc,
@@ -61,6 +65,7 @@ from .number_theory import (
     multiplicative_order,
     order_from_multiple,
     semiprime_factors,
+    semiprime_lambda,
 )
 from .pipeline import (
     MAX_RUN_QUBITS,

@@ -9,12 +9,17 @@ Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
 
 The tables (dist, fig1, census, and the peaks and neighbors CSV) are
 returned as a stream of text chunks that is written as it is formatted,
-so the full text is never held; other output is one string.
+so the full text is never held; other output is one string.  The
+two-term tables evaluate each chunk's cells as they go, and the census
+makes each chunk's rows, so neither holds a vector or a list of rows.
 """
 
 import argparse
+import itertools
 import json
 import sys
+
+import numpy as np
 
 from .distribution import (
     METHOD_ORACLE,
@@ -22,18 +27,19 @@ from .distribution import (
     METHOD_TWO_TERM,
     OrderInfo,
     ProblemInstance,
+    guard_register,
     oracle_distribution,
     peaks,
     per_k_distribution,
-    two_term_distribution,
+    two_term_at,
 )
 from .errors import DomainError, ResourceError
 from .experiments import (
     CENSUS_HEURISTIC_LIMIT,
     capture_rate_empirical,
     census_aggregate,
-    census_sweep,
-    figure1_data,
+    census_rows,
+    figure1_instance,
     neighbor_state_check,
     valuation_model_mc,
 )
@@ -84,70 +90,85 @@ def _render(args, obj: dict) -> str:
     return _json(obj) if args.format == "json" else _kv_csv(obj)
 
 
-def _csv_chunks(header: str, row_format: str, count: int, fields):
-    """A CSV document with `count` rows, as text chunks.
+def _ranges(count: int):
+    """(start, stop) of each chunk of `count` rows."""
+    for start in range(0, count, _CHUNK_ROWS):
+        yield start, min(start + _CHUNK_ROWS, count)
 
-    `fields(start, stop)` gives the fields of rows start..stop-1 as one
-    flat list of Python values, row after row; each chunk of rows is
-    formatted by a single `%` on `row_format` repeated.
+
+def _csv_chunks(header: str, row_format: str, field_chunks):
+    """A CSV document as text chunks.
+
+    `field_chunks` gives, chunk by chunk, the fields of its rows as one
+    flat list of Python values, row after row, one per `%` of
+    `row_format`; each chunk is formatted by a single `%` on `row_format`
+    repeated.
     """
     yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
-    for start in range(0, count, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, count)
-        yield row_format * (stop - start) % tuple(fields(start, stop))
+    per_row = row_format.count("%")
+    for flat in field_chunks:
+        yield row_format * (len(flat) // per_row) % tuple(flat)
 
 
-def _distribution_csv(probabilities):
-    """The `c,P(c)` table of a distribution, as text chunks."""
+def _distribution_csv(count: int, values):
+    """The `c,P(c)` table of the cells 0..count-1 as text chunks, where
+    `values(start, stop)` gives P over cells start..stop-1 as an array."""
 
     def fields(start, stop):
         flat = [None] * (2 * (stop - start))
         flat[0::2] = range(start, stop)
-        flat[1::2] = probabilities[start:stop].tolist()
+        flat[1::2] = values(start, stop).tolist()
         return flat
 
-    return _csv_chunks("c,P(c)", "%d,%.15e\n", len(probabilities), fields)
+    return _csv_chunks("c,P(c)", "%d,%.15e\n", itertools.starmap(fields, _ranges(count)))
 
 
-def _json_chunks(obj: dict, key: str):
-    """`_json(obj)` as text chunks, where `obj[key]` is a float array.
+def _json_chunks(obj: dict, key: str, count: int, values):
+    """`_json(obj)` as text chunks, with the placeholder `obj[key] = None`
+    replaced by the float array of `count` entries that `values(start,
+    stop)` gives in slices.
 
     json.dumps prints a finite float as its repr, so joining the reprs
     gives the same bytes; the probabilities are finite and never empty.
     """
-    head, _, tail = _json({**obj, key: None}).partition(f'"{key}": null')
-    values = obj[key]
+    head, _, tail = _json(obj).partition(f'"{key}": null')
     prefix = f'{head}"{key}": [\n    '
-    for start in range(0, len(values), _CHUNK_ROWS):
-        yield prefix + ",\n    ".join(map(float.__repr__, values[start:start + _CHUNK_ROWS].tolist()))
+    for start, stop in _ranges(count):
+        yield prefix + ",\n    ".join(map(float.__repr__, values(start, stop).tolist()))
         prefix = ",\n    "
     yield "\n  ]" + tail
 
 
+def _two_term_values(inst, info):
+    """P over cells start..stop-1 of the two-term form, evaluated on demand."""
+    return lambda start, stop: two_term_at(inst, info, np.arange(start, stop, dtype=np.int64))
+
+
 _METHODS = {
-    "two-term": (METHOD_TWO_TERM, two_term_distribution),
-    "per-k": (METHOD_PER_K, per_k_distribution),
-    "oracle": (METHOD_ORACLE, oracle_distribution),
+    "two-term": METHOD_TWO_TERM,
+    "per-k": METHOD_PER_K,
+    "oracle": METHOD_ORACLE,
 }
 
 
-def _build_distribution(args):
+def _cmd_dist(args):
     inst = ProblemInstance.create(args.n, args.x, args.qa)
     info = OrderInfo.from_instance(inst)
-    _name, builder = _METHODS[args.method]
-    dist = builder(inst) if args.method == "oracle" else builder(inst, info)
-    return inst, info, dist
+    if args.method == "two-term":
+        guard_register(inst)
+        values = _two_term_values(inst, info)
+    else:
+        dist = oracle_distribution(inst) if args.method == "oracle" else per_k_distribution(inst, info)
 
-
-def _cmd_dist(args):
-    inst, _info, dist = _build_distribution(args)
+        def values(start, stop):
+            return dist.probabilities[start:stop]
     if args.format == "json":
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
-            "method": dist.method,
-            "probabilities": dist.probabilities,
-        }, "probabilities")
-    return _distribution_csv(dist.probabilities)
+            "method": _METHODS[args.method],
+            "probabilities": None,
+        }, "probabilities", inst.N, values)
+    return _distribution_csv(inst.N, values)
 
 
 _PEAK_HEADER = "nu,sigma_nu,c_nu,delta_nu"
@@ -173,24 +194,25 @@ def _cmd_peaks(args):
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N, "r": info.r,
             "peaks": _peak_dicts(pk),
         })
-    return _csv_chunks(_PEAK_HEADER, _PEAK_ROW, len(pk),
-                       lambda start, stop: _peak_fields(pk[start:stop]))
+    return _csv_chunks(_PEAK_HEADER, _PEAK_ROW,
+                       (_peak_fields(pk[start:stop]) for start, stop in _ranges(len(pk))))
 
 
-def _fig1_csv(dist, pk):
-    yield from _distribution_csv(dist.probabilities)
+def _fig1_csv(inst, info, pk):
+    yield from _distribution_csv(inst.N, _two_term_values(inst, info))
     yield f"# peaks: {_PEAK_HEADER}\n" + ("# peak " + _PEAK_ROW) * len(pk) % tuple(_peak_fields(pk))
 
 
 def _cmd_fig1(args):
-    inst, dist, pk = figure1_data()
+    inst, info = figure1_instance()
+    pk = peaks(inst, info)
     if args.format == "json":
         return _json_chunks({
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
-            "probabilities": dist.probabilities,
+            "probabilities": None,
             "peaks": _peak_dicts(pk),
-        }, "probabilities")
-    return _fig1_csv(dist, pk)
+        }, "probabilities", inst.N, _two_term_values(inst, info))
+    return _fig1_csv(inst, info, pk)
 
 
 def _cmd_run(args) -> str:
@@ -214,9 +236,11 @@ def _cmd_run(args) -> str:
 
 
 def _cmd_census(args):
-    rows = census_sweep(args.nmax)
-    if not rows:
+    rows = census_rows(args.nmax)
+    first = next(rows, None)
+    if first is None:
         raise DomainError(f"no odd distinct-prime semiprimes below {args.nmax}")
+    rows = itertools.chain((first,), rows)
     if args.format == "json":
         agg = census_aggregate(rows)
         band = (1 / 3 - 0.1, 1 / 3 + 0.1)
@@ -236,12 +260,13 @@ def _cmd_census(args):
             "heuristic_limit": CENSUS_HEURISTIC_LIMIT,
         })
 
-    def fields(start, stop):
-        return [value for r in rows[start:stop]
-                for value in (r.n, r.p1, r.p2, r.num_x, r.odd_r, r.trivial_sqrt, r.fraction_bad)]
+    def field_chunks():
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            yield [value for r in chunk
+                   for value in (r.n, r.p1, r.p2, r.num_x, r.odd_r, r.trivial_sqrt, r.fraction_bad)]
 
     return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction",
-                       "%d,%d,%d,%d,%d,%d,%.15e\n", len(rows), fields)
+                       "%d,%d,%d,%d,%d,%d,%.15e\n", field_chunks())
 
 
 def _cmd_mc_valuation(args) -> str:
@@ -302,11 +327,10 @@ def _cmd_neighbors(args):
     if args.format == "json":
         return _json(obj)
 
-    def fields(start, stop):
-        return [value for p in rep.probes[start:stop]
-                for value in (p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))]
-
-    return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n", len(rep.probes), fields)
+    fields = ([value for p in rep.probes[start:stop]
+               for value in (p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))]
+              for start, stop in _ranges(len(rep.probes)))
+    return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n", fields)
 
 
 def build_parser() -> _Parser:

@@ -14,7 +14,11 @@ of length L_k.  Three independent routes compute the same distribution:
   sin^2(pi*L_k*r*c/N) / (N^2 sin^2(pi*r*c/N)), evaluated once per class.
 * ``two_term_distribution`` - collapses the per-class form onto the two
   distinct class sizes that occur (k0 classes of the larger size, r-k0
-  of the smaller), leaving two weighted terms.
+  of the smaller), leaving two weighted terms.  Its range evaluator
+  ``two_term_at`` computes the same terms at any array of cells, so a
+  route that streams the register (``dist``) or reads a few cells and
+  running sums (``capture``, through ``two_term_prefix_sums``) holds no
+  N-length array.
 
 Angles are reduced modulo 2N in exact integer arithmetic before any
 float conversion, and the removable singularities of the closed forms
@@ -47,11 +51,16 @@ from .errors import DomainError, ResourceError
 from .number_theory import carmichael_lambda, multiplicative_order, order_from_multiple
 from .rng import SplitMix64
 
-#: Cap on the exponent-register width of the vector routes (two-term,
-#: per-k, and everything built on them: dist, fig1, capture).  They hold
-#: one float64 per state, and 2^24 states (128 MiB a vector) is the
-#: desk-scale limit.  ``sample_states`` builds no vector and has no cap.
+#: Cap on the exponent-register width of the routes that visit every
+#: state (two-term, per-k, and everything built on them: dist, fig1,
+#: capture).  A whole-vector route holds one float64 per state (128 MiB
+#: at 2^24 states); the streamed routes hold a block, but take time in
+#: proportion to N.  ``sample_states`` visits no state and has no cap.
 MAX_REGISTER_QUBITS = 24
+
+#: Cells per block of a pass over the register: the temporaries of one
+#: block of ``two_term_at`` stay small and in cache.
+_BLOCK_CELLS = 1 << 15
 
 #: Cap on the modulus of every route that needs the order r.  r is reduced
 #: from lambda(n), and lambda(n) needs n trial-divided, about sqrt(n)/2
@@ -137,9 +146,11 @@ class OrderInfo:
         return cls.from_multiple(inst, carmichael_lambda(inst.n))
 
     @classmethod
-    def from_multiple(cls, inst: ProblemInstance, multiple: int) -> "OrderInfo":
-        """The order info of inst, given a multiple of the order of x mod n."""
-        r = order_from_multiple(inst.x, inst.n, multiple)
+    def from_multiple(cls, inst: ProblemInstance, multiple: int,
+                      primes: list[int] | None = None) -> "OrderInfo":
+        """The order info of inst, given a multiple of the order of x mod n
+        (and, optionally, its primes; see ``order_from_multiple``)."""
+        r = order_from_multiple(inst.x, inst.n, multiple, primes)
         N = inst.N
         delta_min = 1.0 / ((inst.n - 1) * inst.n)
         return cls(r=r, M0=(N - r) // r, k0=N % r, delta_min=delta_min)
@@ -171,8 +182,9 @@ class PeakModel:
     delta_nu: float
 
 
-def _guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
-                    route: str = "full-distribution construction"):
+def guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
+                   route: str = "full-distribution construction"):
+    """Raise ResourceError when inst's register is wider than cap qubits."""
     if inst.q_A > cap:
         raise ResourceError(f"q_A={inst.q_A} exceeds the desk-scale cap of {cap} for {route}")
 
@@ -191,7 +203,7 @@ def oracle_distribution(inst: ProblemInstance) -> OutputDistribution:
     no shared trigonometric shortcuts: this is the reference oracle.
     Capped at q_A <= MAX_ORACLE_QUBITS because of that cost.
     """
-    _guard_register(inst, MAX_ORACLE_QUBITS, "the O(N^2) phasor-sum oracle")
+    guard_register(inst, MAX_ORACLE_QUBITS, "the O(N^2) phasor-sum oracle")
     r = multiplicative_order(inst.x, inst.n)
     N = inst.N
     c = np.arange(N, dtype=np.int64)
@@ -212,22 +224,22 @@ def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray,
     """sin^2(pi*size*r*c/N) / sin^2(pi*r*c/N) with the exact limit size^2
     substituted wherever r*c = 0 (mod N)."""
     twoN = 2 * N
-    t = (size * r % twoN) * c % twoN
+    t = (size * r % twoN) * c & (twoN - 1)  # mod 2N, a power of two
     num = np.sin((np.pi / N) * t) ** 2
     return np.where(singular, float(size * size), num / den_safe)
 
 
 def _denominator_parts(N: int, r: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     twoN = 2 * N
-    s = (r % twoN) * c % twoN
-    singular = (s % N) == 0
+    s = (r % twoN) * c & (twoN - 1)
+    singular = (s & (N - 1)) == 0
     den = np.sin((np.pi / N) * s) ** 2
     return singular, np.where(singular, 1.0, den)
 
 
 def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
     """P(c) from the geometric-series closed form, one term per residue class."""
-    _guard_register(inst)
+    guard_register(inst)
     N, r = inst.N, info.r
     c = np.arange(N, dtype=np.int64)
     singular, den_safe = _denominator_parts(N, r, c)
@@ -237,21 +249,67 @@ def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribu
     return OutputDistribution(total / float(N) ** 2, METHOD_PER_K)
 
 
-def two_term_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
-    """P(c) collapsed onto the two class sizes that occur.
+def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
+    """P(c) at the cells of an integer index array, by the two-term form.
 
     k0 classes hold M0+2 exponents and r-k0 hold M0+1, so the per-class
-    sum reduces to two weighted closed-form terms.  Must agree with
-    per_k_distribution to within accumulation noise (< 1e-12 per entry).
+    sum reduces to two weighted closed-form terms.  Each entry depends on
+    its own cell alone, so a block, a gathered set of cells and the whole
+    register give the same bits.  The exact int64 angle reduction needs
+    q_A <= 31.
     """
-    _guard_register(inst)
+    guard_register(inst, 31, "int64 angle reduction")
     N, r = inst.N, info.r
-    c = np.arange(N, dtype=np.int64)
+    c = np.asarray(c, dtype=np.int64)
     singular, den_safe = _denominator_parts(N, r, c)
     large = _sin_sq_ratio(N, r, info.M0 + 2, c, singular, den_safe)
     small = _sin_sq_ratio(N, r, info.M0 + 1, c, singular, den_safe)
     total = info.k0 * large + (r - info.k0) * small
-    return OutputDistribution(total / float(N) ** 2, METHOD_TWO_TERM)
+    # N^2 is a power of two and no term is subnormal, so the product is
+    # the exact quotient total / N^2
+    return total * (1.0 / float(N) ** 2)
+
+
+def _cell_blocks(N: int):
+    """The register's cells as consecutive int64 index blocks."""
+    for start in range(0, N, _BLOCK_CELLS):
+        yield np.arange(start, min(start + _BLOCK_CELLS, N), dtype=np.int64)
+
+
+def two_term_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
+    """P(c) over the whole register by the two-term form, filled block by
+    block from ``two_term_at``.  Must agree with per_k_distribution to
+    within accumulation noise (< 1e-12 per entry).
+    """
+    guard_register(inst)
+    out = np.empty(inst.N)
+    for cells in _cell_blocks(inst.N):
+        out[cells[0]:cells[-1] + 1] = two_term_at(inst, info, cells)
+    return OutputDistribution(out, METHOD_TWO_TERM)
+
+
+def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple[np.ndarray, float]:
+    """The running sums P(0) + ... + P(c) at the sorted cells c, and the
+    total, from one pass over the register that holds no N-length array.
+
+    The carry of the blocks before enters each block's first entry ahead
+    of its ``np.cumsum``, which adds in sequence, so every sum has the
+    bits of ``np.cumsum`` over the whole vector.
+    """
+    guard_register(inst)
+    cells = np.asarray(cells, dtype=np.int64)
+    sums = np.empty(len(cells))
+    carry = 0.0
+    for block in _cell_blocks(inst.N):
+        p = two_term_at(inst, info, block)
+        if np.any(p < 0.0):
+            raise DomainError("distribution has negative entries")
+        p[0] += carry
+        cdf = np.cumsum(p)
+        lo, hi = np.searchsorted(cells, (block[0], block[-1] + 1))
+        sums[lo:hi] = cdf[cells[lo:hi] - block[0]]
+        carry = cdf[-1]
+    return sums, float(carry)
 
 
 def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
@@ -325,16 +383,16 @@ def sample(dist: OutputDistribution, seed: int, count: int) -> list[int]:
     """Draw `count` i.i.d. states from P(c) by inverse CDF, deterministically.
 
     Uses a fresh SplitMix64 stream for the given seed; see sample_from
-    for drawing out of an existing stream.
+    for drawing out of an existing stream.  No route of the package
+    samples this way any more: ``run`` uses ``sample_states``, and
+    ``capture`` counts its draws against running sums.
     """
     return sample_from(dist, SplitMix64(seed), count)
 
 
 def sample_from(dist: OutputDistribution, rng: SplitMix64, count: int) -> list[int]:
-    """Inverse-CDF sampling out of a caller-owned SplitMix64 stream.
-
-    The route for many draws from one built vector (capture); for a few
-    draws, ``sample_states`` needs no vector at all.
+    """Inverse-CDF sampling out of a caller-owned SplitMix64 stream, from
+    a built vector; ``sample_states`` draws from the same law without one.
     """
     p = dist.probabilities
     if np.any(p < 0.0):

@@ -25,6 +25,7 @@ slowly: 0.2893 (nmax 10**4), 0.2830 (10**5), 0.2800 (10**6), 0.2775 (10**7).
 """
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +35,28 @@ from .distribution import (
     OutputDistribution,
     PeakModel,
     ProblemInstance,
+    guard_register,
     peaks,
-    sample,
+    two_term_at,
     two_term_distribution,
+    two_term_prefix_sums,
 )
 from .errors import DomainError, ResourceError
 from .number_theory import semiprime_factors
 from .pipeline import RecoveryResult, recover_order
 from .rng import SplitMix64
 
-#: Cap on the census route.  The closed form costs microseconds per
-#: semiprime, but every row is held in memory: nmax = 10**6 gives 168 330
-#: rows in under 2 s and about 120 MB; the cap allows ten times that.
+#: Cap on the census route, set by time: the closed form costs
+#: microseconds per semiprime, but the rows grow about linearly with nmax
+#: and are made one by one in Python (nmax = 10**7: 1 555 366 rows in
+#: about 11 s on a 2-CPU host).  Memory is not the limit: the semiprimes
+#: are held as int64 arrays and the rows are streamed.
 MAX_CENSUS_NMAX = 10**7
+
+#: Items per block of the streamed routes: random words of a Monte Carlo
+#: tally, semiprimes of the census.  A block's arrays stay cache-sized
+#: whatever the total.
+_BLOCK = 1 << 16
 
 #: Heuristic limit of the census's base-weighted bad fraction as nmax
 #: grows (random-prime heuristic; see the module docstring).
@@ -138,31 +148,45 @@ class NeighborReport:
     changed_within_guarantee: int  # expected 0
 
 
-def _sieve_primes(limit: int) -> list[int]:
+def _sieve_primes(limit: int) -> np.ndarray:
+    """The primes up to limit, as an int64 array."""
     if limit < 2:
-        return []
+        return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for i in range(2, int(limit ** 0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = False
-    return [int(i) for i in np.nonzero(flags)[0]]
+    return np.nonzero(flags)[0].astype(np.int64)
+
+
+def _semiprime_factors_below(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays of p and q, for every n = p*q < limit with p < q odd
+    primes, in order of n (24 bytes a semiprime at most, while sorting)."""
+    primes = _sieve_primes(limit // 3 + 1)[1:]  # odd primes
+    cofactors = []  # the q of each p, in order of q
+    for i, p in enumerate(primes.tolist()):
+        if p * p >= limit:
+            break
+        cofactors.append(primes[i + 1 : np.searchsorted(primes, (limit - 1) // p, side="right")])
+    counts = [len(q) for q in cofactors]
+    p = np.repeat(primes[: len(counts)], counts)
+    q = np.concatenate(cofactors) if cofactors else p  # both empty
+    order = np.argsort(p * q)  # n = p*q is unique
+    return p[order], q[order]
+
+
+def _semiprime_chunks(limit: int) -> Iterator[list[tuple[int, int, int]]]:
+    """semiprimes_below(limit), a list of up to _BLOCK tuples at a time."""
+    p, q = _semiprime_factors_below(limit)
+    for start in range(0, len(p), _BLOCK):
+        stop = start + _BLOCK
+        yield [(a * b, a, b) for a, b in zip(p[start:stop].tolist(), q[start:stop].tolist())]
 
 
 def semiprimes_below(limit: int) -> list[tuple[int, int, int]]:
     """All (n, p, q) with n = p*q < limit, p < q odd primes, sorted by n."""
-    primes = [p for p in _sieve_primes(limit // 3 + 1) if p % 2 == 1]
-    out = []
-    for i, p in enumerate(primes):
-        if p * p >= limit:
-            break
-        for q in primes[i + 1 :]:
-            n = p * q
-            if n >= limit:
-                break
-            out.append((n, p, q))
-    out.sort()
-    return out
+    return [t for chunk in _semiprime_chunks(limit) for t in chunk]
 
 
 def _two_adic_split(m: int) -> tuple[int, int]:
@@ -208,55 +232,74 @@ def failure_census(n: int) -> FailureCensus:
     return _census_row(n, *factors)
 
 
-def census_sweep(nmax: int = 10_000) -> list[FailureCensus]:
-    """failure_census over every odd distinct-prime semiprime below nmax.
-
-    Capped at nmax <= MAX_CENSUS_NMAX: the rows are held in memory.
-    """
+def census_rows(nmax: int = 10_000) -> Iterator[FailureCensus]:
+    """failure_census over every odd distinct-prime semiprime below nmax,
+    one row at a time, in order of n.  The cap is checked on the call."""
     if nmax > MAX_CENSUS_NMAX:
         raise ResourceError(f"nmax={nmax} exceeds the census cap of {MAX_CENSUS_NMAX}")
-    return [_census_row(n, p, q) for n, p, q in semiprimes_below(nmax)]
+    return (_census_row(n, p, q) for chunk in _semiprime_chunks(nmax) for n, p, q in chunk)
 
 
-def census_aggregate(rows: list[FailureCensus]) -> CensusAggregate:
-    total_x = sum(r.num_x for r in rows)
-    total_odd = sum(r.odd_r for r in rows)
-    total_trivial = sum(r.trivial_sqrt for r in rows)
-    fractions = [r.fraction_bad for r in rows]
+def census_sweep(nmax: int = 10_000) -> list[FailureCensus]:
+    """census_rows as a list."""
+    return list(census_rows(nmax))
+
+
+def census_aggregate(rows: Iterable[FailureCensus]) -> CensusAggregate:
+    """Sweep-level summary of the rows, in one pass over any iterable.
+
+    Every sum adds in row order, one term at a time, so the fractions do
+    not depend on how the rows arrive (or on the interpreter's ``sum``).
+    """
+    count = total_x = total_odd = total_trivial = 0
+    fraction_sum, max_fraction = 0.0, -math.inf
+    for r in rows:
+        count += 1
+        total_x += r.num_x
+        total_odd += r.odd_r
+        total_trivial += r.trivial_sqrt
+        fraction = r.fraction_bad
+        fraction_sum += fraction
+        if fraction > max_fraction:
+            max_fraction = fraction
+    if count == 0:
+        raise DomainError("no census rows to aggregate")
     return CensusAggregate(
-        count=len(rows),
+        count=count,
         total_x=total_x,
         total_odd=total_odd,
         total_trivial=total_trivial,
         aggregate_bad_fraction=(total_odd + total_trivial) / total_x,
-        mean_bad_fraction=sum(fractions) / len(fractions),
-        max_bad_fraction=max(fractions),
-        bound_ok=all(f <= 0.5 for f in fractions),
+        mean_bad_fraction=fraction_sum / count,
+        max_bad_fraction=max_fraction,
+        bound_ok=max_fraction <= 0.5,
     )
 
 
-def _two_adic_draws(rng: SplitMix64, count: int) -> np.ndarray:
-    """count draws of a 2-adic valuation with P(0)=1/2, P(j)=2**-(j+1).
-
-    The number of trailing zero bits of a uniform 64-bit word has exactly
-    this distribution (the all-zero word, probability 2**-64, counts as 64).
-    """
-    words = rng.uint64_block(count)
-    lowbit = words & (~words + np.uint64(1))
-    with np.errstate(divide="ignore"):
-        tz = np.where(words == 0, 64.0, np.log2(lowbit.astype(np.float64)))
-    return tz.astype(np.int64)
-
-
 def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
-    """Monte Carlo for the idealized independent-valuations failure model."""
+    """Monte Carlo for the idealized independent-valuations failure model.
+
+    k1 is the number of trailing zero bits of one of the first `trials`
+    words of the seed's SplitMix64 stream, and k2 of the word `trials`
+    places later; that count has exactly the law P(j) = 2**-(j+1) (the
+    all-zero word counts as 64).  Both are odd when w1 & w2 & 1 is set,
+    and k1 = k2 >= 1 when w1 is even and both have the same lowest set
+    bit.  The tallies are exact integers, made block by block.
+    """
     if trials < 1:
         raise DomainError("trials must be positive")
-    rng = SplitMix64(seed)
-    k1 = _two_adic_draws(rng, trials)
-    k2 = _two_adic_draws(rng, trials)
-    both_odd = int(((k1 == 0) & (k2 == 0)).sum())
-    matched = int(((k1 == k2) & (k1 >= 1)).sum())
+    first, second = SplitMix64(seed), SplitMix64(seed).advance(trials)
+    one = np.uint64(1)
+    both_odd = matched = 0
+    for start in range(0, trials, _BLOCK):
+        count = min(_BLOCK, trials - start)
+        w1, w2 = first.uint64_block(count), second.uint64_block(count)
+        both_odd += int(np.count_nonzero(w1 & w2 & one))
+        # w1 ^ (w1 - 1) masks the bits of w1 up to its lowest set bit (all
+        # bits when w1 = 0); w2 has the same lowest set bit iff it agrees
+        # with w1 there.  A match needs w1 even, so count the misses.
+        miss = ((w1 ^ w2) & (w1 ^ (w1 - one))) | (w1 & one)
+        matched += count - int(np.count_nonzero(miss))
     return ValuationModelResult(
         trials=trials,
         matched_valuations=matched,
@@ -270,21 +313,42 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
 
 def capture_rate_empirical(n: int, x: int, q_A: int, samples: int, seed: int = 0) -> CaptureReport:
     """Peak-cell capture: exact mass on the cells {c_nu, c_nu + 1} and the
-    matching sampled fraction (deviation taken against the nearest peak)."""
+    matching sampled fraction (deviation taken against the nearest peak).
+
+    The exact value reads the 2r peak cells alone.  The sampled fraction
+    is that of inverse-CDF draws u * total from the seed's uniforms, but
+    no draw is placed in a cell: a draw lands on peak cell c exactly when
+    cdf(c-1) <= u < cdf(c), so one pass over the register keeps only
+    those running sums, and the draws are counted against them block by
+    block.
+    """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
     inst = ProblemInstance.create(n, x, q_A)
     if inst.N < n * n:
         raise DomainError(f"need N >= n^2 for capture analysis, got N={inst.N}, n={n}")
     info = OrderInfo.from_instance(inst)
-    dist = two_term_distribution(inst, info)
-    pk = peaks(inst, info)
-    exact = float(sum(dist.probabilities[p.c_nu] + dist.probabilities[p.c_nu + 1] for p in pk))
-    cs = np.asarray(sample(dist, seed, samples), dtype=np.int64)
-    # nearest peak index over the periodic axis, then d = c - floor(nu*N/r)
-    nu_near = np.rint(cs * info.r / inst.N).astype(np.int64)
-    d = cs - (nu_near * inst.N) // info.r
-    hits = int(((d == 0) | (d == 1)).sum())
+    guard_register(inst, route="the capture pass")
+    c_nu = np.array([p.c_nu for p in peaks(inst, info)], dtype=np.int64)
+    pairs = two_term_at(inst, info, c_nu) + two_term_at(inst, info, c_nu + 1)
+    exact = float(np.cumsum(pairs)[-1])  # in peak order, one term at a time
+    # N >= n^2 > 2r puts the peaks more than two cells apart, so each cell
+    # c_nu + d (d in {0, 1}) has peak nu nearest: these are exactly the
+    # cells whose draws count, distinct, in order, and below N - 1.
+    hit = np.column_stack((c_nu, c_nu + 1)).ravel()
+    # a draw u lands on cell c when cdf(c-1) <= u < cdf(c), where cdf(-1) = 0
+    ends = np.union1d(hit - 1, hit)[1:]  # without the -1 of c_0 = 0
+    sums, total = two_term_prefix_sums(inst, info, ends)
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError(f"distribution is not normalized: total={total!r}")
+    lower = np.where(hit > 0, sums[np.searchsorted(ends, hit - 1)], 0.0)
+    upper = sums[np.searchsorted(ends, hit)]
+    rng = SplitMix64(seed)
+    hits = 0
+    for start in range(0, samples, _BLOCK):
+        u = np.sort(rng.random_block(min(_BLOCK, samples - start)) * total)
+        # the draws in [lower, upper) of each hit cell; a count ignores order
+        hits += int((np.searchsorted(u, upper) - np.searchsorted(u, lower)).sum())
     return CaptureReport(
         n=n, x=x, q_A=q_A, samples=samples,
         exact_value=exact,
@@ -339,9 +403,15 @@ def neighbor_state_check(n: int, x: int, q_A: int) -> NeighborReport:
     )
 
 
-def figure1_data() -> tuple[ProblemInstance, OutputDistribution, list[PeakModel]]:
-    """The bundled reference instance (n=21, x=10, 8-qubit register, N=256):
-    its exact distribution and peak annotations."""
+def figure1_instance() -> tuple[ProblemInstance, OrderInfo]:
+    """The bundled reference instance (n=21, x=10, 8-qubit register, N=256)
+    and its order info."""
     inst = ProblemInstance.create(21, 10, q_A=8)
-    info = OrderInfo.from_instance(inst)
+    return inst, OrderInfo.from_instance(inst)
+
+
+def figure1_data() -> tuple[ProblemInstance, OutputDistribution, list[PeakModel]]:
+    """The bundled reference instance: its exact distribution and peak
+    annotations."""
+    inst, info = figure1_instance()
     return inst, two_term_distribution(inst, info), peaks(inst, info)

@@ -90,6 +90,15 @@ def semiprime_factors(n: int) -> tuple[int, int] | None:
     return None
 
 
+def semiprime_lambda(p: int, q: int) -> tuple[int, list[int]]:
+    """Carmichael's lambda(pq) = lcm(p-1, q-1) for distinct odd primes p
+    and q, with its distinct primes: those of p-1 and of q-1, each found
+    by a trial division of about sqrt(q)/2 steps at most, never one of
+    lambda itself."""
+    primes = set(_distinct_prime_factors(p - 1)) | set(_distinct_prime_factors(q - 1))
+    return lcm(p - 1, q - 1), sorted(primes)
+
+
 def carmichael_lambda(n: int) -> int:
     """Carmichael's lambda(n): the exponent of the unit group mod n >= 2.
 
@@ -110,20 +119,27 @@ def carmichael_lambda(n: int) -> int:
     return result
 
 
-def order_from_multiple(x: int, n: int, multiple: int) -> int:
+def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None = None) -> int:
     """Exact multiplicative order of x mod n, given any positive multiple of it.
 
-    Peels prime factors off the multiple while the power stays 1; cheap for
-    desk-scale inputs because the multiple is small enough to trial-divide.
+    Peels prime factors off the multiple while the power stays 1.  Its
+    primes are found by trial division (cheap for desk-scale inputs),
+    unless the caller passes a list that holds them all; primes of the
+    list that do not divide the multiple are skipped, and a multiple with
+    a prime outside the list is a DomainError.
     """
     if multiple < 1:
         raise DomainError("multiple must be positive")
     if mod_pow(x, multiple, n) != 1:
         raise DomainError(f"{multiple} is not a multiple of the order of {x} mod {n}")
-    m = multiple
-    for f in _distinct_prime_factors(multiple):
+    m = rest = multiple
+    for f in _distinct_prime_factors(multiple) if primes is None else primes:
+        while rest % f == 0:
+            rest //= f
         while m % f == 0 and mod_pow(x, m // f, n) == 1:
             m //= f
+    if rest != 1:
+        raise DomainError(f"the primes given miss a prime factor of {multiple}")
     return m
 
 

@@ -8,8 +8,9 @@ unverified candidate, or the dead zero-state) with multiplier trials and
 fresh samples, but never swaps in a new base: rebuilding the machine for
 a different x is the caller's decision.  Both go through one run body:
 ``run_once`` is the first attempt of ``run_with_retries``, returned as it
-is.  Validation factors n, and the order is reduced from lcm(p-1, q-1),
-so a run trial-divides n once.
+is.  Validation factors n, and the order is reduced from
+lambda(n) = lcm(p-1, q-1) over the primes of p-1 and q-1, so a run
+trial-divides n once and lambda, its candidates and the order never.
 """
 
 import math
@@ -22,10 +23,10 @@ from .errors import ContractError, DomainError, ResourceError
 from .number_theory import (
     best_convergent_bounded,
     gcd,
-    lcm,
     mod_pow,
     order_from_multiple,
     semiprime_factors,
+    semiprime_lambda,
 )
 from .rng import SplitMix64
 
@@ -193,7 +194,14 @@ def _opportunistic_factor(n: int, x: int, r_candidate: int) -> int | None:
     return None
 
 
-def _resolve(n: int, x: int, rec: RecoveryResult) -> tuple[Classification, tuple[int, int] | None]:
+def _exact_order(n: int, x: int, multiple: int, lam: int, primes: list[int]) -> int:
+    """The order of x mod n from a verified multiple of it: gcd(multiple,
+    lambda) is another such multiple, and its primes are among lambda's."""
+    return order_from_multiple(x, n, math.gcd(multiple, lam), primes)
+
+
+def _resolve(n: int, x: int, rec: RecoveryResult, lam: int,
+             primes: list[int]) -> tuple[Classification, tuple[int, int] | None]:
     """Classify a recovery and, when it verified, extract factors.
 
     A verified candidate may still be a proper multiple of the order
@@ -204,8 +212,7 @@ def _resolve(n: int, x: int, rec: RecoveryResult) -> tuple[Classification, tuple
         return Classification.ZERO_PEAK, None
     if not rec.verified:
         return Classification.UNVERIFIED_ORDER, None
-    exact_r = order_from_multiple(x, n, rec.r_candidate)
-    return extract_factors(n, x, exact_r)
+    return extract_factors(n, x, _exact_order(n, x, rec.r_candidate, lam, primes))
 
 
 def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None) -> RunOutcome:
@@ -225,15 +232,15 @@ def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None)
             factors=(g, n // g), r_true=None,
         )
     inst = ProblemInstance.create(n, x, q_A)
-    # lambda(pq) = lcm(p-1, q-1): n is not trial-divided a second time
-    info = OrderInfo.from_multiple(inst, lcm(pq[0] - 1, pq[1] - 1))
+    lam, primes = semiprime_lambda(*pq)
+    info = OrderInfo.from_multiple(inst, lam, primes)
     rng = SplitMix64(seed)
     events: list[RetryEvent] = []
 
     rec = recover_order(sample_states(inst, info, rng, 1)[0], inst)
     resamples = 0
     while True:
-        classification, factors = _resolve(n, x, rec)
+        classification, factors = _resolve(n, x, rec, lam, primes)
         if policy is None or classification not in (
             Classification.ZERO_PEAK, Classification.UNVERIFIED_ORDER,
         ):
@@ -247,7 +254,7 @@ def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None)
             if found is not None:
                 events.append(RetryEvent(kind="multiplier_found", c=rec.c,
                                          r_candidate=rec.r_candidate, multiplier=found))
-                exact_r = order_from_multiple(x, n, found * rec.r_candidate)
+                exact_r = _exact_order(n, x, found * rec.r_candidate, lam, primes)
                 classification, factors = extract_factors(n, x, exact_r)
                 break
             events.append(RetryEvent(kind="multiplier_exhausted", c=rec.c,

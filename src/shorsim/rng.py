@@ -44,6 +44,17 @@ class SplitMix64:
         """One uniform double in [0, 1)."""
         return (self.next_uint64() >> 11) * _DOUBLE_UNIT
 
+    def advance(self, count: int) -> "SplitMix64":
+        """Skip the next `count` outputs in O(1) and return the generator.
+
+        The state after i draws is seed + i * gamma (mod 2^64), so skipping
+        is one multiply-add; `count` is taken mod 2^64.
+        """
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return self
+
     def uint64_block(self, count: int) -> np.ndarray:
         """The next `count` raw outputs, as one vectorized batch.
 
@@ -53,13 +64,15 @@ class SplitMix64:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        start = np.uint64(self._state)
-        steps = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
-        z = start + steps  # wraps mod 2^64 by unsigned arithmetic
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        z = z ^ (z >> np.uint64(31))
-        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)  # wraps mod 2^64 by unsigned arithmetic
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX_A)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX_B)
+        z ^= z >> np.uint64(31)
+        self.advance(count)
         return z
 
     def random_block(self, count: int) -> np.ndarray:

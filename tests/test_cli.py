@@ -11,6 +11,7 @@ import pytest
 
 import shorsim
 from shorsim import cli
+from shorsim.distribution import two_term_at
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 
@@ -337,6 +338,18 @@ PINNED_OUTPUT = {
     "fig1": "51a1d1d26bb9e5f45fdc3a5c9758a6606a66e800f1371d52ae892b3572d8f479",
     "fig1 --format json": "a0be9bba78f64b18d11b88a705475e37041c911df259cdc9275cd49e08eccd1c",
     "census --nmax 10000": "6eef8c81fa3430ebaeceb3d554d2108ea2ea128b753e11cc329161476d0f922a",
+    # taken while capture built the whole vector, mc-valuation held whole
+    # arrays and the census aggregate summed a held list of rows
+    "census --nmax 10000 --format json":
+        "b92bc404b2f0ba288560c54c00201cef2c249ac5ea546f2aae590956fe656de8",
+    "capture --n 1007 --x 5 --samples 200000 --seed 3":
+        "2fb18f3b3ced0b22f16ea50675decd95e22984cdcb386b077598b8b4422424f6",
+    "capture --n 15 --x 7 --qa 10 --samples 5000 --format csv":
+        "8c257b7828428ee8f79b1b0c095bbcd502dee72d7c5b7990169e9d3b45a22fe2",
+    "mc-valuation --trials 70000 --seed 4":
+        "15b93a1e8c3334171f0b0937bc3e52a12677405f6d8e940a5669afa6f3d65ba7",
+    "mc-valuation --trials 65537 --format csv":
+        "cec88590de487fc6dcff2622e881ab71c0c7c5e2470e36f0825d1caf1aaeeccc",
     # taken while run_once and run_with_retries were two copies of the
     # attempt and each peak row had its own f-string
     "run --n 21 --x 10 --qa 9 --seed 3": "535f0fc446f8079f5e222fe5a2794111d359105a34904df37d4b56b88e4d7b85",
@@ -394,6 +407,26 @@ class TestStreamedOutput:
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
+
+    @pytest.mark.parametrize("command", [
+        "dist --n 1007 --x 5 --qa 16",
+        "dist --n 1007 --x 5 --qa 16 --format json",
+        "fig1 --format json",
+    ])
+    def test_two_term_tables_evaluate_one_chunk_at_a_time(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
+        sizes = []
+
+        def counted(inst, info, c):
+            sizes.append(len(c))
+            return two_term_at(inst, info, c)
+
+        monkeypatch.setattr(cli, "two_term_at", counted)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert sha256(out) == PINNED_OUTPUT[command]
+        assert max(sizes) <= 1000
+        assert sum(sizes) == (256 if command.startswith("fig1") else 1 << 16)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("flags,expected", [

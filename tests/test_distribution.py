@@ -3,6 +3,7 @@ other, plus peak models, the envelope, the within-peak approximation,
 and deterministic sampling.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
+from shorsim import distribution
 from shorsim.distribution import (
     METHOD_ORACLE,
     METHOD_PER_K,
@@ -24,7 +26,9 @@ from shorsim.distribution import (
     peaks,
     per_k_distribution,
     sample,
+    two_term_at,
     two_term_distribution,
+    two_term_prefix_sums,
 )
 from shorsim.errors import DomainError, ResourceError
 from shorsim.number_theory import multiplicative_order
@@ -174,6 +178,70 @@ class TestOracleAgreement:
             per_k_distribution(inst, info)
         with pytest.raises(ResourceError):
             oracle_distribution(inst)
+
+
+# SHA-256 of the float64 bytes of whole vectors, taken when the two-term
+# form was evaluated on the whole register at once and reduced angles
+# with %: (n, x, q_A) -> (two-term, per-k or None).
+PINNED_VECTORS = {
+    (15, 2, 8): ("50e88d777bc28e9d7fdc6875257d00f3e1ed02f537e9f3492cb6c309f6895829",
+                 "50e88d777bc28e9d7fdc6875257d00f3e1ed02f537e9f3492cb6c309f6895829"),
+    (21, 10, 9): ("cef42af65fb59638010579e99e287b4bae5b3609aebf2854317f3ea5b8c3a4b2",
+                  "2317a1b91efab79c3e3af88fa3034a482394761a0ba3f9a6a4b7f349bce7a881"),
+    (1007, 5, 16): ("c6e841bea6bd9d587cb0e3098fd736359fbf6d6530b8b7e2f1575f94efb2b255",
+                    "7e0c12d20bced576a1be1628d1b48009cee95d94b792812776c699b00e5cfd28"),
+    (899, 7, 20): ("6e129d429da2957bf8da3bd3ddbf8944b6e754937e46171d0640ecc13f6a9981", None),
+}
+
+
+# (instance, cells per block), at most about ten thousand blocks a pass
+BLOCK_CASES = [(key, size) for key in [(15, 2, 8), (21, 10, 9), (1007, 5, 16)]
+               for size in (1, 7, (1 << 16) + 1) if (1 << key[2]) <= 10_000 * size]
+
+
+def digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestRangeEvaluator:
+    @pytest.mark.parametrize("key", PINNED_VECTORS)
+    def test_vectors_are_pinned(self, key):
+        inst, info = build(*key)
+        two_term, per_k = PINNED_VECTORS[key]
+        assert digest(two_term_distribution(inst, info).probabilities) == two_term
+        if per_k is not None:
+            assert digest(per_k_distribution(inst, info).probabilities) == per_k
+
+    @pytest.mark.parametrize("key, size", BLOCK_CASES)
+    def test_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
+        monkeypatch.setattr(distribution, "_BLOCK_CELLS", size)
+        inst, info = build(*key)
+        assert digest(two_term_distribution(inst, info).probabilities) == PINNED_VECTORS[key][0]
+
+    @pytest.mark.parametrize("key", [(21, 10, 9), (1007, 5, 16)])
+    def test_gathered_cells_match_the_vector(self, key):
+        inst, info = build(*key)
+        p = two_term_distribution(inst, info).probabilities
+        cells = np.random.default_rng(5).permutation(inst.N)[:1000]
+        assert np.array_equal(two_term_at(inst, info, cells), p[cells])
+        assert np.array_equal(two_term_at(inst, info, [0, inst.N - 1]), p[[0, -1]])
+
+    @pytest.mark.parametrize("key, size", BLOCK_CASES)
+    def test_prefix_sums_equal_the_whole_cumsum(self, monkeypatch, key, size):
+        monkeypatch.setattr(distribution, "_BLOCK_CELLS", size)
+        inst, info = build(*key)
+        cdf = np.cumsum(two_term_distribution(inst, info).probabilities)
+        cells = np.unique(np.random.default_rng(2).integers(0, inst.N, 300))
+        cells = np.union1d(cells, [0, inst.N - 1])
+        sums, total = two_term_prefix_sums(inst, info, cells)
+        assert np.array_equal(sums, cdf[cells])
+        assert total == cdf[-1]
+
+    def test_int64_angle_cap(self):
+        inst = ProblemInstance.create(1_000_003 * 3, 2, q_A=32)
+        info = OrderInfo(r=4, M0=(inst.N - 4) // 4, k0=0, delta_min=0.0)
+        with pytest.raises(ResourceError):
+            two_term_at(inst, info, [1])
 
 
 class TestPeaks:

@@ -6,8 +6,16 @@ here as the oracle: orders read from per-prime primitive-root tables
 (themselves checked against the brute-force order walk) and combined by
 lcm, with the matched-valuation test for trivial square roots (checked
 against direct modular powers).
+
+The block-wise Monte Carlo routes are pinned by SHA-256 of their reprs,
+taken from the whole-array routes they replaced, and checked against
+those routes, kept here as oracles: trailing zeros of whole word arrays
+for the valuation model, and inverse-CDF draws from the built vector for
+the capture rate.
 """
 
+import hashlib
+import itertools
 import math
 from functools import lru_cache
 
@@ -16,12 +24,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shorsim import distribution, experiments
+from shorsim.distribution import OrderInfo, ProblemInstance, peaks, sample, two_term_distribution
 from shorsim.errors import DomainError, ResourceError
 from shorsim.experiments import (
     MAX_CENSUS_NMAX,
     FailureCensus,
     capture_rate_empirical,
     census_aggregate,
+    census_rows,
     census_sweep,
     failure_census,
     figure1_data,
@@ -31,6 +42,7 @@ from shorsim.experiments import (
 )
 from shorsim.number_theory import mod_pow, multiplicative_order
 from shorsim.pipeline import Classification, extract_factors
+from shorsim.rng import SplitMix64
 
 SEMIPRIMES = [15, 21, 33, 35, 39, 51, 55, 57]
 
@@ -120,6 +132,38 @@ def brute_classification(n, x):
     return "good"
 
 
+def _two_adic_draws(rng, count):
+    """count trailing-zero counts of raw words, the whole array at once
+    (the all-zero word, probability 2**-64, counts as 64)."""
+    words = rng.uint64_block(count)
+    lowbit = words & (~words + np.uint64(1))
+    with np.errstate(divide="ignore"):
+        tz = np.where(words == 0, 64.0, np.log2(lowbit.astype(np.float64)))
+    return tz.astype(np.int64)
+
+
+def whole_array_valuation(trials, seed):
+    """(matched_valuations, both_odd) from whole valuation arrays."""
+    rng = SplitMix64(seed)
+    k1 = _two_adic_draws(rng, trials)
+    k2 = _two_adic_draws(rng, trials)
+    return int(((k1 == k2) & (k1 >= 1)).sum()), int(((k1 == 0) & (k2 == 0)).sum())
+
+
+def inverse_cdf_capture(n, x, q_A, samples, seed):
+    """(exact value, sampled fraction) from the built vector: peak cells
+    read from it, and inverse-CDF draws placed in cells and classified by
+    their nearest peak."""
+    inst = ProblemInstance.create(n, x, q_A)
+    info = OrderInfo.from_instance(inst)
+    p = two_term_distribution(inst, info).probabilities
+    exact = float(sum(p[pk.c_nu] + p[pk.c_nu + 1] for pk in peaks(inst, info)))
+    cs = np.asarray(sample(two_term_distribution(inst, info), seed, samples), dtype=np.int64)
+    nu_near = np.rint(cs * info.r / inst.N).astype(np.int64)
+    d = cs - (nu_near * inst.N) // info.r
+    return exact, int(((d == 0) | (d == 1)).sum()) / samples
+
+
 class TestSemiprimeEnumeration:
     def test_list_below_100(self):
         assert [t[0] for t in semiprimes_below(100)] == [
@@ -133,6 +177,18 @@ class TestSemiprimeEnumeration:
     def test_excludes_squares_and_prime_powers(self):
         values = {t[0] for t in semiprimes_below(200)}
         assert {9, 25, 27, 45, 49, 63, 75, 99, 105, 121, 125, 135, 147, 165, 169, 175, 189, 195} & values == set()
+
+    @pytest.mark.parametrize("limit", [0, 15, 16, 22, 3000])
+    @pytest.mark.parametrize("size", [1, 7, 1 << 16])
+    def test_matches_a_literal_scan_in_any_chunks(self, monkeypatch, limit, size):
+        monkeypatch.setattr(experiments, "_BLOCK", size)
+        scan = []
+        for n in range(limit):
+            p = next((f for f in range(3, math.isqrt(n) + 1, 2) if n % f == 0), None)
+            if n % 2 and p and p * p != n and _is_odd_prime(n // p) and n // p != p:
+                scan.append((n, p, n // p))
+        assert semiprimes_below(limit) == scan
+        assert [(r.n, r.p1, r.p2) for r in census_rows(limit)] == scan
 
 
 class TestOrderTables:
@@ -240,6 +296,49 @@ class TestFailureCensus:
         rows = census_sweep(1500)
         assert rows and all(r.fraction_bad <= 0.5 for r in rows)
 
+    @pytest.mark.parametrize("nmax, pinned", [
+        (100, "CensusAggregate(count=16, total_x=656, total_odd=84, total_trivial=116, "
+              "aggregate_bad_fraction=0.3048780487804878, mean_bad_fraction=0.3051461263081252, "
+              "max_bad_fraction=0.4915254237288136, bound_ok=True)"),
+        (10_000, "CensusAggregate(count=1932, total_x=8166964, total_odd=1051466, "
+                 "total_trivial=1311354, aggregate_bad_fraction=0.289314364554564, "
+                 "mean_bad_fraction=0.2941315304477971, max_bad_fraction=0.4999482348069158, "
+                 "bound_ok=True)"),
+    ])
+    def test_aggregate_of_a_stream_is_pinned(self, nmax, pinned):
+        # reprs taken when the aggregate summed a held list of rows
+        assert repr(census_aggregate(census_rows(nmax))) == pinned
+        assert repr(census_aggregate(census_sweep(nmax))) == pinned
+
+    def test_aggregate_matches_its_definition_in_any_order(self):
+        rows = census_sweep(3000)
+        for ordered in (rows, rows[::-1], sorted(rows, key=lambda r: -r.fraction_bad)):
+            agg = census_aggregate(iter(ordered))
+            assert agg.count == len(rows)
+            assert (agg.total_x, agg.total_odd, agg.total_trivial) == (
+                sum(r.num_x for r in rows), sum(r.odd_r for r in rows),
+                sum(r.trivial_sqrt for r in rows))
+            assert agg.max_bad_fraction == max(r.fraction_bad for r in rows)
+            assert agg.mean_bad_fraction == pytest.approx(
+                math.fsum(r.fraction_bad for r in rows) / len(rows), rel=1e-14)
+            assert agg.bound_ok
+        two = census_aggregate(iter([failure_census(21), failure_census(15)]))
+        assert two.max_bad_fraction == 5 / 11  # the first row's
+        assert two.mean_bad_fraction == (5 / 11 + 1 / 7) / 2
+
+    def test_rows_stream_in_order(self):
+        rows = census_rows(5000)
+        assert iter(rows) is rows  # a generator, not a list
+        assert list(rows) == census_sweep(5000)
+
+    def test_rows_check_the_cap_on_the_call(self):
+        with pytest.raises(ResourceError):
+            census_rows(MAX_CENSUS_NMAX + 1)
+
+    def test_aggregate_of_no_rows_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            census_aggregate(iter(()))
+
     def test_aggregate_fields(self):
         rows = census_sweep(300)
         agg = census_aggregate(rows)
@@ -274,9 +373,6 @@ class TestValuationModel:
 
     def test_valuation_distribution_matches_model(self):
         # P(k = j) = 2^-(j+1): check the first few bins at 10 sigma
-        from shorsim.experiments import _two_adic_draws
-        from shorsim.rng import SplitMix64
-
         draws = _two_adic_draws(SplitMix64(3), 400_000)
         for j in range(6):
             p = 2.0 ** -(j + 1)
@@ -318,6 +414,98 @@ class TestCaptureRate:
     def test_undersized_register_rejected(self):
         with pytest.raises(DomainError):
             capture_rate_empirical(21, 10, 8, samples=10, seed=0)
+
+
+# The capture grid: bases with r | N (n = 15) and without, the default
+# register and two wider ones.
+CAPTURE_GRID = {15: (2, 7), 21: (2, 10), 1007: (5,), 899: (7,)}
+
+
+def capture_reprs(n):
+    q0 = ProblemInstance.default_q_A(n)
+    return "\n".join(
+        repr(capture_rate_empirical(n, x, q_A, 5000, seed=seed))
+        for x in CAPTURE_GRID[n] for q_A in range(q0, q0 + 3) for seed in (0, 5)
+    )
+
+
+def valuation_reprs(trials):
+    return "\n".join(repr(valuation_model_mc(trials, seed=seed)) for seed in (0, 3, 2**64 - 1))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of capture_reprs(n) and valuation_reprs(trials), taken when
+# capture built the whole vector and drew from its CDF, and the valuation
+# model held whole arrays of trailing-zero counts.
+PINNED_CAPTURE = {
+    15: "9d9c30e0a4ac8b2303e46f5231838aca727f63ff3ce70207314b221518f7ac61",
+    21: "a6a379acfed22ccbcc6d54b90d45af1cec8744368acc49b5e3e3a8d8293ac2e2",
+    1007: "b574943c50594b267d3a7483239fd985da7afe1575f7ed482db4aa7466bcb772",
+    899: "18ae7e41dcc4146be09ba239d7a2bb6a4e72274bb52ed0e03651cffbd8e6fd2f",
+}
+PINNED_VALUATION = {
+    1: "d6be52c823889be07876f73e900499dcddccbc3de8d6631bd80951cdddad4f5c",
+    1000: "f052a519924054a3d392b1ff6d20b9660abba9d848c39a31419ab6311a1fc5c6",
+    (1 << 16) - 1: "1b6452212eb2f8ff4e45e2ab664d2ab304855ebbb7e5f0f3817ac7c58da146f2",
+    1 << 16: "09a9489bafd8205a52d8ec0079edab39c4ce50ee135d32bfd43f9b927d6a09da",
+    (1 << 16) + 1: "d5a592e59acc570db0f43b1406480a335ee9f2c7f0f2ef9cfadeff162023b7fe",
+    10**6: "32f1b34a6420126e7357073929d99a750a23c3f42f077a609778c62a8c2c74bf",
+}
+BLOCK_SIZES = (1, 7, (1 << 16) + 1)
+
+
+def patch_blocks(monkeypatch, size):
+    monkeypatch.setattr(distribution, "_BLOCK_CELLS", size)
+    monkeypatch.setattr(experiments, "_BLOCK", size)
+
+
+class TestBlockwiseMonteCarlo:
+    @pytest.mark.parametrize("n", PINNED_CAPTURE)
+    def test_capture_is_pinned(self, n):
+        assert sha256(capture_reprs(n)) == PINNED_CAPTURE[n]
+
+    @pytest.mark.parametrize("trials", PINNED_VALUATION)
+    def test_valuation_is_pinned(self, trials):
+        assert sha256(valuation_reprs(trials)) == PINNED_VALUATION[trials]
+
+    # one-cell blocks cost a pass per cell, so only the smallest grid
+    @pytest.mark.parametrize("n, size", [(15, 1), (15, 7), (21, 7), (15, 1 << 16 | 1), (21, 1 << 16 | 1)])
+    def test_capture_does_not_depend_on_the_blocks(self, monkeypatch, n, size):
+        patch_blocks(monkeypatch, size)
+        assert sha256(capture_reprs(n)) == PINNED_CAPTURE[n]
+
+    @pytest.mark.parametrize("size, trials", [
+        (size, trials) for size in BLOCK_SIZES for trials in PINNED_VALUATION
+        if trials <= 1000 * size  # at most a thousand blocks a call
+    ])
+    def test_valuation_does_not_depend_on_the_blocks(self, monkeypatch, size, trials):
+        patch_blocks(monkeypatch, size)
+        assert sha256(valuation_reprs(trials)) == PINNED_VALUATION[trials]
+
+    @pytest.mark.parametrize("case", [
+        (15, 2, 8, 3000, 1),  # r | N: every draw is a peak cell
+        (21, 10, 9, 20_000, 11),
+        (33, 5, 11, 20_000, 0),
+        (55, 16, 12, 20_000, 3),
+        (1007, 5, 20, 100_000, 4),
+    ])
+    def test_capture_matches_inverse_cdf_draws(self, case):
+        n, x, q_A, samples, seed = case
+        rep = capture_rate_empirical(n, x, q_A, samples, seed=seed)
+        assert (rep.exact_value, rep.sampled_fraction) == inverse_cdf_capture(*case)
+
+    @pytest.mark.parametrize("trials", [1, 999, (1 << 16) + 3, 300_000])
+    @pytest.mark.parametrize("seed", [0, 12])
+    def test_valuation_matches_whole_arrays(self, trials, seed):
+        res = valuation_model_mc(trials, seed=seed)
+        assert (res.matched_valuations, res.both_odd) == whole_array_valuation(trials, seed)
+
+    def test_capture_keeps_the_register_cap(self):
+        with pytest.raises(ResourceError):
+            capture_rate_empirical(4097, 3, 25, samples=10, seed=0)
 
 
 class TestNeighborCheck:

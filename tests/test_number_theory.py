@@ -19,6 +19,7 @@ from shorsim.number_theory import (
     mod_pow,
     multiplicative_order,
     order_from_multiple,
+    semiprime_lambda,
 )
 
 
@@ -302,6 +303,29 @@ class TestOrderFromMultiple:
             r = multiplicative_order(x, n)
             for mult in (1, 2, 3, 8, 15):
                 assert order_from_multiple(x, n, mult * r) == r
+
+    def test_given_primes_reduce_like_trial_division(self):
+        rnd = random.Random(11)
+        odd_primes = [p for p in range(3, 400) if all(p % f for f in range(2, p))]
+        for _ in range(60):
+            p, q = sorted(rnd.sample(odd_primes, 2))
+            n = p * q
+            lam, primes = semiprime_lambda(p, q)
+            assert lam == math.lcm(p - 1, q - 1)
+            assert primes == sorted({f for f in range(2, lam + 1) if lam % f == 0
+                                     and all(f % g for g in range(2, f))})
+            for x in rnd.sample(range(2, n), 8):
+                if math.gcd(x, n) != 1:
+                    continue
+                r = multiplicative_order(x, n)
+                assert order_from_multiple(x, n, lam, primes) == r
+                # primes that do not divide the multiple are skipped
+                assert order_from_multiple(x, n, r, primes + [1009]) == r
+
+    def test_primes_missing_a_factor_are_rejected(self):
+        # 6 = 2 * 3 is a multiple of the order of 10 mod 21; [2] misses 3
+        with pytest.raises(DomainError):
+            order_from_multiple(10, 21, 6, [2])
 
     def test_non_multiple_rejected(self):
         r = multiplicative_order(10, 21)  # 6

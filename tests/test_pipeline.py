@@ -12,7 +12,7 @@ import pytest
 from shorsim import distribution, experiments, number_theory, pipeline
 from shorsim.distribution import OrderInfo, ProblemInstance, peaks
 from shorsim.errors import ContractError, DomainError
-from shorsim.number_theory import mod_pow, multiplicative_order
+from shorsim.number_theory import mod_pow, multiplicative_order, order_from_multiple
 from shorsim.pipeline import (
     Classification,
     RetryPolicy,
@@ -417,6 +417,24 @@ class TestRunRoute:
                 monkeypatch.setattr(module, "_distinct_prime_factors", counted)
         run(n, 3, seed=1)
         assert calls.count(n) == 1
+
+    @pytest.mark.parametrize("x", [2, 3, 5, 7])
+    def test_lambda_and_candidates_are_never_trial_divided(self, monkeypatch, x):
+        # safe primes: lambda = 2 * 22943 * 23099 costs ~11 500 trial steps,
+        # p - 1 and q - 1 about 80 each
+        p, q = 45887, 46199
+        n = p * q
+        original = number_theory._distinct_prime_factors
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(number_theory, "_distinct_prime_factors", counted)
+        out = run_with_retries(n, x, seed=1)
+        assert calls == [n, p - 1, q - 1]
+        assert out.r_true == order_from_multiple(x, n, (p - 1) * (q - 1) // 2)
 
     @pytest.mark.parametrize("x", [2, 3, 5, 46326])
     def test_order_at_the_top_of_the_modulus_range(self, x):

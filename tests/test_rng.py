@@ -1,6 +1,7 @@
 """SplitMix64 determinism and stream-consistency checks."""
 
 import numpy as np
+import pytest
 
 from shorsim.rng import SplitMix64
 
@@ -53,3 +54,32 @@ def test_reference_algorithm_values():
         expected.append(z ^ (z >> 31))
     rng = SplitMix64(0)
     assert [rng.next_uint64() for _ in range(5)] == expected
+
+
+@pytest.mark.parametrize("k", [0, 1, 5_000_000])
+def test_advance_equals_drawing(k):
+    drawn = SplitMix64(31)
+    drawn.uint64_block(k)
+    skipped = SplitMix64(31).advance(k)
+    assert skipped.uint64_block(4).tolist() == drawn.uint64_block(4).tolist()
+
+
+@pytest.mark.parametrize("k", [2**63, 3 * 2**62 + 7, 2**64 - 1])
+def test_advance_moves_the_state_by_k_gammas(k):
+    # after k skipped draws the next output mixes seed + (k + 1) * gamma
+    mask = (1 << 64) - 1
+    z = (12 + (k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    assert SplitMix64(12).advance(k).next_uint64() == z ^ (z >> 31)
+
+
+def test_advance_wraps_mod_two_to_the_64():
+    a = SplitMix64(8).advance(2**64 + 3)
+    b = SplitMix64(8).advance(3)
+    assert a.next_uint64() == b.next_uint64()
+
+
+def test_advance_rejects_negative_counts():
+    with pytest.raises(ValueError):
+        SplitMix64(0).advance(-1)
