@@ -8,7 +8,9 @@ semiprimes.
 """
 
 from .distribution import (
+    MAX_CLASS_CELLS,
     MAX_ORACLE_QUBITS,
+    MAX_PEAKS_ORDER,
     MAX_REGISTER_QUBITS,
     MAX_RUN_MODULUS,
     METHOD_ORACLE,
@@ -37,6 +39,7 @@ from .errors import ContractError, DomainError, NoOrderError, ResourceError
 from .experiments import (
     CENSUS_HEURISTIC_LIMIT,
     MAX_CENSUS_NMAX,
+    MAX_NEIGHBOR_ORDER,
     CaptureReport,
     CensusAggregate,
     FailureCensus,

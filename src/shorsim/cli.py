@@ -282,8 +282,7 @@ def _cmd_mc_valuation(args) -> str:
 
 
 def _cmd_capture(args) -> str:
-    qa = args.qa if args.qa is not None else ProblemInstance.default_q_A(args.n)
-    rep = capture_rate_empirical(args.n, args.x, qa, args.samples, seed=args.seed)
+    rep = capture_rate_empirical(args.n, args.x, args.qa, args.samples, seed=args.seed)
     return _render(args, {
         "n": rep.n, "x": rep.x, "qA": rep.q_A,
         "samples": rep.samples,
@@ -307,8 +306,7 @@ def _cmd_guarantee(args) -> str:
 
 
 def _cmd_neighbors(args):
-    qa = args.qa if args.qa is not None else ProblemInstance.default_q_A(args.n)
-    rep = neighbor_state_check(args.n, args.x, qa)
+    rep = neighbor_state_check(args.n, args.x, args.qa)
     obj = {
         "n": rep.n, "x": rep.x, "qA": rep.q_A, "r": rep.r,
         "changed_neighbors": rep.changed_neighbors,

@@ -71,6 +71,24 @@ MAX_RUN_MODULUS = 1 << 31
 #: q_A = 12 takes under a second, q_A = 14 over ten.
 MAX_ORACLE_QUBITS = 13
 
+#: Cap on the routes that make one pass over the register per residue
+#: class (per-k, and the oracle, which also walks the r powers first),
+#: counted as r*(N + _CLASS_CELLS) cells: a per-k pass costs about 8 us
+#: plus 38 ns a cell (2-CPU host), so the cap is about 10 s whether the
+#: register is narrow and r large or the reverse (measured near the cap:
+#: 8.8 s at N = 2, r = 988 288; 9.9 s at N = 2^24, r = 15).  r*N alone
+#: would admit r = 2^27 classes at N = 2, about 18 minutes.  The oracle's
+#: passes cost less (4.5 s at N = 2, r = 988 288); its N^2 phasor sum is
+#: capped apart.
+MAX_CLASS_CELLS = 1 << 28
+_CLASS_CELLS = 1 << 8
+
+#: Cap on the order for the routes that list every peak (2-CPU host,
+#: r = 988 288): ``shorsim peaks`` takes 5.9 s and 240 MB as CSV, and
+#: 15.7 s and 1.4 GB as JSON, which holds a dict per peak.  Time alone
+#: would admit 2^20; memory sets 2^18 (JSON at r = 247 072: 4.6 s, 369 MB).
+MAX_PEAKS_ORDER = 1 << 18
+
 METHOD_ORACLE = "oracle_sum"
 METHOD_PER_K = "per_k_closed_form"
 METHOD_TWO_TERM = "two_term_form"
@@ -143,7 +161,7 @@ class OrderInfo:
     def from_instance(cls, inst: ProblemInstance) -> "OrderInfo":
         if inst.n >= MAX_RUN_MODULUS:
             raise ResourceError(f"n={inst.n} exceeds the cap of 2^31 on the modulus")
-        return cls.from_multiple(inst, carmichael_lambda(inst.n))
+        return cls.from_multiple(inst, *carmichael_lambda(inst.n))
 
     @classmethod
     def from_multiple(cls, inst: ProblemInstance, multiple: int,
@@ -189,6 +207,14 @@ def guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
         raise ResourceError(f"q_A={inst.q_A} exceeds the desk-scale cap of {cap} for {route}")
 
 
+def guard_classes(inst: ProblemInstance, r: int, route: str):
+    """Raise ResourceError when r per-class passes over inst's register
+    exceed MAX_CLASS_CELLS, before any of them is made."""
+    if r * (inst.N + _CLASS_CELLS) > MAX_CLASS_CELLS:
+        raise ResourceError(f"r={r} classes over N={inst.N} cells exceed the cap of "
+                            f"r*(N + {_CLASS_CELLS}) <= 2^28 for {route}")
+
+
 def _class_size(N: int, r: int, k: int) -> int:
     """Number of exponents a in [0, N) with a = k (mod r)."""
     return (N - k - 1) // r + 1
@@ -201,9 +227,12 @@ def oracle_distribution(inst: ProblemInstance) -> OutputDistribution:
     exp(2*pi*i*a*c/N) over all a = e*r + k, divided by N; the class
     contributes its squared magnitude.  O(N^2) work, no closed form,
     no shared trigonometric shortcuts: this is the reference oracle.
-    Capped at q_A <= MAX_ORACLE_QUBITS because of that cost.
+    Capped at q_A <= MAX_ORACLE_QUBITS because of that cost, and by
+    ``guard_classes`` on the r passes; the guard reads r from lambda(n),
+    the sum from the brute walk.
     """
     guard_register(inst, MAX_ORACLE_QUBITS, "the O(N^2) phasor-sum oracle")
+    guard_classes(inst, OrderInfo.from_instance(inst).r, "the phasor-sum oracle")
     r = multiplicative_order(inst.x, inst.n)
     N = inst.N
     c = np.arange(N, dtype=np.int64)
@@ -240,6 +269,7 @@ def _denominator_parts(N: int, r: int, c: np.ndarray) -> tuple[np.ndarray, np.nd
 def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
     """P(c) from the geometric-series closed form, one term per residue class."""
     guard_register(inst)
+    guard_classes(inst, info.r, "the per-class closed form")
     N, r = inst.N, info.r
     c = np.arange(N, dtype=np.int64)
     singular, den_safe = _denominator_parts(N, r, c)
@@ -336,8 +366,11 @@ def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
 
 
 def peaks(inst: ProblemInstance, info: OrderInfo) -> list[PeakModel]:
-    """The r peak models, with centers computed in exact rational arithmetic."""
+    """The r peak models, with centers computed in exact rational arithmetic.
+    Capped at r <= MAX_PEAKS_ORDER, checked before any is built."""
     N, r = inst.N, info.r
+    if r > MAX_PEAKS_ORDER:
+        raise ResourceError(f"r={r} exceeds the cap of 2^18 peaks")
     out = []
     for nu in range(r):
         scaled = nu * N

@@ -53,6 +53,11 @@ from .rng import SplitMix64
 #: are held as int64 arrays and the rows are streamed.
 MAX_CENSUS_NMAX = 10**7
 
+#: Cap on the order for the neighbor probe, which recovers four cells of
+#: each peak whose index is coprime to r, about 0.22 ms a peak (2-CPU
+#: host): up to 2^16 peaks take about 15 s.
+MAX_NEIGHBOR_ORDER = 1 << 16
+
 #: Items per block of the streamed routes: random words of a Monte Carlo
 #: tally, semiprimes of the census.  A block's arrays stay cache-sized
 #: whatever the total.
@@ -311,7 +316,8 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
     )
 
 
-def capture_rate_empirical(n: int, x: int, q_A: int, samples: int, seed: int = 0) -> CaptureReport:
+def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
+                           seed: int = 0) -> CaptureReport:
     """Peak-cell capture: exact mass on the cells {c_nu, c_nu + 1} and the
     matching sampled fraction (deviation taken against the nearest peak).
 
@@ -320,7 +326,7 @@ def capture_rate_empirical(n: int, x: int, q_A: int, samples: int, seed: int = 0
     no draw is placed in a cell: a draw lands on peak cell c exactly when
     cdf(c-1) <= u < cdf(c), so one pass over the register keeps only
     those running sums, and the draws are counted against them block by
-    block.
+    block.  q_A None is the default register of n.
     """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
@@ -350,7 +356,7 @@ def capture_rate_empirical(n: int, x: int, q_A: int, samples: int, seed: int = 0
         # the draws in [lower, upper) of each hit cell; a count ignores order
         hits += int((np.searchsorted(u, upper) - np.searchsorted(u, lower)).sum())
     return CaptureReport(
-        n=n, x=x, q_A=q_A, samples=samples,
+        n=n, x=x, q_A=inst.q_A, samples=samples,
         exact_value=exact,
         sampled_fraction=hits / samples,
     )
@@ -362,18 +368,22 @@ def _result_key(rec: RecoveryResult) -> tuple[int, int] | None:
     return (rec.recovered.numerator, rec.recovered.denominator)
 
 
-def neighbor_state_check(n: int, x: int, q_A: int) -> NeighborReport:
+def neighbor_state_check(n: int, x: int, q_A: int | None) -> NeighborReport:
     """Probe each coprime-index peak at offsets d in {-1, 0, 1, 2}.
 
     The claim under test: probing the neighbors of a peak cell never
     changes what the guaranteed cells d in {0, 1} already recover.  Any
     neighbor that disagrees while sitting within the recovery-guarantee
     distance would be a genuine violation (expected count: zero).
+    q_A None is the default register of n.  Capped at r <=
+    MAX_NEIGHBOR_ORDER, checked before any peak is probed.
     """
     inst = ProblemInstance.create(n, x, q_A)
     if inst.N < n * n:
         raise DomainError(f"need N >= n^2 for the neighbor probe, got N={inst.N}, n={n}")
     info = OrderInfo.from_instance(inst)
+    if info.r > MAX_NEIGHBOR_ORDER:
+        raise ResourceError(f"r={info.r} exceeds the neighbor probe's cap of 2^16 on the order")
     probes = []
     changed = 0
     changed_guaranteed = 0
@@ -397,7 +407,7 @@ def neighbor_state_check(n: int, x: int, q_A: int) -> NeighborReport:
             neighbors_differ=differ,
         ))
     return NeighborReport(
-        n=n, x=x, q_A=q_A, r=info.r, probes=probes,
+        n=n, x=x, q_A=inst.q_A, r=info.r, probes=probes,
         changed_neighbors=changed,
         changed_within_guarantee=changed_guaranteed,
     )

@@ -99,16 +99,19 @@ def semiprime_lambda(p: int, q: int) -> tuple[int, list[int]]:
     return lcm(p - 1, q - 1), sorted(primes)
 
 
-def carmichael_lambda(n: int) -> int:
-    """Carmichael's lambda(n): the exponent of the unit group mod n >= 2.
+def carmichael_lambda(n: int) -> tuple[int, list[int]]:
+    """Carmichael's lambda(n), the exponent of the unit group mod n >= 2,
+    with its distinct primes.
 
     lambda is the lcm over the prime powers p**e exactly dividing n of
     p**(e-1)*(p-1), except that lambda(2**e) = 2**(e-2) for e >= 3.  The
-    order of every unit mod n divides it.
+    order of every unit mod n divides it.  Its primes are those of each
+    p-1, and p itself where p**2 divides n, collected while n is factored,
+    as ``semiprime_lambda`` does: lambda itself is never trial-divided.
     """
     if n < 2:
         raise DomainError(f"modulus must be >= 2, got {n}")
-    result = 1
+    result, primes = 1, set()
     for p in _distinct_prime_factors(n):
         e, rest = 0, n
         while rest % p == 0:
@@ -116,7 +119,10 @@ def carmichael_lambda(n: int) -> int:
             e += 1
         part = p ** (e - 1) * (p - 1) if p > 2 or e < 3 else 1 << (e - 2)
         result = lcm(result, part)
-    return result
+        primes.update(_distinct_prime_factors(p - 1))
+        if e > 1:
+            primes.add(p)
+    return result, sorted(primes)
 
 
 def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None = None) -> int:

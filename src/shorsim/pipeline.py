@@ -8,9 +8,11 @@ unverified candidate, or the dead zero-state) with multiplier trials and
 fresh samples, but never swaps in a new base: rebuilding the machine for
 a different x is the caller's decision.  Both go through one run body:
 ``run_once`` is the first attempt of ``run_with_retries``, returned as it
-is.  Validation factors n, and the order is reduced from
-lambda(n) = lcm(p-1, q-1) over the primes of p-1 and q-1, so a run
-trial-divides n once and lambda, its candidates and the order never.
+is.  Validation factors n, and the order r is reduced once from
+lambda(n) = lcm(p-1, q-1) over the primes of p-1 and q-1, before the
+first draw, so a run trial-divides n once and lambda never.  Every later
+order decision reads r: a verified candidate is a multiple of r, and an
+unverified one is repaired by the multiplier r/gcd(r, candidate).
 """
 
 import math
@@ -18,13 +20,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, peaks, sample_states
+from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, sample_states
 from .errors import ContractError, DomainError, ResourceError
 from .number_theory import (
     best_convergent_bounded,
     gcd,
     mod_pow,
-    order_from_multiple,
     semiprime_factors,
     semiprime_lambda,
 )
@@ -194,25 +195,19 @@ def _opportunistic_factor(n: int, x: int, r_candidate: int) -> int | None:
     return None
 
 
-def _exact_order(n: int, x: int, multiple: int, lam: int, primes: list[int]) -> int:
-    """The order of x mod n from a verified multiple of it: gcd(multiple,
-    lambda) is another such multiple, and its primes are among lambda's."""
-    return order_from_multiple(x, n, math.gcd(multiple, lam), primes)
-
-
-def _resolve(n: int, x: int, rec: RecoveryResult, lam: int,
-             primes: list[int]) -> tuple[Classification, tuple[int, int] | None]:
+def _resolve(n: int, x: int, rec: RecoveryResult,
+             r: int) -> tuple[Classification, tuple[int, int] | None]:
     """Classify a recovery and, when it verified, extract factors.
 
-    A verified candidate may still be a proper multiple of the order
-    (N/c can land on one by accident, off-peak), so it is reduced to the
-    exact order before extraction.
+    A verified candidate may still be a proper multiple of the order r
+    (N/c can land on one by accident, off-peak), so factors are extracted
+    with r itself.
     """
     if rec.c == 0:
         return Classification.ZERO_PEAK, None
     if not rec.verified:
         return Classification.UNVERIFIED_ORDER, None
-    return extract_factors(n, x, _exact_order(n, x, rec.r_candidate, lam, primes))
+    return extract_factors(n, x, r)
 
 
 def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None) -> RunOutcome:
@@ -232,30 +227,26 @@ def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None)
             factors=(g, n // g), r_true=None,
         )
     inst = ProblemInstance.create(n, x, q_A)
-    lam, primes = semiprime_lambda(*pq)
-    info = OrderInfo.from_multiple(inst, lam, primes)
+    info = OrderInfo.from_multiple(inst, *semiprime_lambda(*pq))
     rng = SplitMix64(seed)
     events: list[RetryEvent] = []
 
     rec = recover_order(sample_states(inst, info, rng, 1)[0], inst)
     resamples = 0
     while True:
-        classification, factors = _resolve(n, x, rec, lam, primes)
+        classification, factors = _resolve(n, x, rec, info.r)
         if policy is None or classification not in (
             Classification.ZERO_PEAK, Classification.UNVERIFIED_ORDER,
         ):
             break
         if classification is Classification.UNVERIFIED_ORDER and rec.r_candidate is not None:
-            found = None
-            for mu in range(2, policy.max_mu + 1):
-                if mod_pow(x, mu * rec.r_candidate, n) == 1:
-                    found = mu
-                    break
-            if found is not None:
+            # x**(mu*candidate) = 1 exactly when r divides mu*candidate, so
+            # the first mu >= 2 that passes is r/gcd(r, candidate)
+            mu = info.r // math.gcd(info.r, rec.r_candidate)
+            if mu <= policy.max_mu:
                 events.append(RetryEvent(kind="multiplier_found", c=rec.c,
-                                         r_candidate=rec.r_candidate, multiplier=found))
-                exact_r = _exact_order(n, x, found * rec.r_candidate, lam, primes)
-                classification, factors = extract_factors(n, x, exact_r)
+                                         r_candidate=rec.r_candidate, multiplier=mu))
+                classification, factors = extract_factors(n, x, info.r)
                 break
             events.append(RetryEvent(kind="multiplier_exhausted", c=rec.c,
                                      r_candidate=rec.r_candidate))
@@ -293,16 +284,18 @@ def run_with_retries(
 ) -> RunOutcome:
     """run_once plus recovery from retriable failures.
 
-    On an unverified candidate, small multipliers mu = 2..max_mu of the
-    candidate are tried first (x**(mu*candidate) = 1 picks out the lost
-    factor); only then is a fresh state sampled, up to max_resamples
-    times.  A failed multiplier scan additionally logs any factor the
-    bare candidate happens to reveal through the usual gcd pair, as a
-    diagnostic that never steers the run.  The dead zero state is also
-    retried by resampling.  Odd orders and trivial square roots are
-    base-level failures and are returned as terminal outcomes; the
-    retry layer never substitutes a new x.  Exhausted budgets yield an
-    Exhausted outcome carrying the last attempt.
+    An unverified candidate lost the factor mu = r/gcd(r, candidate) of
+    the order r (the peak index shared it with r); when mu <= max_mu it
+    is the multiplier the scan mu = 2..max_mu of x**(mu*candidate) = 1
+    would find first, and the run goes on with r.  Only then is a fresh
+    state sampled, up to max_resamples times.  A candidate beyond the
+    multiplier budget additionally logs any factor it happens to reveal
+    through the usual gcd pair, as a diagnostic that never steers the
+    run.  The dead zero state is also retried by resampling.  Odd
+    orders and trivial square roots are base-level failures and are
+    returned as terminal outcomes; the retry layer never substitutes a
+    new x.  Exhausted budgets yield an Exhausted outcome carrying the
+    last attempt.
     """
     return _run(n, x, q_A, seed, policy or RetryPolicy())
 
@@ -314,17 +307,22 @@ def order_recovery_guarantee(inst: ProblemInstance) -> GuaranteeReport:
     at most 1/N; the gap to the nearest wrong candidate exceeds
     1/((n-1)*n).  With N >= n^2 the distance is always inside the gap,
     so recovery from d in {0, 1} is exact.
+
+    The displacements delta = (nu*N mod r)/r of the r peaks run over the
+    multiples of g = gcd(N, r) in [0, r), each g/r apart, so the largest
+    is (r - g)/r and the smallest 0: both worst distances are read off
+    without listing a peak.
     """
     info = OrderInfo.from_instance(inst)
-    pk = peaks(inst, info)
-    max_d0 = max(p.delta_nu for p in pk) / inst.N
-    max_d1 = max(1.0 - p.delta_nu for p in pk) / inst.N
+    r = info.r
+    max_d0 = (r - math.gcd(inst.N, r)) / r / inst.N
+    max_d1 = 1.0 / inst.N
     size_ok = inst.N >= inst.n * inst.n
     holds = size_ok and max(max_d0, max_d1) < info.delta_min
     return GuaranteeReport(
-        n=inst.n, x=inst.x, q_A=inst.q_A, N=inst.N, r=info.r,
+        n=inst.n, x=inst.x, q_A=inst.q_A, N=inst.N, r=r,
         delta_min=info.delta_min,
         max_delta_c_d0=max_d0, max_delta_c_d1=max_d1,
-        margin_min=1.0 / (info.r * (info.r + 1)),
+        margin_min=1.0 / (r * (r + 1)),
         size_ok=size_ok, holds=holds,
     )

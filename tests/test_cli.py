@@ -312,6 +312,31 @@ class TestRouteGuards:
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
 
+    def test_guarantee_at_a_large_order_is_immediate(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "guarantee", "--n", "2119933513", "--x", "3",
+                                 "--qa", "8")
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_OK and err == ""
+        obj = json.loads(out)
+        assert obj["r"] == 529960357 and obj["max_delta_c_d1"] == 1 / 256
+        assert obj["holds"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--qa", "8", "--method", "per-k"),
+        ("dist", "--qa", "8", "--method", "oracle"),
+        ("peaks", "--qa", "8"),
+        ("peaks", "--qa", "8", "--format", "json"),
+        ("neighbors",),
+    ])
+    def test_large_order_routes_exit_resource_at_once(self, capsys, argv):
+        command, *flags = argv
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--n", "2119933513", "--x", "3", *flags)
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_capture_sample_count_is_a_domain_error(self, capsys, samples):
         code, out, err = run_cli(capsys, "capture", "--n", "21", "--x", "10", "--samples", samples)

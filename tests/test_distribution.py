@@ -180,6 +180,53 @@ class TestOracleAgreement:
             oracle_distribution(inst)
 
 
+class TestOrderGuards:
+    """The routes whose cost grows with r are refused before any O(r) work."""
+
+    LARGE = (2119933513, 3, 8)  # r = 529 960 357
+
+    def test_per_class_routes_refuse_a_large_order(self, monkeypatch):
+        inst, info = build(*self.LARGE)
+
+        def walk(*_args):
+            raise AssertionError("the order walk ran before the guard")
+
+        monkeypatch.setattr(distribution, "multiplicative_order", walk)
+        with pytest.raises(ResourceError):
+            per_k_distribution(inst, info)
+        with pytest.raises(ResourceError):
+            oracle_distribution(inst)
+        with pytest.raises(ResourceError):
+            peaks(inst, info)
+
+    def test_class_cap_counts_a_fixed_cost_per_class(self, monkeypatch):
+        inst, info = build(21, 10, 8)  # r = 6, N = 256
+        cost = info.r * (inst.N + distribution._CLASS_CELLS)
+        monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost)
+        per_k_distribution(inst, info)
+        oracle_distribution(inst)
+        monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost - 1)
+        with pytest.raises(ResourceError):
+            per_k_distribution(inst, info)
+        with pytest.raises(ResourceError):
+            oracle_distribution(inst)
+
+    def test_narrow_register_with_many_classes_refused(self):
+        # r*N = 2^22 is far below the cap, but 2^21 classes cost ~17 s
+        inst = ProblemInstance.create(2119933513, 3, q_A=1)
+        info = OrderInfo(r=1 << 21, M0=-1, k0=2, delta_min=0.0)
+        with pytest.raises(ResourceError):
+            per_k_distribution(inst, info)
+
+    def test_peak_cap_admits_the_order_itself(self, monkeypatch):
+        inst, info = build(21, 10, 8)
+        monkeypatch.setattr(distribution, "MAX_PEAKS_ORDER", info.r)
+        assert len(peaks(inst, info)) == info.r
+        monkeypatch.setattr(distribution, "MAX_PEAKS_ORDER", info.r - 1)
+        with pytest.raises(ResourceError):
+            peaks(inst, info)
+
+
 # SHA-256 of the float64 bytes of whole vectors, taken when the two-term
 # form was evaluated on the whole register at once and reduced angles
 # with %: (n, x, q_A) -> (two-term, per-k or None).

@@ -415,6 +415,11 @@ class TestCaptureRate:
         with pytest.raises(DomainError):
             capture_rate_empirical(21, 10, 8, samples=10, seed=0)
 
+    def test_default_register_applied_by_the_instance(self):
+        rep = capture_rate_empirical(21, 10, None, samples=1000, seed=4)
+        assert rep.q_A == 9
+        assert rep == capture_rate_empirical(21, 10, 9, samples=1000, seed=4)
+
 
 # The capture grid: bases with r | N (n = 15) and without, the default
 # register and two wider ones.
@@ -538,6 +543,25 @@ class TestNeighborCheck:
     def test_undersized_register_rejected(self):
         with pytest.raises(DomainError):
             neighbor_state_check(21, 10, 8)
+
+    def test_default_register_applied_by_the_instance(self):
+        rep = neighbor_state_check(1007, 5, None)
+        assert rep.q_A == ProblemInstance.default_q_A(1007) == 20
+        assert rep == neighbor_state_check(1007, 5, 20)
+
+    def test_order_cap_is_checked_before_any_probe(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a peak was built before the guard")
+
+        monkeypatch.setattr(experiments, "peaks", refuse)
+        with pytest.raises(ResourceError):
+            neighbor_state_check(2119933513, 3, None)  # r = 529 960 357
+        monkeypatch.undo()
+        monkeypatch.setattr(experiments, "MAX_NEIGHBOR_ORDER", 6)
+        assert neighbor_state_check(21, 10, 9).r == 6
+        monkeypatch.setattr(experiments, "MAX_NEIGHBOR_ORDER", 5)
+        with pytest.raises(ResourceError):
+            neighbor_state_check(21, 10, 9)
 
 
 class TestFigureData:

@@ -454,3 +454,160 @@ class TestRunRoute:
         assert primes
         for f in primes:
             assert mod_pow(x, r // f, n) != 1, (x, r, f)
+
+
+def odd_semiprimes_below(limit):
+    return [n for n in range(15, limit, 2) if semiprime_factors(n) is not None]
+
+
+def literal_multiplier(n, x, candidate, max_mu):
+    """The multiplier scan the run route made before it read the order:
+    the first mu in 2..max_mu with x**(mu*candidate) = 1 (mod n)."""
+    for mu in range(2, max_mu + 1):
+        if mod_pow(x, mu * candidate, n) == 1:
+            return mu
+    return None
+
+
+def literal_run(n, x, q_A, seed, policy):
+    """The run route as it was before it read the order: the literal
+    multiplier scan, and every verified multiple reduced to the order by
+    order_from_multiple.  The differential oracle of the pipeline."""
+    from shorsim.distribution import sample_states
+    from shorsim.number_theory import semiprime_lambda
+    from shorsim.rng import SplitMix64
+
+    g = precheck(n, x)
+    if g is not None:
+        return pipeline.RunOutcome(n=n, x=x, instance=None, c=None, recovery=None,
+                                   classification=Classification.COMMON_FACTOR_SHORTCUT,
+                                   factors=(g, n // g), r_true=None)
+    inst = ProblemInstance.create(n, x, q_A)
+    lam, primes = semiprime_lambda(*semiprime_factors(n))
+    info = OrderInfo.from_multiple(inst, lam, primes)
+    rng = SplitMix64(seed)
+
+    def resolve(rec):
+        if rec.c == 0:
+            return Classification.ZERO_PEAK, None
+        if not rec.verified:
+            return Classification.UNVERIFIED_ORDER, None
+        return extract_factors(n, x, order_from_multiple(x, n, rec.r_candidate))
+
+    events = []
+    rec = recover_order(sample_states(inst, info, rng, 1)[0], inst)
+    resamples = 0
+    while True:
+        kind, factors = resolve(rec)
+        if policy is None or kind not in (Classification.ZERO_PEAK,
+                                          Classification.UNVERIFIED_ORDER):
+            break
+        if kind is Classification.UNVERIFIED_ORDER and rec.r_candidate is not None:
+            mu = literal_multiplier(n, x, rec.r_candidate, policy.max_mu)
+            if mu is not None:
+                events.append(pipeline.RetryEvent("multiplier_found", rec.c, rec.r_candidate, mu))
+                exact = order_from_multiple(x, n, mu * rec.r_candidate)
+                kind, factors = extract_factors(n, x, exact)
+                break
+            events.append(pipeline.RetryEvent("multiplier_exhausted", rec.c, rec.r_candidate))
+            lucky = pipeline._opportunistic_factor(n, x, rec.r_candidate)
+            if lucky is not None:
+                events.append(pipeline.RetryEvent("opportunistic_factor", rec.c,
+                                                  rec.r_candidate, factor=lucky))
+        if resamples >= policy.max_resamples:
+            kind, factors = Classification.EXHAUSTED, None
+            break
+        c = sample_states(inst, info, rng, 1)[0]
+        resamples += 1
+        events.append(pipeline.RetryEvent("resample", c=c))
+        rec = recover_order(c, inst)
+    return pipeline.RunOutcome(n=n, x=x, instance=inst, c=rec.c, recovery=rec,
+                               classification=kind, factors=factors, r_true=info.r,
+                               retries=events)
+
+
+class TestOrderIsRead:
+    """The run reads the order r it reduced before its first draw; the
+    literal multiplier scan and the peak sweep are the oracles."""
+
+    def test_multiplier_closed_form_equals_the_literal_scan(self):
+        checked = 0
+        for n in odd_semiprimes_below(160):
+            for x in coprime_bases(n):
+                r = multiplicative_order(x, n)
+                for candidate in range(1, n):
+                    if mod_pow(x, candidate, n) == 1:
+                        continue  # verified: a multiple of r
+                    mu = r // math.gcd(r, candidate)
+                    for max_mu in (1, 2, 3, 64):
+                        closed = mu if mu <= max_mu else None
+                        assert literal_multiplier(n, x, candidate, max_mu) == closed, (
+                            n, x, candidate, max_mu)
+                        checked += 1
+        assert checked > 600_000
+
+    @pytest.mark.parametrize("n", odd_semiprimes_below(100))
+    def test_runs_equal_the_literal_route(self, n):
+        for x in coprime_bases(n)[::3] + [n - 1]:
+            for q_A in (None, default_q_A(n) - 3):
+                for seed in range(4):
+                    for policy in (None, RetryPolicy(1, 0), RetryPolicy(2, 1),
+                                   RetryPolicy(3, 0), RetryPolicy()):
+                        got = (run_once(n, x, q_A=q_A, seed=seed) if policy is None
+                               else run_with_retries(n, x, policy=policy, seed=seed, q_A=q_A))
+                        assert got == literal_run(n, x, q_A, seed, policy), (n, x, q_A, seed)
+
+    def test_one_order_reduction_per_run(self, monkeypatch):
+        original = number_theory.order_from_multiple
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (number_theory, distribution, pipeline, experiments):
+            if getattr(module, "order_from_multiple", None) is original:
+                monkeypatch.setattr(module, "order_from_multiple", counted)
+        kinds = set()
+        for x in (2, 4, 5, 8, 10, 11, 13, 16, 20):
+            for q_A in (9, 6):
+                for seed in range(25):
+                    calls.clear()
+                    out = run_with_retries(21, x, seed=seed, q_A=q_A)
+                    assert len(calls) == 1, (x, q_A, seed)
+                    kinds.update(e.kind for e in out.retries)
+                    if out.recovery is not None and out.recovery.verified:
+                        kinds.add("verified")
+        assert {"verified", "multiplier_found", "resample"} <= kinds
+        calls.clear()
+        run_with_retries(21, 14, seed=0)  # shared factor: no order at all
+        assert calls == []
+
+
+def literal_guarantee_maxima(inst):
+    """max_delta_c_d0 and max_delta_c_d1 by the sweep over every peak."""
+    pk = peaks(inst, OrderInfo.from_instance(inst))
+    return (max(p.delta_nu for p in pk) / inst.N,
+            max(1.0 - p.delta_nu for p in pk) / inst.N)
+
+
+class TestGuaranteeClosedForm:
+    def test_equals_the_peak_sweep_bit_for_bit(self):
+        checked = 0
+        for n in odd_semiprimes_below(300):
+            for x in coprime_bases(n):
+                for q_A in (3, 6, None):
+                    inst = ProblemInstance.create(n, x, q_A)
+                    rep = order_recovery_guarantee(inst)
+                    d0, d1 = literal_guarantee_maxima(inst)
+                    assert (rep.max_delta_c_d0, rep.max_delta_c_d1) == (d0, d1), (n, x, q_A)
+                    assert rep.holds == (rep.size_ok and max(d0, d1) < rep.delta_min)
+                    checked += 1
+        assert checked > 7000
+
+    def test_large_order_lists_no_peak(self):
+        # r is far above the peak cap, so a sweep would be refused
+        rep = order_recovery_guarantee(ProblemInstance.create(2119933513, 3, q_A=8))
+        assert rep.r == 529960357
+        assert rep.max_delta_c_d0 == (rep.r - 1) / rep.r / 256
+        assert not rep.size_ok and not rep.holds

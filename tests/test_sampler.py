@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from shorsim import number_theory
 from shorsim.distribution import (
     MAX_RUN_MODULUS,
     FejerProposal,
@@ -218,10 +219,34 @@ class TestOrderFastPath:
         assert checked > 100_000
 
     def test_carmichael_lambda_known_values(self):
-        assert [carmichael_lambda(n) for n in (2, 4, 8, 16, 9, 15, 21, 35263)] == [
+        assert [carmichael_lambda(n)[0] for n in (2, 4, 8, 16, 9, 15, 21, 35263)] == [
             1, 2, 2, 4, 6, 4, 6, 178 * 196 // math.gcd(178, 196)]
         with pytest.raises(DomainError):
             carmichael_lambda(1)
+
+    def test_carmichael_lambda_primes_are_those_of_lambda(self):
+        for n in range(2, 3000):
+            lam, primes = carmichael_lambda(n)
+            divisors = [f for f in range(2, lam + 1) if lam % f == 0]
+            assert primes == [f for f in divisors if all(f % d for d in range(2, f))], n
+
+    @pytest.mark.parametrize("x", [2, 3, 5, 7])
+    def test_order_info_never_trial_divides_lambda(self, monkeypatch, x):
+        # safe primes: lambda = 2 * 22943 * 23099 costs ~11 500 trial steps,
+        # p - 1 and q - 1 about 80 each
+        p, q = 45887, 46199
+        n = p * q
+        original = number_theory._distinct_prime_factors
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(number_theory, "_distinct_prime_factors", counted)
+        info = OrderInfo.from_instance(ProblemInstance.create(n, x, q_A=8))
+        assert calls == [n, p - 1, q - 1]
+        assert info.r == number_theory.order_from_multiple(x, n, (p - 1) * (q - 1) // 2)
 
     def test_order_info_caps_the_modulus(self):
         below = ProblemInstance.create(46327 * 46337, 2, q_A=8)  # just below the cap
