@@ -25,6 +25,7 @@ from .distribution import (
     envelope,
     fejer_kernel,
     oracle_distribution,
+    peak_columns,
     peak_deviation_prob,
     peaks,
     per_k_distribution,

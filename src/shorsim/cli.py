@@ -7,11 +7,14 @@ re-running a command reproduces its output byte for byte.
 Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
 64 usage error.
 
-The tables (dist, fig1, census, and the peaks and neighbors CSV) are
+The tables (dist, fig1, census, peaks, and the neighbors CSV) are
 returned as a stream of text chunks that is written as it is formatted,
-so the full text is never held; other output is one string.  The
-two-term tables evaluate each chunk's cells as they go, and the census
-makes each chunk's rows, so neither holds a vector or a list of rows.
+so the full text is never held; other output is one string.  Each chunk
+is a set of columns that ``render.render_rows`` turns into text with
+the stdlib's exact bytes and no Python call per number.  The two-term
+tables evaluate each chunk's cells as they go, the peaks are computed
+chunk by chunk, and the census makes each chunk's rows, so none of them
+holds a vector or a list of rows.
 """
 
 import argparse
@@ -27,9 +30,10 @@ from .distribution import (
     METHOD_TWO_TERM,
     OrderInfo,
     ProblemInstance,
+    guard_peaks,
     guard_register,
     oracle_distribution,
-    peaks,
+    peak_columns,
     per_k_distribution,
     two_term_at,
 )
@@ -56,9 +60,9 @@ EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
 
-#: Rows per chunk of a streamed table: one C-level %-format of about 1 MB
-#: of text per chunk.
-_CHUNK_ROWS = 1 << 15
+#: Rows per chunk of a streamed table: about 0.5 MB of text, and the
+#: renderer's arrays, a few hundred bytes a row at their peak (``%r``).
+_CHUNK_ROWS = 1 << 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,47 +100,66 @@ def _ranges(count: int):
         yield start, min(start + _CHUNK_ROWS, count)
 
 
-def _csv_chunks(header: str, row_format: str, field_chunks):
-    """A CSV document as text chunks.
+def _render_rows(row_format: str, columns) -> str:
+    """``render.render_rows``, imported with the first table written, so
+    that a command or a library caller that writes none does not build
+    the renderer's tables."""
+    from .render import render_rows
 
-    `field_chunks` gives, chunk by chunk, the fields of its rows as one
-    flat list of Python values, row after row, one per `%` of
-    `row_format`; each chunk is formatted by a single `%` on `row_format`
-    repeated.
-    """
+    return render_rows(row_format, columns)
+
+
+def _csv_chunks(header: str, row_format: str, column_chunks):
+    """A CSV document as text chunks: the header, then the rows of each
+    chunk of `column_chunks`, which gives one sequence per conversion of
+    `row_format` (see ``render_rows``)."""
     yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
-    per_row = row_format.count("%")
-    for flat in field_chunks:
-        yield row_format * (len(flat) // per_row) % tuple(flat)
+    for columns in column_chunks:
+        yield _render_rows(row_format, columns)
+
+
+def _json_chunks(obj: dict, arrays: dict):
+    """`_json(obj)` as text chunks, with each placeholder `obj[key] = None`
+    replaced by the JSON array whose elements `arrays[key] = (element,
+    column_chunks)` renders chunk by chunk, each by the format `element`.
+    The keys come in the order of obj.
+
+    json.dumps prints a finite float as its repr, so ``%r`` gives the same
+    bytes; the floats printed are finite.
+    """
+    text = _json(obj)
+    for key, (element, column_chunks) in arrays.items():
+        head, _, text = text.partition(f'"{key}": null')
+        yield head + f'"{key}": ['
+        first = True
+        for columns in column_chunks:
+            # each element follows ",\n    ", the first one "[\n    "
+            rows = _render_rows(",\n    " + element, columns)
+            if rows:
+                yield rows[1:] if first else rows
+                first = False
+        yield "]" if first else "\n  ]"
+    yield text
 
 
 def _distribution_csv(count: int, values):
     """The `c,P(c)` table of the cells 0..count-1 as text chunks, where
     `values(start, stop)` gives P over cells start..stop-1 as an array."""
-
-    def fields(start, stop):
-        flat = [None] * (2 * (stop - start))
-        flat[0::2] = range(start, stop)
-        flat[1::2] = values(start, stop).tolist()
-        return flat
-
-    return _csv_chunks("c,P(c)", "%d,%.15e\n", itertools.starmap(fields, _ranges(count)))
+    return _csv_chunks("c,P(c)", "%d,%.15e\n", ((np.arange(start, stop), values(start, stop))
+                                                 for start, stop in _ranges(count)))
 
 
-def _json_chunks(obj: dict, key: str, count: int, values):
-    """`_json(obj)` as text chunks, with the placeholder `obj[key] = None`
-    replaced by the float array of `count` entries that `values(start,
-    stop)` gives in slices.
+def _column_chunks(rows):
+    """Rows, each a tuple of fields, regrouped as columns, _CHUNK_ROWS rows
+    a chunk."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        yield tuple(zip(*chunk))
 
-    json.dumps prints a finite float as its repr, so joining the reprs
-    gives the same bytes; the probabilities are finite and never empty.
-    """
-    head, _, tail = _json(obj).partition(f'"{key}": null')
-    prefix = f'{head}"{key}": [\n    '
-    for start, stop in _ranges(count):
-        yield prefix + ",\n    ".join(map(float.__repr__, values(start, stop).tolist()))
-        prefix = ",\n    "
-    yield "\n  ]" + tail
+
+def _probabilities_json(count: int, values):
+    """The `_json_chunks` entry of the float array P(0..count-1)."""
+    return "%r", ((values(start, stop),) for start, stop in _ranges(count))
 
 
 def _two_term_values(inst, info):
@@ -158,61 +181,61 @@ def _cmd_dist(args):
         guard_register(inst)
         values = _two_term_values(inst, info)
     else:
-        dist = oracle_distribution(inst) if args.method == "oracle" else per_k_distribution(inst, info)
+        build = oracle_distribution if args.method == "oracle" else per_k_distribution
+        probabilities = build(inst, info).probabilities
 
         def values(start, stop):
-            return dist.probabilities[start:stop]
+            return probabilities[start:stop]
     if args.format == "json":
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
             "method": _METHODS[args.method],
             "probabilities": None,
-        }, "probabilities", inst.N, values)
+        }, {"probabilities": _probabilities_json(inst.N, values)})
     return _distribution_csv(inst.N, values)
 
 
 _PEAK_HEADER = "nu,sigma_nu,c_nu,delta_nu"
 _PEAK_ROW = "%d,%.15e,%d,%.15e\n"
+_PEAK_JSON = ('{\n      "nu": %d,\n      "sigma_nu": %r,\n'
+              '      "c_nu": %d,\n      "delta_nu": %r\n    }')
 
 
-def _peak_fields(pk) -> list:
-    """The `_PEAK_ROW` fields of the peaks, row after row."""
-    return [value for p in pk for value in (p.nu, p.sigma_nu, p.c_nu, p.delta_nu)]
-
-
-def _peak_dicts(pk) -> list[dict]:
-    return [{"nu": p.nu, "sigma_nu": p.sigma_nu, "c_nu": p.c_nu, "delta_nu": p.delta_nu}
-            for p in pk]
+def _peak_chunks(inst, info):
+    """The columns (nu, sigma_nu, c_nu, delta_nu) of the peaks, chunk by chunk."""
+    guard_peaks(info)
+    return (peak_columns(inst, info, start, stop) for start, stop in _ranges(info.r))
 
 
 def _cmd_peaks(args):
     inst = ProblemInstance.create(args.n, args.x, args.qa)
     info = OrderInfo.from_instance(inst)
-    pk = peaks(inst, info)
+    chunks = _peak_chunks(inst, info)
     if args.format == "json":
-        return _json({
+        return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N, "r": info.r,
-            "peaks": _peak_dicts(pk),
-        })
-    return _csv_chunks(_PEAK_HEADER, _PEAK_ROW,
-                       (_peak_fields(pk[start:stop]) for start, stop in _ranges(len(pk))))
+            "peaks": None,
+        }, {"peaks": (_PEAK_JSON, chunks)})
+    return _csv_chunks(_PEAK_HEADER, _PEAK_ROW, chunks)
 
 
-def _fig1_csv(inst, info, pk):
+def _fig1_csv(inst, info):
     yield from _distribution_csv(inst.N, _two_term_values(inst, info))
-    yield f"# peaks: {_PEAK_HEADER}\n" + ("# peak " + _PEAK_ROW) * len(pk) % tuple(_peak_fields(pk))
+    yield f"# peaks: {_PEAK_HEADER}\n"
+    for columns in _peak_chunks(inst, info):
+        yield _render_rows("# peak " + _PEAK_ROW, columns)
 
 
 def _cmd_fig1(args):
     inst, info = figure1_instance()
-    pk = peaks(inst, info)
     if args.format == "json":
         return _json_chunks({
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
             "probabilities": None,
-            "peaks": _peak_dicts(pk),
-        }, "probabilities", inst.N, _two_term_values(inst, info))
-    return _fig1_csv(inst, info, pk)
+            "peaks": None,
+        }, {"probabilities": _probabilities_json(inst.N, _two_term_values(inst, info)),
+            "peaks": (_PEAK_JSON, _peak_chunks(inst, info))})
+    return _fig1_csv(inst, info)
 
 
 def _cmd_run(args) -> str:
@@ -260,13 +283,9 @@ def _cmd_census(args):
             "heuristic_limit": CENSUS_HEURISTIC_LIMIT,
         })
 
-    def field_chunks():
-        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-            yield [value for r in chunk
-                   for value in (r.n, r.p1, r.p2, r.num_x, r.odd_r, r.trivial_sqrt, r.fraction_bad)]
-
-    return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction",
-                       "%d,%d,%d,%d,%d,%d,%.15e\n", field_chunks())
+    return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction", "%d,%d,%d,%d,%d,%d,%.15e\n",
+                       _column_chunks((r.n, r.p1, r.p2, r.num_x, r.odd_r, r.trivial_sqrt, r.fraction_bad)
+                                      for r in rows))
 
 
 def _cmd_mc_valuation(args) -> str:
@@ -325,10 +344,9 @@ def _cmd_neighbors(args):
     if args.format == "json":
         return _json(obj)
 
-    fields = ([value for p in rep.probes[start:stop]
-               for value in (p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))]
-              for start, stop in _ranges(len(rep.probes)))
-    return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n", fields)
+    return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n",
+                       _column_chunks((p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))
+                                      for p in rep.probes))
 
 
 def build_parser() -> _Parser:

@@ -83,11 +83,13 @@ MAX_ORACLE_QUBITS = 13
 MAX_CLASS_CELLS = 1 << 28
 _CLASS_CELLS = 1 << 8
 
-#: Cap on the order for the routes that list every peak (2-CPU host,
-#: r = 988 288): ``shorsim peaks`` takes 5.9 s and 240 MB as CSV, and
-#: 15.7 s and 1.4 GB as JSON, which holds a dict per peak.  Time alone
-#: would admit 2^20; memory sets 2^18 (JSON at r = 247 072: 4.6 s, 369 MB).
-MAX_PEAKS_ORDER = 1 << 18
+#: Cap on the order for the routes that list every peak.  ``shorsim
+#: peaks`` streams its rows from ``peak_columns`` chunk by chunk, so its
+#: memory does not grow with r and its time does, about 1 us a peak
+#: (2-CPU host, r = 988 288: 0.5 s and 35 MB as CSV, 1.0 s and 44 MB as
+#: JSON, whose text is 2.3 times longer): about 1 s at the cap.  ``peaks``
+#: itself holds a PeakModel per peak, about 3 s and 0.3 GB at the cap.
+MAX_PEAKS_ORDER = 1 << 20
 
 METHOD_ORACLE = "oracle_sum"
 METHOD_PER_K = "per_k_closed_form"
@@ -220,7 +222,7 @@ def _class_size(N: int, r: int, k: int) -> int:
     return (N - k - 1) // r + 1
 
 
-def oracle_distribution(inst: ProblemInstance) -> OutputDistribution:
+def oracle_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
     """P(c) by literal phasor summation over every exponent.
 
     For each residue class k the amplitude at c is the plain sum of
@@ -228,12 +230,14 @@ def oracle_distribution(inst: ProblemInstance) -> OutputDistribution:
     contributes its squared magnitude.  O(N^2) work, no closed form,
     no shared trigonometric shortcuts: this is the reference oracle.
     Capped at q_A <= MAX_ORACLE_QUBITS because of that cost, and by
-    ``guard_classes`` on the r passes; the guard reads r from lambda(n),
-    the sum from the brute walk.
+    ``guard_classes`` on the r passes, which reads info.r; the sum takes
+    its own r from the brute walk, which must agree with info.r.
     """
     guard_register(inst, MAX_ORACLE_QUBITS, "the O(N^2) phasor-sum oracle")
-    guard_classes(inst, OrderInfo.from_instance(inst).r, "the phasor-sum oracle")
+    guard_classes(inst, info.r, "the phasor-sum oracle")
     r = multiplicative_order(inst.x, inst.n)
+    if r != info.r:
+        raise DomainError(f"info.r={info.r} is not the order {r} of {inst.x} mod {inst.n}")
     N = inst.N
     c = np.arange(N, dtype=np.int64)
     total = np.zeros(N, dtype=np.float64)
@@ -267,16 +271,19 @@ def _denominator_parts(N: int, r: int, c: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
-    """P(c) from the geometric-series closed form, one term per residue class."""
+    """P(c) from the geometric-series closed form, one term per residue
+    class, filled block by block; each cell adds its classes in order k."""
     guard_register(inst)
     guard_classes(inst, info.r, "the per-class closed form")
     N, r = inst.N, info.r
-    c = np.arange(N, dtype=np.int64)
-    singular, den_safe = _denominator_parts(N, r, c)
-    total = np.zeros(N, dtype=np.float64)
-    for k in range(r):
-        total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, singular, den_safe)
-    return OutputDistribution(total / float(N) ** 2, METHOD_PER_K)
+    out = np.empty(N)
+    for c in _cell_blocks(N):
+        singular, den_safe = _denominator_parts(N, r, c)
+        total = np.zeros(len(c))
+        for k in range(r):
+            total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, singular, den_safe)
+        out[c[0]:c[-1] + 1] = total / float(N) ** 2
+    return OutputDistribution(out, METHOD_PER_K)
 
 
 def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
@@ -365,19 +372,34 @@ def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
     return (k0 * num_large + (r - k0) * num_small) / (den * float(N) ** 2)
 
 
+def guard_peaks(info: OrderInfo):
+    """Raise ResourceError when there are more than MAX_PEAKS_ORDER peaks."""
+    if info.r > MAX_PEAKS_ORDER:
+        raise ResourceError(f"r={info.r} exceeds the cap of 2^{MAX_PEAKS_ORDER.bit_length() - 1} peaks")
+
+
+def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) -> tuple:
+    """The fields (nu, sigma_nu, c_nu, delta_nu) of peaks start..stop-1 as
+    four arrays, from exact integers: c_nu = floor(nu*N/r) and delta_nu =
+    (nu*N mod r)/r rounded once.  They are int64 and float64 arrays when
+    nu*N fits int64 (float64 holds r and nu*N mod r < r < 2^31 exactly, so
+    the quotient rounds as Python's int / int does), else object arrays of
+    Python ints and floats."""
+    nu = np.arange(start, stop, dtype=np.int64)
+    if (stop - 1) * inst.N >= 1 << 63:
+        nu = nu.astype(object)
+    scaled = nu * inst.N
+    c_nu = scaled // info.r
+    delta_nu = (scaled - c_nu * info.r) / info.r
+    return nu, c_nu + delta_nu, c_nu, delta_nu
+
+
 def peaks(inst: ProblemInstance, info: OrderInfo) -> list[PeakModel]:
     """The r peak models, with centers computed in exact rational arithmetic.
     Capped at r <= MAX_PEAKS_ORDER, checked before any is built."""
-    N, r = inst.N, info.r
-    if r > MAX_PEAKS_ORDER:
-        raise ResourceError(f"r={r} exceeds the cap of 2^18 peaks")
-    out = []
-    for nu in range(r):
-        scaled = nu * N
-        c_nu = scaled // r
-        delta_nu = (scaled % r) / r
-        out.append(PeakModel(nu=nu, sigma_nu=c_nu + delta_nu, c_nu=c_nu, delta_nu=delta_nu))
-    return out
+    guard_peaks(info)
+    columns = (column.tolist() for column in peak_columns(inst, info, 0, info.r))
+    return [PeakModel(*fields) for fields in zip(*columns)]
 
 
 def peak_deviation_prob(d: int, delta_nu: float) -> float:

@@ -37,7 +37,7 @@ def test_criterion_1_closed_forms_match_oracle():
     for n, x in instances:
         inst = ProblemInstance.create(n, x, q_A=8)
         info = OrderInfo.from_instance(inst)
-        reference = oracle_distribution(inst).probabilities
+        reference = oracle_distribution(inst, info).probabilities
         for dist in (per_k_distribution(inst, info), two_term_distribution(inst, info)):
             gap = float(np.max(np.abs(dist.probabilities - reference)))
             worst = max(worst, gap)

@@ -7,10 +7,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import shorsim
-from shorsim import cli
+from shorsim import cli, number_theory, render
 from shorsim.distribution import two_term_at
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -245,6 +246,22 @@ class TestExitCodes:
         assert run_cli(capsys, "dist", "--help")[0] == EXIT_OK
 
 
+class TestOracleOrder:
+    def test_order_is_computed_once(self, capsys, monkeypatch):
+        original = number_theory._distinct_prime_factors
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(number_theory, "_distinct_prime_factors", counted)
+        code, _, _ = run_cli(capsys, "dist", "--n", "4087", "--x", "5", "--qa", "8",
+                             "--method", "oracle")
+        assert code == EXIT_OK
+        assert calls == [4087, 60, 66]
+
+
 class TestOutFile:
     def test_writes_to_path(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
@@ -399,6 +416,12 @@ PINNED_OUTPUT = {
     "neighbors --n 1007 --x 5": "093a810d192e70f0b2be3e8e52bc1fc31967777cb9fed479d5c8baadf10bd72a",
     "neighbors --n 1007 --x 5 --format csv":
         "4a9d46a3c97aa41f88746bde1c2aaf3880ffd7d8aa855e5343061bc7e53b3dda",
+    # taken while per_k_distribution built whole-register arrays and each
+    # table was %-formatted
+    "dist --n 341 --x 2 --qa 12 --method per-k":
+        "afdaab1097aa85bd8e4ccf09d71313dd135df74efb33320deb79e5e63e3bbd70",
+    "dist --n 341 --x 2 --qa 12 --method per-k --format json":
+        "049670d95ec0e7d3b1ddfb874398573641c02778f474c8c36e2aa34cc012ea24",
 }
 
 
@@ -426,6 +449,9 @@ class TestStreamedOutput:
         "fig1",
         "fig1 --format json",
         "census --nmax 10000",  # 1932 rows
+        "peaks --n 1007 --x 5 --qa 16",  # 468 peaks
+        "peaks --n 1007 --x 5 --qa 16 --format json",
+        "neighbors --n 1007 --x 5 --format csv",
     ])
     def test_chunk_size_does_not_change_bytes(self, capsys, monkeypatch, chunk_rows, command):
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
@@ -452,6 +478,37 @@ class TestStreamedOutput:
         assert sha256(out) == PINNED_OUTPUT[command]
         assert max(sizes) <= 1000
         assert sum(sizes) == (256 if command.startswith("fig1") else 1 << 16)
+
+    @pytest.mark.parametrize("command", [
+        "dist --n 1007 --x 5 --qa 16",
+        "dist --n 1007 --x 5 --qa 16 --format json",
+        "fig1",
+        "fig1 --format json",
+        "peaks --n 1007 --x 5 --qa 16 --format json",
+        "census --nmax 10000",
+    ])
+    def test_every_number_through_the_stdlib_gives_the_same_bytes(self, capsys, monkeypatch,
+                                                                  command):
+        kernel_runs = []
+        for conv, (width, kernel, text) in list(render._FIELDS.items()):
+            def forced(column, slots, kernel=kernel):
+                kernel_runs.append(conv)
+                kernel(column, slots)
+                return np.ones(len(column), dtype=bool)  # every element left to the stdlib
+            monkeypatch.setitem(render._FIELDS, conv, (width, forced, text))
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert sha256(out) == PINNED_OUTPUT[command]
+        assert kernel_runs
+
+    def test_peaks_json_is_streamed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
+        args = cli.build_parser().parse_args("peaks --n 1007 --x 5 --qa 16 --format json".split())
+        chunks = args.func(args)
+        assert not isinstance(chunks, str)
+        text = "".join(chunks)
+        assert sha256(text) == PINNED_OUTPUT["peaks --n 1007 --x 5 --qa 16 --format json"]
+        assert len(json.loads(text)["peaks"]) == 468
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("flags,expected", [

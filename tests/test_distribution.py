@@ -97,7 +97,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("n,x,q_A", ORACLE_INSTANCES)
     def test_per_k_matches_oracle(self, n, x, q_A):
         inst, info = build(n, x, q_A)
-        reference = oracle_distribution(inst).probabilities
+        reference = oracle_distribution(inst, info).probabilities
         closed = per_k_distribution(inst, info).probabilities
         assert np.max(np.abs(closed - reference)) < 1e-10
 
@@ -110,12 +110,12 @@ class TestOracleAgreement:
 
     def test_larger_register_spot_check(self):
         inst, info = build(33, 2, 11)  # r = 10, N = 2048
-        reference = oracle_distribution(inst).probabilities
+        reference = oracle_distribution(inst, info).probabilities
         assert np.max(np.abs(per_k_distribution(inst, info).probabilities - reference)) < 1e-10
 
     def test_wide_register_spot_check(self):
         inst, info = build(35, 11, 12)  # r = 3, N = 4096
-        reference = oracle_distribution(inst).probabilities
+        reference = oracle_distribution(inst, info).probabilities
         assert np.max(np.abs(two_term_distribution(inst, info).probabilities - reference)) < 1e-10
 
     def test_peak_cells_dominate_when_register_covers_square(self):
@@ -128,7 +128,7 @@ class TestOracleAgreement:
             assert mass >= 0.85, (n, x, mass)
 
     @pytest.mark.parametrize("method,builder", [
-        (METHOD_ORACLE, lambda i, o: oracle_distribution(i)),
+        (METHOD_ORACLE, lambda i, o: oracle_distribution(i, o)),
         (METHOD_PER_K, per_k_distribution),
         (METHOD_TWO_TERM, two_term_distribution),
     ])
@@ -146,8 +146,8 @@ class TestOracleAgreement:
             assert np.max(np.abs(p[1:] - p[1:][::-1])) < 1e-12
 
     def test_zero_state_is_local_maximum(self):
-        inst, _info = build(21, 10, 8)
-        p = oracle_distribution(inst).probabilities
+        inst, info = build(21, 10, 8)
+        p = oracle_distribution(inst, info).probabilities
         assert p[0] > p[1] and p[0] > p[-1]
 
     def test_exact_zeros_when_order_divides_register(self):
@@ -157,7 +157,7 @@ class TestOracleAgreement:
         assert np.allclose(on_peaks, 0.25, atol=1e-12)
         off = np.delete(p, np.arange(0, 256, 64))
         assert np.max(off) < 1e-20
-        reference = oracle_distribution(inst).probabilities
+        reference = oracle_distribution(inst, info).probabilities
         assert np.max(np.abs(p - reference)) < 1e-12
 
     def test_singular_entries_match_count_squares(self):
@@ -169,6 +169,12 @@ class TestOracleAgreement:
         p = per_k_distribution(inst, info).probabilities
         assert p[0] == pytest.approx(expected_p0, abs=1e-15)
 
+    def test_oracle_checks_the_order_it_is_given(self):
+        inst, info = build(21, 10, 8)  # r = 6
+        wrong = OrderInfo(r=3, M0=(inst.N - 3) // 3, k0=inst.N % 3, delta_min=info.delta_min)
+        with pytest.raises(DomainError):
+            oracle_distribution(inst, wrong)
+
     def test_register_cap_enforced(self):
         inst = ProblemInstance.create(21, 10, q_A=25)
         info = OrderInfo.from_instance(inst)
@@ -177,7 +183,7 @@ class TestOracleAgreement:
         with pytest.raises(ResourceError):
             per_k_distribution(inst, info)
         with pytest.raises(ResourceError):
-            oracle_distribution(inst)
+            oracle_distribution(inst, info)
 
 
 class TestOrderGuards:
@@ -195,7 +201,7 @@ class TestOrderGuards:
         with pytest.raises(ResourceError):
             per_k_distribution(inst, info)
         with pytest.raises(ResourceError):
-            oracle_distribution(inst)
+            oracle_distribution(inst, info)
         with pytest.raises(ResourceError):
             peaks(inst, info)
 
@@ -204,12 +210,12 @@ class TestOrderGuards:
         cost = info.r * (inst.N + distribution._CLASS_CELLS)
         monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost)
         per_k_distribution(inst, info)
-        oracle_distribution(inst)
+        oracle_distribution(inst, info)
         monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost - 1)
         with pytest.raises(ResourceError):
             per_k_distribution(inst, info)
         with pytest.raises(ResourceError):
-            oracle_distribution(inst)
+            oracle_distribution(inst, info)
 
     def test_narrow_register_with_many_classes_refused(self):
         # r*N = 2^22 is far below the cap, but 2^21 classes cost ~17 s
@@ -308,6 +314,21 @@ class TestPeaks:
         pk = peaks(*build(15, 2, 8))
         assert all(p.delta_nu == 0.0 for p in pk)
         assert [p.c_nu for p in pk] == [0, 64, 128, 192]
+
+    @pytest.mark.parametrize("n,x,q_A", [(21, 10, 9), (1007, 5, 20), (21, 10, 60), (21, 10, 61),
+                                         (21, 10, 62), (1007, 5, 70)])
+    def test_peaks_equal_the_literal_integer_split(self, n, x, q_A):
+        # from q_A 61 (r = 6) nu*N passes 2^63, where the columns are Python ints
+        inst, info = build(n, x, q_A)
+        literal = []
+        for nu in range(info.r):
+            scaled = nu * inst.N
+            literal.append((nu, scaled // info.r + (scaled % info.r) / info.r,
+                            scaled // info.r, (scaled % info.r) / info.r))
+        got = [(p.nu, p.sigma_nu, p.c_nu, p.delta_nu) for p in peaks(inst, info)]
+        assert repr(got) == repr(literal)
+        columns = [c.tolist() for c in distribution.peak_columns(inst, info, 2, info.r - 1)]
+        assert repr(list(zip(*columns))) == repr(literal[2:-1])
 
     def test_center_splits_exactly(self):
         for p in peaks(*build(21, 10, 9)):

@@ -1,0 +1,112 @@
+"""The vectorised decimal kernel against the stdlib's formatting, byte for byte."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shorsim import render
+from shorsim.render import render_rows
+
+FLOAT_FORMATS = ["%.15e\n", "%r\n"]
+
+
+def stdlib(row_format, columns):
+    fields = [value for row in zip(*columns) for value in row]
+    return (row_format * len(columns[0])) % tuple(fields)
+
+
+def assert_same(row_format, *columns):
+    columns = [np.asarray(column).tolist() for column in columns]
+    assert render_rows(row_format, columns) == stdlib(row_format, columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+@pytest.mark.parametrize("row_format", FLOAT_FORMATS)
+def test_non_negative_floats_property(row_format, values):
+    assert_same(row_format, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**70, 2**70), st.floats(), st.floats()),
+                min_size=1, max_size=20))
+def test_any_row_property(rows):
+    """Every value, negative, non-finite and beyond int64 included, matches."""
+    assert_same("%d,%.15e;%r|\n", *zip(*rows))
+
+
+def decades():
+    for k in range(-300, 301):
+        v = float(f"1e{k}")
+        yield from (v, np.nextafter(v, 0.0), np.nextafter(v, np.inf))
+
+
+FIXED_CASES = {
+    "zero and the smallest subnormal": [0.0, 5e-324],
+    "10^k and both neighbours": list(decades()),
+    "rounds across a decade": [9.9999999999999995e-05, 9.999999999999999e22, 0.9999999999999999],
+    # the interval of 2^e is asymmetric: half as wide below as above
+    "powers of two": [2.0 ** e for e in range(-1074, 1024)],
+    # X/10 and X above 2^53, where float64 skips integers
+    "scaled digits beyond 2^53": [9.5e-7, 9.999999999999998e-7, 9.007199254740993e15,
+                                  9.999999999999998e300, 9.1e10, 2.0 ** 60, 1.3819401992198881e18],
+    "short decimals": [0.1, 0.25, 0.375, 85.0, 42.666666666666664, 1e15, 1e16, 123456.0, 1e-4, 1e-5],
+}
+
+
+@pytest.mark.parametrize("row_format", FLOAT_FORMATS)
+@pytest.mark.parametrize("case", FIXED_CASES)
+def test_fixed_cases(row_format, case):
+    assert_same(row_format, FIXED_CASES[case])
+
+
+@pytest.mark.parametrize("row_format", FLOAT_FORMATS)
+def test_random_bit_patterns(row_format):
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 0x7FF0000000000000, size=50_000, dtype=np.int64)
+    assert_same(row_format, bits.view(np.float64))
+
+
+@pytest.mark.parametrize("row_format", FLOAT_FORMATS)
+def test_integers_above_2_to_53(row_format):
+    rng = np.random.default_rng(6)
+    assert_same(row_format, rng.integers(2**53, 2**62, size=20_000).astype(np.float64))
+
+
+def test_integers():
+    rng = np.random.default_rng(7)
+    values = np.concatenate([rng.integers(-10**18, 10**18, size=5000),
+                             [0, 9, 10, 99, 100, 2**63 - 1, -2**63]])
+    assert_same("%d\n", values)
+    assert_same("%d|%d\n", [2**64, 5, -7], [1, 2, 3])  # beyond int64
+
+
+def test_literals_and_empty_columns():
+    assert render_rows("[%d]", [[]]) == ""
+    assert_same('{\n  "a": %d,\n  "b": %r\n},', [1, 22, 333], [0.5, 1e-7, 3.0])
+
+
+@pytest.mark.parametrize("row_format,columns", [
+    ("%d %d\n", [[1]]),
+    ("%s\n", [[1]]),
+    ("%d %%\n", [[1]]),
+    ("plain\n", []),
+])
+def test_unsupported_formats_are_refused(row_format, columns):
+    with pytest.raises(ValueError):
+        render_rows(row_format, columns)
+
+
+def test_distribution_cells_rarely_need_the_stdlib():
+    from shorsim.distribution import OrderInfo, ProblemInstance, two_term_at
+
+    inst = ProblemInstance.create(1007, 5, 17)
+    p = two_term_at(inst, OrderInfo.from_instance(inst), np.arange(inst.N))
+    slots = np.empty((inst.N, 44), dtype=np.uint8)
+    assert not render._sci_field(p, slots[:, :23]).any()
+    # %r leaves the powers of two, the cells where r*c = 0 mod N
+    unsure = render._repr_field(p, slots)
+    assert 0 < unsure.sum() <= 16
+    assert np.all(np.frexp(p[unsure])[0] == 0.5)
