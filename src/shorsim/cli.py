@@ -13,8 +13,8 @@ so the full text is never held; other output is one string.  Each chunk
 is a set of columns that ``render.render_rows`` turns into text with
 the stdlib's exact bytes and no Python call per number.  The two-term
 tables evaluate each chunk's cells as they go, the peaks are computed
-chunk by chunk, and the census makes each chunk's rows, so none of them
-holds a vector or a list of rows.
+chunk by chunk, and the census CSV takes each chunk's columns from the
+closed form, so none of them holds a vector or a list of rows.
 """
 
 import argparse
@@ -40,6 +40,7 @@ from .distribution import (
 from .errors import DomainError, ResourceError
 from .experiments import (
     CENSUS_HEURISTIC_LIMIT,
+    _census_chunks,
     capture_rate_empirical,
     census_aggregate,
     census_rows,
@@ -258,14 +259,25 @@ def _cmd_run(args) -> str:
     return _render(args, obj)
 
 
-def _cmd_census(args):
-    rows = census_rows(args.nmax)
-    first = next(rows, None)
+def _census_nonempty(items, nmax):
+    """The census items (rows or chunks) of nmax, once there is a first."""
+    first = next(items, None)
     if first is None:
-        raise DomainError(f"no odd distinct-prime semiprimes below {args.nmax}")
-    rows = itertools.chain((first,), rows)
+        raise DomainError(f"no odd distinct-prime semiprimes below {nmax}")
+    return itertools.chain((first,), items)
+
+
+def _census_csv_columns(chunks):
+    """The printed columns of each census chunk, _CHUNK_ROWS rows at a time."""
+    for c in chunks:
+        columns = (c.n, c.p1, c.p2, c.num_x, c.odd_r, c.trivial_sqrt, c.fraction_bad)
+        for start, stop in _ranges(len(c.n)):
+            yield tuple(column[start:stop] for column in columns)
+
+
+def _cmd_census(args):
     if args.format == "json":
-        agg = census_aggregate(rows)
+        agg = census_aggregate(_census_nonempty(census_rows(args.nmax), args.nmax))
         band = (1 / 3 - 0.1, 1 / 3 + 0.1)
         return _json({
             "nmax": args.nmax,
@@ -283,9 +295,9 @@ def _cmd_census(args):
             "heuristic_limit": CENSUS_HEURISTIC_LIMIT,
         })
 
+    chunks = _census_nonempty(_census_chunks(args.nmax), args.nmax)
     return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction", "%d,%d,%d,%d,%d,%d,%.15e\n",
-                       _column_chunks((r.n, r.p1, r.p2, r.num_x, r.odd_r, r.trivial_sqrt, r.fraction_bad)
-                                      for r in rows))
+                       _census_csv_columns(chunks))
 
 
 def _cmd_mc_valuation(args) -> str:

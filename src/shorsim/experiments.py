@@ -17,6 +17,14 @@ so
 the same positive power of two).  The literal per-base sweep, with orders
 read from primitive-root tables, is the test suite's differential oracle.
 
+The census is computed as columns: ``_census_chunks`` runs the closed form
+on a block of int64 arrays of (p, q) at a time, ``census_rows`` makes rows
+from those columns, and ``failure_census`` runs the same formula on
+one-element arrays of Python ints.  At nmax = 10**7 (1 555 366
+semiprimes, 2-CPU host) the CSV of ``shorsim census``, rendered from the
+columns, takes about 1.5 s, and its JSON aggregate, one pass over the
+rows, about 2.7 s.
+
 Under the random-prime heuristic v2(p-1) = s with density 2**-s, a unit's
 order is odd with probability 1/3 (not the idealized model's 1/2), and the
 base-weighted bad fraction tends to 7/27 = 0.259 rather than 1/3.  That is
@@ -27,6 +35,7 @@ slowly: 0.2893 (nmax 10**4), 0.2830 (10**5), 0.2800 (10**6), 0.2775 (10**7).
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .distribution import (
     PeakModel,
     ProblemInstance,
     guard_register,
+    peak_columns,
     peaks,
     two_term_at,
     two_term_distribution,
@@ -46,11 +56,12 @@ from .number_theory import semiprime_factors
 from .pipeline import RecoveryResult, recover_order
 from .rng import SplitMix64
 
-#: Cap on the census route, set by time: the closed form costs
-#: microseconds per semiprime, but the rows grow about linearly with nmax
-#: and are made one by one in Python (nmax = 10**7: 1 555 366 rows in
-#: about 11 s on a 2-CPU host).  Memory is not the limit: the semiprimes
-#: are held as int64 arrays and the rows are streamed.
+#: Cap on the census route.  Time and memory grow about linearly with
+#: nmax: at nmax = 10**7 (1 555 366 semiprimes, 2-CPU host) the CSV takes
+#: about 1.5 s and 83 MB peak RSS, and the JSON aggregate, which makes a
+#: row per semiprime, 2.7 s and 88 MB.  The int64 arrays of the
+#: semiprimes take 32 bytes a semiprime while they are sorted, 16 after;
+#: the census itself is streamed block by block.
 MAX_CENSUS_NMAX = 10**7
 
 #: Cap on the order for the neighbor probe, which recovers four cells of
@@ -68,8 +79,7 @@ _BLOCK = 1 << 16
 CENSUS_HEURISTIC_LIMIT = 7 / 27
 
 
-@dataclass(frozen=True)
-class FailureCensus:
+class FailureCensus(NamedTuple):
     """Classification counts for every base 1 < x < n coprime to n."""
 
     n: int
@@ -167,41 +177,32 @@ def _sieve_primes(limit: int) -> np.ndarray:
 
 def _semiprime_factors_below(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 arrays of p and q, for every n = p*q < limit with p < q odd
-    primes, in order of n (24 bytes a semiprime at most, while sorting)."""
+    primes, in order of n (32 bytes a semiprime at most, while sorting)."""
     primes = _sieve_primes(limit // 3 + 1)[1:]  # odd primes
-    cofactors = []  # the q of each p, in order of q
+    products = []  # the n = p*q of each p, in order of q
     for i, p in enumerate(primes.tolist()):
         if p * p >= limit:
             break
-        cofactors.append(primes[i + 1 : np.searchsorted(primes, (limit - 1) // p, side="right")])
-    counts = [len(q) for q in cofactors]
+        products.append(p * primes[i + 1 : np.searchsorted(primes, (limit - 1) // p, side="right")])
+    counts = [len(n) for n in products]
+    n = np.concatenate(products) if products else np.empty(0, dtype=np.int64)
+    del products
     p = np.repeat(primes[: len(counts)], counts)
-    q = np.concatenate(cofactors) if cofactors else p  # both empty
-    order = np.argsort(p * q)  # n = p*q is unique
-    return p[order], q[order]
-
-
-def _semiprime_chunks(limit: int) -> Iterator[list[tuple[int, int, int]]]:
-    """semiprimes_below(limit), a list of up to _BLOCK tuples at a time."""
-    p, q = _semiprime_factors_below(limit)
-    for start in range(0, len(p), _BLOCK):
-        stop = start + _BLOCK
-        yield [(a * b, a, b) for a, b in zip(p[start:stop].tolist(), q[start:stop].tolist())]
+    p = p[np.argsort(n)]  # n is unique
+    n.sort()
+    return p, n // p
 
 
 def semiprimes_below(limit: int) -> list[tuple[int, int, int]]:
     """All (n, p, q) with n = p*q < limit, p < q odd primes, sorted by n."""
-    return [t for chunk in _semiprime_chunks(limit) for t in chunk]
+    p, q = _semiprime_factors_below(limit)
+    return [(a * b, a, b) for start in range(0, len(p), _BLOCK)
+            for a, b in zip(p[start : start + _BLOCK].tolist(), q[start : start + _BLOCK].tolist())]
 
 
-def _two_adic_split(m: int) -> tuple[int, int]:
-    """(s, odd part) with m = 2**s * odd part, for m >= 1."""
-    s = (m & -m).bit_length() - 1
-    return s, m >> s
-
-
-def _census_row(n: int, p: int, q: int) -> FailureCensus:
-    """Closed-form census of n = p*q from the 2-adic splits of p-1 and q-1.
+def _census_columns(p: np.ndarray, q: np.ndarray) -> FailureCensus:
+    """The census of each n = p*q in closed form, as a FailureCensus whose
+    fields are arrays, from the 2-adic splits of p-1 and q-1.
 
     Z_p* is cyclic of order p-1 = 2**s * m, so exactly m units have odd
     order and exactly 2**(v-1) * m have order valuation v >= 1.  By CRT a
@@ -209,14 +210,20 @@ def _census_row(n: int, p: int, q: int) -> FailureCensus:
     (m1*m2 bases, less x = 1), and is a trivial square root iff both carry
     the same valuation v >= 1 (4**(v-1) * m1*m2 bases for each v up to
     min(s1, s2)).  Every count is an exact integer.
+
+    p and q are int64 arrays with every p*q below 2**53, or object arrays
+    of Python ints.  No operand exceeds p*q, so int64 does not wrap and
+    float64 holds each operand exactly: a fraction is the correctly rounded
+    quotient, the same bits as Python's int / int.
     """
-    s1, m1 = _two_adic_split(p - 1)
-    s2, m2 = _two_adic_split(q - 1)
-    num_x = (p - 1) * (q - 1) - 1  # coprime bases, x = 1 excluded
-    n_odd = m1 * m2 - 1
-    n_trivial = m1 * m2 * ((1 << 2 * min(s1, s2)) - 1) // 3
+    a, b = p - 1, q - 1
+    low1, low2 = a & -a, b & -b  # 2**s1 and 2**s2
+    m1m2 = (a // low1) * (b // low2)
+    num_x = a * b - 1  # coprime bases, x = 1 excluded
+    n_odd = m1m2 - 1
+    n_trivial = m1m2 * (np.minimum(low1, low2) ** 2 - 1) // 3  # 4**min(s1, s2) - 1
     return FailureCensus(
-        n=n, p1=p, p2=q,
+        n=p * q, p1=p, p2=q,
         num_x=num_x,
         odd_r=n_odd,
         trivial_sqrt=n_trivial,
@@ -228,21 +235,36 @@ def _census_row(n: int, p: int, q: int) -> FailureCensus:
     )
 
 
+def _census_tuples(columns: FailureCensus) -> Iterator[FailureCensus]:
+    """The rows of a FailureCensus of arrays, one FailureCensus each."""
+    return map(FailureCensus._make, zip(*(column.tolist() for column in columns)))
+
+
 def failure_census(n: int) -> FailureCensus:
     """Classify every coprime base 1 < x < n as odd-order, trivial square
     root (x**(r/2) = -1 mod n), or good, counted in closed form."""
     factors = semiprime_factors(n)
     if factors is None:
         raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")
-    return _census_row(n, *factors)
+    p, q = (np.array([f], dtype=object) for f in factors)  # Python ints: exact at any size
+    return next(_census_tuples(_census_columns(p, q)))
+
+
+def _census_chunks(nmax: int = 10_000) -> Iterator[FailureCensus]:
+    """The census of every odd distinct-prime semiprime below nmax, in order
+    of n, as FailureCensus chunks whose fields are arrays of up to _BLOCK
+    rows.  The cap is checked on the call."""
+    if nmax > MAX_CENSUS_NMAX:
+        raise ResourceError(f"nmax={nmax} exceeds the census cap of {MAX_CENSUS_NMAX}")
+    p, q = _semiprime_factors_below(nmax)
+    return (_census_columns(p[start : start + _BLOCK], q[start : start + _BLOCK])
+            for start in range(0, len(p), _BLOCK))
 
 
 def census_rows(nmax: int = 10_000) -> Iterator[FailureCensus]:
     """failure_census over every odd distinct-prime semiprime below nmax,
     one row at a time, in order of n.  The cap is checked on the call."""
-    if nmax > MAX_CENSUS_NMAX:
-        raise ResourceError(f"nmax={nmax} exceeds the census cap of {MAX_CENSUS_NMAX}")
-    return (_census_row(n, p, q) for chunk in _semiprime_chunks(nmax) for n, p, q in chunk)
+    return (row for columns in _census_chunks(nmax) for row in _census_tuples(columns))
 
 
 def census_sweep(nmax: int = 10_000) -> list[FailureCensus]:
@@ -335,7 +357,9 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
         raise DomainError(f"need N >= n^2 for capture analysis, got N={inst.N}, n={n}")
     info = OrderInfo.from_instance(inst)
     guard_register(inst, route="the capture pass")
-    c_nu = np.array([p.c_nu for p in peaks(inst, info)], dtype=np.int64)
+    # no peak guard: N >= n^2 and q_A <= 24 keep r below 4096 peaks, and
+    # nu*N below 2^63, so c_nu is an int64 array
+    c_nu = peak_columns(inst, info, 0, info.r)[2]
     pairs = two_term_at(inst, info, c_nu) + two_term_at(inst, info, c_nu + 1)
     exact = float(np.cumsum(pairs)[-1])  # in peak order, one term at a time
     # N >= n^2 > 2r puts the peaks more than two cells apart, so each cell

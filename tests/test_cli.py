@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import shorsim
-from shorsim import cli, number_theory, render
+from shorsim import cli, experiments, number_theory, render
 from shorsim.distribution import two_term_at
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -173,6 +173,12 @@ class TestCensus:
         assert list(obj)[-1] == "heuristic_limit"
         assert obj["heuristic_limit"] == 7 / 27
         assert obj["aggregate_bad_fraction"] == 0.289314364554564
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_semiprimes_is_a_domain_error(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "census", "--nmax", "15", "--format", fmt)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == "shorsim: error: no odd distinct-prime semiprimes below 15\n"
 
     def test_known_row_rendering_is_stable(self, capsys):
         _, out, _ = run_cli(capsys, "census", "--nmax", "25")
@@ -455,6 +461,16 @@ class TestStreamedOutput:
     ])
     def test_chunk_size_does_not_change_bytes(self, capsys, monkeypatch, chunk_rows, command):
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert sha256(out) == PINNED_OUTPUT[command]
+
+    @pytest.mark.parametrize("block", [1, 7, 255])
+    @pytest.mark.parametrize("command", ["census --nmax 10000", "census --nmax 10000 --format json"])
+    def test_census_blocks_do_not_change_bytes(self, capsys, monkeypatch, block, command):
+        # blocks of the census smaller and larger than the chunks of text
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]

@@ -30,6 +30,8 @@ from shorsim.errors import DomainError, ResourceError
 from shorsim.experiments import (
     MAX_CENSUS_NMAX,
     FailureCensus,
+    _census_chunks,
+    _census_columns,
     capture_rate_empirical,
     census_aggregate,
     census_rows,
@@ -108,6 +110,29 @@ def sweep_census(n, p, q):
         fraction_trivial_sqrt=n_trivial / num_x,
         fraction_bad=(n_odd + n_trivial) / num_x,
     )
+
+
+def closed_form_census(p, q):
+    """The closed form of n = p*q in Python ints, one row at a time: each
+    2-adic split by bit operations, 4**min(s1, s2) as a shift, and each
+    fraction as int / int."""
+    s1, s2 = (((m & -m).bit_length() - 1) for m in (p - 1, q - 1))
+    m1m2 = ((p - 1) >> s1) * ((q - 1) >> s2)
+    num_x = (p - 1) * (q - 1) - 1
+    n_odd = m1m2 - 1
+    n_trivial = m1m2 * ((1 << 2 * min(s1, s2)) - 1) // 3
+    return FailureCensus(
+        n=p * q, p1=p, p2=q, num_x=num_x, odd_r=n_odd, trivial_sqrt=n_trivial,
+        good=num_x - n_odd - n_trivial, common_factor_skipped=p + q - 2,
+        fraction_odd=n_odd / num_x, fraction_trivial_sqrt=n_trivial / num_x,
+        fraction_bad=(n_odd + n_trivial) / num_x,
+    )
+
+
+def assert_same_fields(got, expected):
+    """Field by field: equal values of the same Python type."""
+    for name, a, b in zip(FailureCensus._fields, got, expected, strict=True):
+        assert a == b and type(a) is type(b), (name, a, b)
 
 
 def _is_odd_prime(m):
@@ -331,9 +356,14 @@ class TestFailureCensus:
         assert iter(rows) is rows  # a generator, not a list
         assert list(rows) == census_sweep(5000)
 
-    def test_rows_check_the_cap_on_the_call(self):
-        with pytest.raises(ResourceError):
-            census_rows(MAX_CENSUS_NMAX + 1)
+    def test_rows_check_the_cap_on_the_call(self, monkeypatch):
+        def refuse(_limit):
+            raise AssertionError("semiprimes were enumerated before the cap was checked")
+
+        monkeypatch.setattr(experiments, "_semiprime_factors_below", refuse)
+        for route in (census_rows, _census_chunks):
+            with pytest.raises(ResourceError):
+                route(MAX_CENSUS_NMAX + 1)
 
     def test_aggregate_of_no_rows_is_a_domain_error(self):
         with pytest.raises(DomainError):
@@ -346,6 +376,63 @@ class TestFailureCensus:
         assert agg.total_x == sum(r.num_x for r in rows)
         assert 0 < agg.aggregate_bad_fraction < 0.5
         assert agg.bound_ok
+
+
+# Pairs at the edge of the census cap, n < 10**7, and pairs whose p-1 and
+# q-1 both carry a high power of two.
+EXTREME_PAIRS = [
+    (3, 3333331),  # the largest q with 3q < 10**7
+    (3137, 3163),  # p and q either side of sqrt(10**7)
+    (257, 7681),  # p-1 = 2**8, q-1 = 2**9 * 15
+    (97, 12289),  # p-1 = 2**5 * 3, q-1 = 2**12 * 3
+]
+
+
+class TestCensusColumns:
+    def test_extreme_pairs_match_python_ints(self):
+        assert all(p * q < MAX_CENSUS_NMAX for p, q in EXTREME_PAIRS)
+        p, q = (np.array(column, dtype=np.int64) for column in zip(*EXTREME_PAIRS))
+        columns = _census_columns(p, q)
+        assert [column.dtype for column in columns] == [np.int64] * 8 + [np.float64] * 3
+        rows = zip(*(column.tolist() for column in columns))
+        for row, (a, b) in zip(rows, EXTREME_PAIRS, strict=True):
+            assert_same_fields(row, closed_form_census(a, b))
+            assert_same_fields(failure_census(a * b), closed_form_census(a, b))
+
+    def test_failure_census_takes_python_ints_beyond_2_53(self):
+        # 2**53 < n < 2**63: int64 would not wrap, but float64 would round
+        # num_x, and fraction_odd would read 0.2499999999999999
+        p, q = 131071, 68720525347
+        assert p * q > 1 << 53
+        row = failure_census(p * q)
+        assert_same_fields(row, closed_form_census(p, q))
+        assert row.fraction_odd == 0.24999999999999992
+
+    def test_object_arrays_are_exact_beyond_int64(self):
+        p, q = 2097143, 8796130771111  # n > 2**64
+        columns = _census_columns(np.array([p], dtype=object), np.array([q], dtype=object))
+        assert_same_fields([column[0] for column in columns], closed_form_census(p, q))
+
+    @pytest.mark.parametrize("size", [1, 7, 1931])
+    def test_blocks_do_not_change_the_rows(self, monkeypatch, size):
+        expected = [repr(row) for row in census_sweep(10_000)]
+        monkeypatch.setattr(experiments, "_BLOCK", size)
+        assert [repr(row) for row in census_rows(10_000)] == expected
+        assert max(len(chunk.n) for chunk in _census_chunks(10_000)) == size
+
+    def test_row_repr_is_pinned(self):
+        # taken while FailureCensus was a frozen dataclass
+        assert repr(failure_census(21)) == (
+            "FailureCensus(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, good=6, "
+            "common_factor_skipped=8, fraction_odd=0.18181818181818182, "
+            "fraction_trivial_sqrt=0.2727272727272727, fraction_bad=0.45454545454545453)")
+        assert failure_census(21) == (21, 3, 7, 11, 2, 3, 6, 8, 2 / 11, 3 / 11, 5 / 11)
+
+    def test_rows_are_immutable(self):
+        row = failure_census(21)
+        with pytest.raises(AttributeError):
+            row.good = 0
+        assert FailureCensus(**row._asdict()) == row
 
 
 class TestValuationModel:
