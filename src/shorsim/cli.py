@@ -13,8 +13,9 @@ so the full text is never held; other output is one string.  Each chunk
 is a set of columns that ``render.render_rows`` turns into text with
 the stdlib's exact bytes and no Python call per number.  The two-term
 tables evaluate each chunk's cells as they go, the peaks are computed
-chunk by chunk, and the census CSV takes each chunk's columns from the
-closed form, so none of them holds a vector or a list of rows.
+chunk by chunk, and the census CSV and JSON aggregate take each chunk's
+columns from the closed form, so none of them holds a vector or a list
+of rows.
 """
 
 import argparse
@@ -41,9 +42,8 @@ from .errors import DomainError, ResourceError
 from .experiments import (
     CENSUS_HEURISTIC_LIMIT,
     _census_chunks,
+    _census_chunks_aggregate,
     capture_rate_empirical,
-    census_aggregate,
-    census_rows,
     figure1_instance,
     neighbor_state_check,
     valuation_model_mc,
@@ -259,12 +259,12 @@ def _cmd_run(args) -> str:
     return _render(args, obj)
 
 
-def _census_nonempty(items, nmax):
-    """The census items (rows or chunks) of nmax, once there is a first."""
-    first = next(items, None)
+def _census_nonempty(chunks, nmax):
+    """The census chunks of nmax, once there is a first."""
+    first = next(chunks, None)
     if first is None:
         raise DomainError(f"no odd distinct-prime semiprimes below {nmax}")
-    return itertools.chain((first,), items)
+    return itertools.chain((first,), chunks)
 
 
 def _census_csv_columns(chunks):
@@ -276,8 +276,9 @@ def _census_csv_columns(chunks):
 
 
 def _cmd_census(args):
+    chunks = _census_nonempty(_census_chunks(args.nmax), args.nmax)
     if args.format == "json":
-        agg = census_aggregate(_census_nonempty(census_rows(args.nmax), args.nmax))
+        agg = _census_chunks_aggregate(chunks)
         band = (1 / 3 - 0.1, 1 / 3 + 0.1)
         return _json({
             "nmax": args.nmax,
@@ -295,7 +296,6 @@ def _cmd_census(args):
             "heuristic_limit": CENSUS_HEURISTIC_LIMIT,
         })
 
-    chunks = _census_nonempty(_census_chunks(args.nmax), args.nmax)
     return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction", "%d,%d,%d,%d,%d,%d,%.15e\n",
                        _census_csv_columns(chunks))
 

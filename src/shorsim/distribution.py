@@ -467,10 +467,20 @@ def _bounded(rng: SplitMix64, s: int) -> int:
 
     Lemire, "Fast random integer generation in an interval", ACM TOMACS
     29(1), 2019, widened from one 64-bit word to as many words as s needs.
-    The bound s = 1 consumes no word.
+    The bound s = 1 consumes no word, and a bound below 2^64 one word a
+    try.  Lemire's threshold 2^64 mod s is below s, so it is computed only
+    when a try's low word falls below s, the only tries it can reject.
+    Bounds from 2^64 up, 2^64 itself included, take the multiword loop.
     """
     if s == 1:
         return 0
+    if s < 1 << 64:  # the shifts and masks fold to constants
+        m = rng.next_uint64() * s
+        if (m & (1 << 64) - 1) < s:
+            threshold = (1 << 64) % s
+            while (m & (1 << 64) - 1) < threshold:
+                m = rng.next_uint64() * s
+        return m >> 64
     bits = 64 * ((s.bit_length() + 63) // 64)
     mask = (1 << bits) - 1
     threshold = None
@@ -599,11 +609,15 @@ def sample_states(inst: ProblemInstance, info: OrderInfo, rng: SplitMix64, count
     Np = N // g
     r_inv = pow(r // g, -1, Np)
     large = info.k0 * (info.M0 + 2)
-    # M0 + 1 is 0 when N < r, and then never drawn (large = N)
-    proposals = {L: FejerProposal(L, Np) for L in (info.M0 + 1, info.M0 + 2) if L >= 1}
+    # a proposal is built for a class size on its first draw: M0 + 1 is 0
+    # when N < r, and then never drawn (large = N)
+    proposals = {}
     out = []
     for _ in range(count):
         L = info.M0 + 2 if _bounded(rng, N) < large else info.M0 + 1
-        t = proposals[L].draw(rng)
+        proposal = proposals.get(L)
+        if proposal is None:
+            proposal = proposals[L] = FejerProposal(L, Np)
+        t = proposal.draw(rng)
         out.append(r_inv * t % Np + Np * _bounded(rng, g))
     return out

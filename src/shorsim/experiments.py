@@ -22,8 +22,8 @@ on a block of int64 arrays of (p, q) at a time, ``census_rows`` makes rows
 from those columns, and ``failure_census`` runs the same formula on
 one-element arrays of Python ints.  At nmax = 10**7 (1 555 366
 semiprimes, 2-CPU host) the CSV of ``shorsim census``, rendered from the
-columns, takes about 1.5 s, and its JSON aggregate, one pass over the
-rows, about 2.7 s.
+columns, takes about 1.5 s, and its JSON aggregate, summed from the
+columns by ``_census_chunks_aggregate``, about 0.5 s.
 
 Under the random-prime heuristic v2(p-1) = s with density 2**-s, a unit's
 order is odd with probability 1/3 (not the idealized model's 1/2), and the
@@ -58,8 +58,8 @@ from .rng import SplitMix64
 
 #: Cap on the census route.  Time and memory grow about linearly with
 #: nmax: at nmax = 10**7 (1 555 366 semiprimes, 2-CPU host) the CSV takes
-#: about 1.5 s and 83 MB peak RSS, and the JSON aggregate, which makes a
-#: row per semiprime, 2.7 s and 88 MB.  The int64 arrays of the
+#: about 1.5 s and 83 MB peak RSS, and the JSON aggregate, read from the
+#: same columns, 0.5 s and 83 MB.  The int64 arrays of the
 #: semiprimes take 32 bytes a semiprime while they are sorted, 16 after;
 #: the census itself is streamed block by block.
 MAX_CENSUS_NMAX = 10**7
@@ -289,6 +289,32 @@ def census_aggregate(rows: Iterable[FailureCensus]) -> CensusAggregate:
         fraction_sum += fraction
         if fraction > max_fraction:
             max_fraction = fraction
+    return _aggregate(count, total_x, total_odd, total_trivial, fraction_sum, max_fraction)
+
+
+def _census_chunks_aggregate(chunks: Iterable[FailureCensus]) -> CensusAggregate:
+    """census_aggregate of the rows of the chunks, read from their columns.
+
+    The totals are exact int sums.  The mean's sum is the last entry of a
+    cumulative sum with the running carry prepended: ``np.cumsum`` adds one
+    term at a time in row order, so it has the bits of census_aggregate's
+    loop.
+    """
+    count = total_x = total_odd = total_trivial = 0
+    fraction_sum, max_fraction = 0.0, -math.inf
+    for c in chunks:
+        count += len(c.n)
+        total_x += int(c.num_x.sum())
+        total_odd += int(c.odd_r.sum())
+        total_trivial += int(c.trivial_sqrt.sum())
+        fraction_sum = float(np.cumsum(np.concatenate(([fraction_sum], c.fraction_bad)))[-1])
+        max_fraction = max(max_fraction, float(c.fraction_bad.max()))
+    return _aggregate(count, total_x, total_odd, total_trivial, fraction_sum, max_fraction)
+
+
+def _aggregate(count: int, total_x: int, total_odd: int, total_trivial: int,
+               fraction_sum: float, max_fraction: float) -> CensusAggregate:
+    """The CensusAggregate of a census's sums, maximum and row count."""
     if count == 0:
         raise DomainError("no census rows to aggregate")
     return CensusAggregate(

@@ -7,6 +7,13 @@ anywhere.  `multiplicative_order` deliberately walks successive powers:
 it is the reference that every faster path elsewhere in the package is
 tested against.  The fast path reduces the Carmichael exponent lambda(n),
 a multiple of every order mod n, with `order_from_multiple`.
+
+Order recovery keeps the last convergent of N/c whose numerator is below
+n.  ``_bounded_convergent`` runs the Euclid quotients and the convergent
+recurrence on plain ints and stops at the first convergent at or above
+the bound: from index 0 on, numerators and denominators never decrease,
+so the one before it is the last below.  ``continued_fraction``, which
+lists every convergent as a Fraction, is the tests' oracle for it.
 """
 
 import math
@@ -189,6 +196,25 @@ def continued_fraction(f: Fraction) -> ContinuedFractionExpansion:
     return ContinuedFractionExpansion(tuple(quotients), tuple(convergents))
 
 
+def _bounded_convergent(p: int, q: int, bound: int, by: str) -> tuple[int, int] | None:
+    """best_convergent_bounded of p/q as the pair (h, k) in lowest terms,
+    for any p >= 0 and q >= 1, reduced or not: the quotients of Euclid's
+    algorithm do not depend on the terms."""
+    by_numerator = by == "numerator"
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    best = None
+    while q:
+        a = p // q
+        p, q = q, p - a * q
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        if (h if by_numerator else k) >= bound:
+            return best
+        if h or by_numerator:
+            best = h, k
+    return best
+
+
 def best_convergent_bounded(f: Fraction, bound: int, by: str = "numerator") -> Fraction | None:
     """Last convergent of f whose numerator (or denominator) is < bound.
 
@@ -199,17 +225,19 @@ def best_convergent_bounded(f: Fraction, bound: int, by: str = "numerator") -> F
     never encodes a usable ratio, and skipping it is what makes the two
     routes agree exactly on reciprocal inputs.
 
+    The expansion stops at the first convergent whose bounded side
+    reaches bound.  That is exact because h_i = a_i h_(i-1) + h_(i-2) and
+    k_i = a_i k_(i-1) + k_(i-2) with every a_i >= 1 for i >= 1 and
+    h_0 = a_0 <= h_1, k_0 = 1 <= k_1: neither side ever decreases, so no
+    convergent after the first one at or above bound is below it again.
+
     Returns None when even the first eligible convergent violates the bound.
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
     if by not in ("numerator", "denominator"):
         raise DomainError(f"unknown selection rule {by!r}")
-    best = None
-    for cv in continued_fraction(f).convergents:
-        if by == "denominator" and cv.numerator == 0:
-            continue
-        side = cv.numerator if by == "numerator" else cv.denominator
-        if side < bound:
-            best = cv
-    return best
+    if f < 0:
+        raise DomainError("best_convergent_bounded expects a non-negative rational")
+    best = _bounded_convergent(f.numerator, f.denominator, bound, by)
+    return None if best is None else Fraction(*best)

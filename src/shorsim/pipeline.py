@@ -23,7 +23,7 @@ from fractions import Fraction
 from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, sample_states
 from .errors import ContractError, DomainError, ResourceError
 from .number_theory import (
-    best_convergent_bounded,
+    _bounded_convergent,
     gcd,
     mod_pow,
     semiprime_factors,
@@ -150,12 +150,12 @@ def recover_order(c: int, inst: ProblemInstance) -> RecoveryResult:
         raise DomainError(f"c must lie in [0, N), got {c}")
     if c == 0:
         return RecoveryResult(c=0, recovered=None, r_candidate=None, verified=False)
-    est = best_convergent_bounded(Fraction(inst.N, c), inst.n, by="numerator")
+    est = _bounded_convergent(inst.N, c, inst.n, "numerator")
     if est is None:
         return RecoveryResult(c=c, recovered=None, r_candidate=None, verified=False)
-    r_candidate = est.numerator
+    r_candidate = est[0]
     verified = mod_pow(inst.x, r_candidate, inst.n) == 1
-    return RecoveryResult(c=c, recovered=est, r_candidate=r_candidate, verified=verified)
+    return RecoveryResult(c=c, recovered=Fraction(*est), r_candidate=r_candidate, verified=verified)
 
 
 def extract_factors(n: int, x: int, r: int) -> tuple[Classification, tuple[int, int] | None]:

@@ -407,6 +407,10 @@ PINNED_OUTPUT = {
     "run --n 21 --x 10 --qa 9 --seed 11 --max-mu 2 --max-resamples 1 --format csv":
         "8db6e2c48d57719aa330c1e8791fba30b3e067668919e4925b2b801a513108a2",
     "run --n 1007 --x 5 --seed 7": "8edcac8eb5a6b8aa0001b352b36d705697db29d52caeb95896eb5a4cad0a0d00",
+    # q_A 62: three-word bounded draws and a long expansion of N/c; taken
+    # while convergents were selected from the list of Fractions
+    "run --n 2146654199 --x 3 --seed 5":
+        "8b7e4d404397917353a1945bf54dc16a9c06f236a0ced2c5088a20be81019d76",
     "peaks --n 21 --x 10 --qa 8": "ecd2d3a084a91b9926aa43f6bd8a2c4e32ab3c82d4535d14af1c70ae1e95f158",
     "peaks --n 21 --x 10 --qa 8 --format json":
         "87057089ebeefd8da213efd9770e7362db9d6cd2ceb616b2714c6f481e556014",

@@ -31,6 +31,7 @@ from shorsim.experiments import (
     MAX_CENSUS_NMAX,
     FailureCensus,
     _census_chunks,
+    _census_chunks_aggregate,
     _census_columns,
     capture_rate_empirical,
     census_aggregate,
@@ -419,6 +420,15 @@ class TestCensusColumns:
         monkeypatch.setattr(experiments, "_BLOCK", size)
         assert [repr(row) for row in census_rows(10_000)] == expected
         assert max(len(chunk.n) for chunk in _census_chunks(10_000)) == size
+
+    @pytest.mark.parametrize("size", [1, 7, 1931, 1 << 16])
+    def test_column_aggregate_equals_the_row_aggregate(self, monkeypatch, size):
+        monkeypatch.setattr(experiments, "_BLOCK", size)
+        for nmax in (16, 100, 3000, 10_000, 30_000):
+            expected = repr(census_aggregate(census_rows(nmax)))
+            assert repr(_census_chunks_aggregate(_census_chunks(nmax))) == expected, nmax
+        with pytest.raises(DomainError):
+            _census_chunks_aggregate(_census_chunks(15))
 
     def test_row_repr_is_pinned(self):
         # taken while FailureCensus was a frozen dataclass

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from shorsim import number_theory
 from shorsim.errors import DomainError, NoOrderError
 from shorsim.number_theory import (
+    _bounded_convergent,
     best_convergent_bounded,
     continued_fraction,
     gcd,
@@ -230,7 +232,92 @@ class TestContinuedFraction:
             continued_fraction(Fraction(-1, 2))
 
 
+def _literal_best_convergent(f, bound, by):
+    """The selection over the whole list of convergents, as a Fraction."""
+    best = None
+    for cv in continued_fraction(f).convergents:
+        if by == "denominator" and cv.numerator == 0:
+            continue
+        if (cv.numerator if by == "numerator" else cv.denominator) < bound:
+            best = cv
+    return best
+
+
 class TestBestConvergentBounded:
+    @pytest.mark.parametrize("by", ["numerator", "denominator"])
+    def test_equals_the_literal_selection_on_random_fractions(self, by):
+        rnd = random.Random(14)
+        for _ in range(3000):
+            top = rnd.choice([10, 1000, 1 << 40])
+            f = Fraction(rnd.randrange(0, top), rnd.randrange(1, top))
+            bound = rnd.choice([2, 3, rnd.randrange(2, 100), rnd.randrange(2, top + 2)])
+            assert best_convergent_bounded(f, bound, by) == _literal_best_convergent(f, bound, by), (
+                f, bound)
+
+    @pytest.mark.parametrize("by", ["numerator", "denominator"])
+    @pytest.mark.parametrize("f, bound", [
+        (Fraction(0), 2),  # a single zero convergent
+        (Fraction(0), 10),
+        (Fraction(17), 18),  # integer f: one convergent
+        (Fraction(17), 17),  # ... at the numerator bound
+        (Fraction(17), 2),
+        (Fraction(3, 11), 2),  # [0; 3, 1, 2]: numerators 0, 1, 1, 3
+        (Fraction(3, 11), 3),
+        (Fraction(3, 11), 4),
+        (Fraction(11, 4), 2),  # [2; 1, 3]: denominators 1, 1, 4
+        (Fraction(11, 4), 4),
+        (Fraction(11, 4), 5),
+        (Fraction(1, 5), 2),  # f < 1: 0/1, then 1/5
+        (Fraction(1, 5), 5),
+        (Fraction(1, 5), 6),
+        (Fraction(256, 1), 256),  # the first convergent is at the bound
+        (Fraction(256, 1), 257),
+        (Fraction(257, 2), 128),  # [128; 2]: the first numerator is at the bound
+    ])
+    def test_edge_cases_equal_the_literal_selection(self, f, bound, by):
+        assert best_convergent_bounded(f, bound, by) == _literal_best_convergent(f, bound, by)
+
+    def test_none_at_or_below_the_first_eligible_side(self):
+        assert best_convergent_bounded(Fraction(257, 2), 128) is None
+        assert best_convergent_bounded(Fraction(257, 2), 129) == Fraction(128)
+        assert best_convergent_bounded(Fraction(0), 5, by="denominator") is None
+        # f < 1 on the denominator route: 0/1 is skipped, and 1/5 is at the bound
+        assert best_convergent_bounded(Fraction(1, 5), 5, by="denominator") is None
+        assert best_convergent_bounded(Fraction(1, 5), 6, by="denominator") == Fraction(1, 5)
+
+    def test_equal_consecutive_numerators(self):
+        # [0; 3, 1, 2] = 3/11 has convergents 0/1, 1/3, 1/4, 3/11: the stop
+        # at the first numerator >= bound still passes over 1/3 to 1/4
+        assert continued_fraction(Fraction(3, 11)).convergents == (
+            Fraction(0), Fraction(1, 3), Fraction(1, 4), Fraction(3, 11))
+        assert best_convergent_bounded(Fraction(3, 11), 2) == Fraction(1, 4)
+        assert best_convergent_bounded(Fraction(3, 11), 3) == Fraction(1, 4)
+
+    def test_unreduced_terms_expand_like_the_reduced_fraction(self):
+        # recover_order passes N and c as they are, with no Fraction(N, c)
+        rnd = random.Random(15)
+        for _ in range(2000):
+            N = 1 << rnd.randrange(4, 63)
+            c = rnd.randrange(1, N)
+            bound = rnd.randrange(2, 1 << 31)
+            best = _bounded_convergent(N, c, bound, "numerator")
+            literal = _literal_best_convergent(Fraction(N, c), bound, "numerator")
+            assert (best is None and literal is None) or Fraction(*best) == literal
+            if best is not None:
+                assert math.gcd(*best) == 1 and best == (literal.numerator, literal.denominator)
+
+    def test_never_lists_the_convergents(self, monkeypatch):
+        def listed(f):
+            raise AssertionError("the convergent list is only the tests' oracle")
+
+        monkeypatch.setattr(number_theory, "continued_fraction", listed)
+        assert best_convergent_bounded(Fraction(256, 43), 21) == Fraction(6, 1)
+        assert best_convergent_bounded(Fraction(43, 256), 21, by="denominator") == Fraction(1, 6)
+
+    def test_negative_rejected(self):
+        with pytest.raises(DomainError):
+            best_convergent_bounded(Fraction(-1, 2), 10)
+
     def test_spec_case_numerator_route(self):
         assert best_convergent_bounded(Fraction(256, 43), 21) == Fraction(6, 1)
 

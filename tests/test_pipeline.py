@@ -130,6 +130,16 @@ class TestRecoverOrder:
                 else:
                     assert rec.r_candidate is None and not rec.verified
 
+    def test_recovered_equals_the_literal_convergent_selection(self):
+        # the last of continued_fraction(N/c)'s convergents with numerator
+        # below n, selected from the whole list
+        for n, x, q_A in [(15, 2, 8), (21, 10, 9), (1007, 5, 14)]:
+            inst = ProblemInstance.create(n, x, q_A)
+            for c in range(1, inst.N):
+                below = [cv for cv in number_theory.continued_fraction(Fraction(inst.N, c)).convergents
+                         if cv.numerator < n]
+                assert recover_order(c, inst).recovered == (below[-1] if below else None), (n, c)
+
 
 class TestExtractFactors:
     def test_splits_the_fig_instance(self):
@@ -395,12 +405,43 @@ PINNED_RUNS = {
     1007: "20572047e8cdde7e0be95bd9feae11af360e0e011c0c6525b1d3c07c6f663fb5",
 }
 
+# The wide-register grid: n = 46327 * 46337 near the top of the run range.
+# Its Fejer proposals draw bounds of two words (q_A 40) and three words
+# (q_A 62, the default), and N/c expands into long continued fractions.
+WIDE_N = 46327 * 46337
+WIDE_BASES = (2, 3, 5, WIDE_N - 1)
+
+
+def wide_run_reprs(q_A):
+    """The reprs of run_once and run_with_retries over the wide grid at q_A."""
+    lines = []
+    for x in WIDE_BASES:
+        for seed in range(20):
+            lines.append(repr(run_once(WIDE_N, x, q_A=q_A, seed=seed)))
+            for policy in RUN_POLICIES:
+                lines.append(repr(run_with_retries(WIDE_N, x, policy=policy, seed=seed, q_A=q_A)))
+    return "\n".join(lines)
+
+
+# SHA-256 of wide_run_reprs(q_A), taken while convergents were still
+# selected from the list of Fractions and every Lemire draw ran the
+# multiword loop.
+PINNED_WIDE_RUNS = {
+    62: "ad187aa73f4d07adccafd07e7a9c9d34c17f9004d0fdeb0cec1c62ba7568c0d8",
+    40: "f4bcb57e22e0afbdb722c0e900411167cca6bc4e50d65c283c330aee03b4910a",
+}
+
 
 class TestRunRoute:
     @pytest.mark.parametrize("n", PINNED_RUNS)
     def test_outcomes_are_pinned(self, n):
         digest = hashlib.sha256(run_grid_reprs(n).encode()).hexdigest()
         assert digest == PINNED_RUNS[n]
+
+    @pytest.mark.parametrize("q_A", PINNED_WIDE_RUNS)
+    def test_wide_register_outcomes_are_pinned(self, q_A):
+        digest = hashlib.sha256(wide_run_reprs(q_A).encode()).hexdigest()
+        assert digest == PINNED_WIDE_RUNS[q_A]
 
     @pytest.mark.parametrize("run", [run_once, run_with_retries])
     def test_modulus_is_trial_divided_once(self, monkeypatch, run):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from shorsim import number_theory
+from shorsim import distribution, number_theory
 from shorsim.distribution import (
     MAX_RUN_MODULUS,
     FejerProposal,
@@ -38,6 +38,39 @@ class _Words:
 
     def next_uint64(self):
         return next(self._words)
+
+
+class _Counted:
+    """A SplitMix64 that counts the words it gives."""
+
+    def __init__(self, seed):
+        self._rng, self.words = SplitMix64(seed), 0
+
+    def next_uint64(self):
+        self.words += 1
+        return self._rng.next_uint64()
+
+
+def _multiword_bounded(rng, s):
+    """Lemire's multiply-and-reject over as many words as s needs, for
+    every s: the reference stream of the bounded draws."""
+    if s == 1:
+        return 0
+    bits = 64 * ((s.bit_length() + 63) // 64)
+    mask = (1 << bits) - 1
+    threshold = None
+    while True:
+        x = 0
+        for _ in range(bits // 64):
+            x = (x << 64) | rng.next_uint64()
+        m = x * s
+        low = m & mask
+        if low >= s:
+            return m >> bits
+        if threshold is None:
+            threshold = (mask + 1) % s
+        if low >= threshold:
+            return m >> bits
 
 
 def build(n, x, q_A):
@@ -153,6 +186,24 @@ class TestChiSquare:
         near = [abs(c * info.r - round(c * info.r / inst.N) * inst.N) <= 2 * info.r for c in draws]
         assert sum(near) >= 0.8 * len(draws)
 
+    def test_a_proposal_is_built_only_for_a_drawn_class_size(self, monkeypatch):
+        built = []
+
+        class Counted(FejerProposal):
+            def __init__(self, L, Np):
+                built.append(L)
+                super().__init__(L, Np)
+
+        inst, info = build(21, 10, 9)  # N = 512 = 85*6 + 2: sizes 86 and 85
+        assert info.k0 > 0 and info.M0 + 1 >= 1
+        expected = sample_states(inst, info, SplitMix64(5), 200)
+        monkeypatch.setattr(distribution, "FejerProposal", Counted)
+        assert len(sample_states(inst, info, SplitMix64(5), 1)) == 1
+        assert len(built) == 1
+        built.clear()
+        assert sample_states(inst, info, SplitMix64(5), 200) == expected
+        assert sorted(built) == [info.M0 + 1, info.M0 + 2]
+
     def test_count_validation(self):
         inst, info = build(21, 10, 9)
         assert sample_states(inst, info, SplitMix64(0), 0) == []
@@ -167,6 +218,18 @@ class TestExactDraws:
         assert _bounded(_Words([0, top]), 3) == 2  # word 0 would give 0
         assert _bounded(_Words([top]), 3) == 2
         assert _bounded(_Words([]), 1) == 0  # consumes nothing
+
+    @pytest.mark.parametrize("s", [1, 2, 3, (1 << 63) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, 3 ** 90])
+    def test_lemire_stream_equals_the_multiword_loop(self, s):
+        fast, reference = _Counted(21), _Counted(21)
+        draws = [_bounded(fast, s) for _ in range(2000)]
+        assert draws == [_multiword_bounded(reference, s) for _ in range(2000)]
+        assert fast.words == reference.words
+        assert fast._rng._state == reference._rng._state
+        if s == (1 << 63) + 1:  # 2^64 mod s = s - 2: about half the tries are rejected
+            assert 3600 < fast.words < 4400
+        if s == 1 << 64:  # two words a try, and 2^128 mod 2^64 = 0 rejects none
+            assert fast.words == 4000
 
     def test_lemire_multiword_bound(self):
         rng = SplitMix64(1)
