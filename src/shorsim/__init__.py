@@ -29,7 +29,6 @@ from .distribution import (
     peak_deviation_prob,
     peaks,
     per_k_distribution,
-    sample,
     sample_from,
     sample_states,
     two_term_at,
@@ -49,10 +48,8 @@ from .experiments import (
     ValuationModelResult,
     capture_rate_empirical,
     census_aggregate,
-    census_rows,
     census_sweep,
     failure_census,
-    figure1_data,
     figure1_instance,
     neighbor_state_check,
     semiprimes_below,
@@ -88,4 +85,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -124,8 +124,6 @@ class ProblemInstance:
 
     @classmethod
     def create(cls, n: int, x: int, q_A: int | None = None, q_B: int | None = None) -> "ProblemInstance":
-        if n < 3:
-            raise DomainError(f"modulus n must be >= 3, got {n}")
         if q_A is None:
             q_A = cls.default_q_A(n)
         if q_B is None:
@@ -182,9 +180,6 @@ class OutputDistribution:
 
     probabilities: np.ndarray
     method: str
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
 
     @property
     def total(self) -> float:
@@ -434,20 +429,10 @@ def capture_probability_d01() -> float:
     return 2.0 * si / math.pi
 
 
-def sample(dist: OutputDistribution, seed: int, count: int) -> list[int]:
-    """Draw `count` i.i.d. states from P(c) by inverse CDF, deterministically.
-
-    Uses a fresh SplitMix64 stream for the given seed; see sample_from
-    for drawing out of an existing stream.  No route of the package
-    samples this way any more: ``run`` uses ``sample_states``, and
-    ``capture`` counts its draws against running sums.
-    """
-    return sample_from(dist, SplitMix64(seed), count)
-
-
 def sample_from(dist: OutputDistribution, rng: SplitMix64, count: int) -> list[int]:
-    """Inverse-CDF sampling out of a caller-owned SplitMix64 stream, from
-    a built vector; ``sample_states`` draws from the same law without one.
+    """Draw `count` i.i.d. states from P(c) by inverse CDF out of a
+    caller-owned stream (``SplitMix64(seed)`` for a fresh one), from a built
+    vector; ``sample_states`` draws from the same law without one.
     """
     p = dist.probabilities
     if np.any(p < 0.0):

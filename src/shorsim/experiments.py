@@ -1,6 +1,6 @@
 """Quantitative experiments: the failure census over semiprimes, the
 idealized two-valuation failure model, empirical peak-capture rates,
-neighbor-state probes, and the bundled reference-instance data dump.
+neighbor-state probes, and the bundled reference instance.
 
 The census classifies every base of every odd distinct-prime semiprime in
 range as odd-order, trivial-square-root, or good, without visiting a
@@ -18,7 +18,7 @@ the same positive power of two).  The literal per-base sweep, with orders
 read from primitive-root tables, is the test suite's differential oracle.
 
 The census is computed as columns: ``_census_chunks`` runs the closed form
-on a block of int64 arrays of (p, q) at a time, ``census_rows`` makes rows
+on a block of int64 arrays of (p, q) at a time, ``census_sweep`` makes rows
 from those columns, and ``failure_census`` runs the same formula on
 one-element arrays of Python ints.  At nmax = 10**7 (1 555 366
 semiprimes, 2-CPU host) the CSV of ``shorsim census``, rendered from the
@@ -41,14 +41,10 @@ import numpy as np
 
 from .distribution import (
     OrderInfo,
-    OutputDistribution,
-    PeakModel,
     ProblemInstance,
     guard_register,
     peak_columns,
-    peaks,
     two_term_at,
-    two_term_distribution,
     two_term_prefix_sums,
 )
 from .errors import DomainError, ResourceError
@@ -261,15 +257,10 @@ def _census_chunks(nmax: int = 10_000) -> Iterator[FailureCensus]:
             for start in range(0, len(p), _BLOCK))
 
 
-def census_rows(nmax: int = 10_000) -> Iterator[FailureCensus]:
-    """failure_census over every odd distinct-prime semiprime below nmax,
-    one row at a time, in order of n.  The cap is checked on the call."""
-    return (row for columns in _census_chunks(nmax) for row in _census_tuples(columns))
-
-
 def census_sweep(nmax: int = 10_000) -> list[FailureCensus]:
-    """census_rows as a list."""
-    return list(census_rows(nmax))
+    """failure_census over every odd distinct-prime semiprime below nmax,
+    in order of n; the cap is checked before any is enumerated."""
+    return [row for columns in _census_chunks(nmax) for row in _census_tuples(columns)]
 
 
 def census_aggregate(rows: Iterable[FailureCensus]) -> CensusAggregate:
@@ -437,21 +428,22 @@ def neighbor_state_check(n: int, x: int, q_A: int | None) -> NeighborReport:
     probes = []
     changed = 0
     changed_guaranteed = 0
-    for peak in peaks(inst, info):
-        if peak.nu == 0 or math.gcd(peak.nu, info.r) != 1:
+    nus, _sigma, cells, deltas = (column.tolist() for column in peak_columns(inst, info, 0, info.r))
+    for nu, c_nu, delta_nu in zip(nus, cells, deltas):
+        if nu == 0 or math.gcd(nu, info.r) != 1:
             continue
         results = {}
         for d in (-1, 0, 1, 2):
-            results[d] = _result_key(recover_order((peak.c_nu + d) % inst.N, inst))
+            results[d] = _result_key(recover_order((c_nu + d) % inst.N, inst))
         guaranteed = tuple(
             d for d in (-1, 0, 1, 2)
-            if abs(d - peak.delta_nu) / inst.N < info.delta_min
+            if abs(d - delta_nu) / inst.N < info.delta_min
         )
         differ = tuple(d for d in (-1, 2) if results[d] != results[0])
         changed += len(differ)
         changed_guaranteed += sum(1 for d in differ if d in guaranteed)
         probes.append(NeighborProbe(
-            nu=peak.nu, c_nu=peak.c_nu, delta_nu=peak.delta_nu,
+            nu=nu, c_nu=c_nu, delta_nu=delta_nu,
             results=tuple(sorted(results.items())),
             guaranteed_ds=guaranteed,
             neighbors_differ=differ,
@@ -469,9 +461,3 @@ def figure1_instance() -> tuple[ProblemInstance, OrderInfo]:
     inst = ProblemInstance.create(21, 10, q_A=8)
     return inst, OrderInfo.from_instance(inst)
 
-
-def figure1_data() -> tuple[ProblemInstance, OutputDistribution, list[PeakModel]]:
-    """The bundled reference instance: its exact distribution and peak
-    annotations."""
-    inst, info = figure1_instance()
-    return inst, two_term_distribution(inst, info), peaks(inst, info)

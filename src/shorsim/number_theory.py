@@ -179,19 +179,15 @@ def continued_fraction(f: Fraction) -> ContinuedFractionExpansion:
         raise DomainError("continued_fraction expects a non-negative rational")
     p, q = f.numerator, f.denominator
     quotients: list[int] = []
+    convergents: list[Fraction] = []
+    num_prev, num = 0, 1  # p_{-2}, p_{-1}
+    den_prev, den = 1, 0  # q_{-2}, q_{-1}
     while q:
         a = p // q
-        quotients.append(a)
         p, q = q, p - a * q
-    if not quotients:  # f == 0: Euclid gives a single zero quotient
-        quotients = [0]
-    convergents: list[Fraction] = []
-    num_prev, num = 1, quotients[0]
-    den_prev, den = 0, 1
-    convergents.append(Fraction(num, den))
-    for a in quotients[1:]:
         num_prev, num = num, a * num + num_prev
         den_prev, den = den, a * den + den_prev
+        quotients.append(a)
         convergents.append(Fraction(num, den))
     return ContinuedFractionExpansion(tuple(quotients), tuple(convergents))
 

@@ -24,7 +24,6 @@ from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, sample_st
 from .errors import ContractError, DomainError, ResourceError
 from .number_theory import (
     _bounded_convergent,
-    gcd,
     mod_pow,
     semiprime_factors,
     semiprime_lambda,
@@ -176,11 +175,19 @@ def extract_factors(n: int, x: int, r: int) -> tuple[Classification, tuple[int, 
         return Classification.TRIVIAL_SQUARE_ROOT, None
     if y == 1:
         raise ContractError(f"r={r} is not the exact order of x={x} mod n={n}")
-    for g in (gcd(y - 1, n), gcd(y + 1, n)):
+    g = _split(n, y)
+    if g is None:
+        raise ContractError(f"no nontrivial factor from x**(r/2) +- 1 (n={n} not a semiprime?)")
+    p, q = sorted((g, n // g))
+    return Classification.SUCCESS, (p, q)
+
+
+def _split(n: int, y: int) -> int | None:
+    """The first nontrivial factor of n in gcd(y-1, n), gcd(y+1, n), or None."""
+    for g in (math.gcd(y - 1, n), math.gcd(y + 1, n)):
         if 1 < g < n:
-            p, q = sorted((g, n // g))
-            return Classification.SUCCESS, (p, q)
-    raise ContractError(f"no nontrivial factor from x**(r/2) +- 1 (n={n} not a semiprime?)")
+            return g
+    return None
 
 
 def _opportunistic_factor(n: int, x: int, r_candidate: int) -> int | None:
@@ -188,11 +195,7 @@ def _opportunistic_factor(n: int, x: int, r_candidate: int) -> int | None:
     try the usual gcd pair as if the candidate were the order."""
     if r_candidate % 2 == 1:
         return None
-    y = mod_pow(x, r_candidate // 2, n)
-    for g in (math.gcd(y - 1, n), math.gcd(y + 1, n)):
-        if 1 < g < n:
-            return g
-    return None
+    return _split(n, mod_pow(x, r_candidate // 2, n))
 
 
 def _resolve(n: int, x: int, rec: RecoveryResult,

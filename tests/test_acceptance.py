@@ -19,7 +19,7 @@ from shorsim.distribution import (
     per_k_distribution,
     two_term_distribution,
 )
-from shorsim.experiments import census_aggregate, census_sweep, figure1_data, valuation_model_mc
+from shorsim.experiments import census_aggregate, census_sweep, figure1_instance, valuation_model_mc
 from shorsim.number_theory import multiplicative_order
 from shorsim.pipeline import Classification, recover_order, run_with_retries
 
@@ -49,7 +49,8 @@ def test_criterion_1_closed_forms_match_oracle():
 
 def test_criterion_2_reference_figure_reproduction():
     started = time.perf_counter()
-    inst, dist, peak_models = figure1_data()
+    inst, info = figure1_instance()
+    dist, peak_models = two_term_distribution(inst, info), peaks(inst, info)
     assert inst.N == 256 and len(dist.probabilities) == 256
     assert abs(dist.total - 1.0) < 1e-9
     top6 = set(np.argsort(dist.probabilities)[-6:].tolist())

@@ -25,13 +25,14 @@ from shorsim.distribution import (
     peak_deviation_prob,
     peaks,
     per_k_distribution,
-    sample,
+    sample_from,
     two_term_at,
     two_term_distribution,
     two_term_prefix_sums,
 )
 from shorsim.errors import DomainError, ResourceError
 from shorsim.number_theory import multiplicative_order
+from shorsim.rng import SplitMix64
 
 
 def coprime_bases(n):
@@ -65,6 +66,12 @@ class TestProblemInstance:
             ProblemInstance.create(21, 21)
         with pytest.raises(DomainError):
             ProblemInstance.create(21, 7)  # shared factor
+
+    @pytest.mark.parametrize("n, x", [(2, 1), (2, 5), (0, 1), (-5, 3)])
+    def test_small_modulus_rejected(self, n, x):
+        # q_A and q_B default from n first; the instance's own check decides
+        with pytest.raises(DomainError, match=f"^modulus n must be >= 3, got {n}$"):
+            ProblemInstance.create(n, x)
 
 
 class TestOrderInfo:
@@ -449,19 +456,19 @@ class TestSampling:
         p = np.zeros(16)
         p[11] = 1.0
         dist = OutputDistribution(p, "manual")
-        assert sample(dist, seed=4, count=50) == [11] * 50
+        assert sample_from(dist, SplitMix64(4), 50) == [11] * 50
 
     def test_same_seed_same_draws(self):
         inst, info = build(21, 10, 8)
         dist = two_term_distribution(inst, info)
-        assert sample(dist, seed=42, count=500) == sample(dist, seed=42, count=500)
-        assert sample(dist, seed=42, count=500) != sample(dist, seed=43, count=500)
+        assert sample_from(dist, SplitMix64(42), 500) == sample_from(dist, SplitMix64(42), 500)
+        assert sample_from(dist, SplitMix64(42), 500) != sample_from(dist, SplitMix64(43), 500)
 
     def test_empirical_frequencies_within_binomial_bounds(self):
         inst, info = build(21, 10, 8)
         dist = two_term_distribution(inst, info)
         m = 100_000
-        draws = np.bincount(sample(dist, seed=7, count=m), minlength=inst.N)
+        draws = np.bincount(sample_from(dist, SplitMix64(7), m), minlength=inst.N)
         p = dist.probabilities
         for c in range(inst.N):
             if p[c] < 1e-4:
@@ -472,13 +479,13 @@ class TestSampling:
     def test_unnormalized_rejected(self):
         dist = OutputDistribution(np.full(8, 0.2), "manual")
         with pytest.raises(DomainError):
-            sample(dist, seed=0, count=1)
+            sample_from(dist, SplitMix64(0), 1)
 
     def test_negative_entries_rejected(self):
         p = np.full(4, 0.5)
         p[0] = -0.5
         with pytest.raises(DomainError):
-            sample(OutputDistribution(p, "manual"), seed=0, count=1)
+            sample_from(OutputDistribution(p, "manual"), SplitMix64(0), 1)
 
 
 class TestOrderOracleConsistency:

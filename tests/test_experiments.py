@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shorsim import distribution, experiments
-from shorsim.distribution import OrderInfo, ProblemInstance, peaks, sample, two_term_distribution
+from shorsim.distribution import OrderInfo, ProblemInstance, peaks, sample_from, two_term_distribution
 from shorsim.errors import DomainError, ResourceError
 from shorsim.experiments import (
     MAX_CENSUS_NMAX,
@@ -35,10 +35,9 @@ from shorsim.experiments import (
     _census_columns,
     capture_rate_empirical,
     census_aggregate,
-    census_rows,
     census_sweep,
     failure_census,
-    figure1_data,
+    figure1_instance,
     neighbor_state_check,
     semiprimes_below,
     valuation_model_mc,
@@ -184,7 +183,7 @@ def inverse_cdf_capture(n, x, q_A, samples, seed):
     info = OrderInfo.from_instance(inst)
     p = two_term_distribution(inst, info).probabilities
     exact = float(sum(p[pk.c_nu] + p[pk.c_nu + 1] for pk in peaks(inst, info)))
-    cs = np.asarray(sample(two_term_distribution(inst, info), seed, samples), dtype=np.int64)
+    cs = np.asarray(sample_from(two_term_distribution(inst, info), SplitMix64(seed), samples), dtype=np.int64)
     nu_near = np.rint(cs * info.r / inst.N).astype(np.int64)
     d = cs - (nu_near * inst.N) // info.r
     return exact, int(((d == 0) | (d == 1)).sum()) / samples
@@ -214,7 +213,7 @@ class TestSemiprimeEnumeration:
             if n % 2 and p and p * p != n and _is_odd_prime(n // p) and n // p != p:
                 scan.append((n, p, n // p))
         assert semiprimes_below(limit) == scan
-        assert [(r.n, r.p1, r.p2) for r in census_rows(limit)] == scan
+        assert [(r.n, r.p1, r.p2) for r in census_sweep(limit)] == scan
 
 
 class TestOrderTables:
@@ -333,7 +332,7 @@ class TestFailureCensus:
     ])
     def test_aggregate_of_a_stream_is_pinned(self, nmax, pinned):
         # reprs taken when the aggregate summed a held list of rows
-        assert repr(census_aggregate(census_rows(nmax))) == pinned
+        assert repr(census_aggregate(iter(census_sweep(nmax)))) == pinned
         assert repr(census_aggregate(census_sweep(nmax))) == pinned
 
     def test_aggregate_matches_its_definition_in_any_order(self):
@@ -352,17 +351,12 @@ class TestFailureCensus:
         assert two.max_bad_fraction == 5 / 11  # the first row's
         assert two.mean_bad_fraction == (5 / 11 + 1 / 7) / 2
 
-    def test_rows_stream_in_order(self):
-        rows = census_rows(5000)
-        assert iter(rows) is rows  # a generator, not a list
-        assert list(rows) == census_sweep(5000)
-
     def test_rows_check_the_cap_on_the_call(self, monkeypatch):
         def refuse(_limit):
             raise AssertionError("semiprimes were enumerated before the cap was checked")
 
         monkeypatch.setattr(experiments, "_semiprime_factors_below", refuse)
-        for route in (census_rows, _census_chunks):
+        for route in (census_sweep, _census_chunks):
             with pytest.raises(ResourceError):
                 route(MAX_CENSUS_NMAX + 1)
 
@@ -418,14 +412,14 @@ class TestCensusColumns:
     def test_blocks_do_not_change_the_rows(self, monkeypatch, size):
         expected = [repr(row) for row in census_sweep(10_000)]
         monkeypatch.setattr(experiments, "_BLOCK", size)
-        assert [repr(row) for row in census_rows(10_000)] == expected
+        assert [repr(row) for row in census_sweep(10_000)] == expected
         assert max(len(chunk.n) for chunk in _census_chunks(10_000)) == size
 
     @pytest.mark.parametrize("size", [1, 7, 1931, 1 << 16])
     def test_column_aggregate_equals_the_row_aggregate(self, monkeypatch, size):
         monkeypatch.setattr(experiments, "_BLOCK", size)
         for nmax in (16, 100, 3000, 10_000, 30_000):
-            expected = repr(census_aggregate(census_rows(nmax)))
+            expected = repr(census_aggregate(census_sweep(nmax)))
             assert repr(_census_chunks_aggregate(_census_chunks(nmax))) == expected, nmax
         with pytest.raises(DomainError):
             _census_chunks_aggregate(_census_chunks(15))
@@ -650,7 +644,7 @@ class TestNeighborCheck:
         def refuse(*_args):
             raise AssertionError("a peak was built before the guard")
 
-        monkeypatch.setattr(experiments, "peaks", refuse)
+        monkeypatch.setattr(experiments, "peak_columns", refuse)
         with pytest.raises(ResourceError):
             neighbor_state_check(2119933513, 3, None)  # r = 529 960 357
         monkeypatch.undo()
@@ -663,14 +657,16 @@ class TestNeighborCheck:
 
 class TestFigureData:
     def test_reference_instance_shape(self):
-        inst, dist, pk = figure1_data()
+        inst, info = figure1_instance()
+        dist, pk = two_term_distribution(inst, info), peaks(inst, info)
         assert (inst.n, inst.x, inst.q_A, inst.N) == (21, 10, 8, 256)
         assert len(dist.probabilities) == 256
         assert len(pk) == 6
         assert abs(dist.total - 1.0) < 1e-9
 
     def test_heaviest_states_are_annotated_peak_cells(self):
-        _inst, dist, pk = figure1_data()
+        inst, info = figure1_instance()
+        dist, pk = two_term_distribution(inst, info), peaks(inst, info)
         top6 = set(np.argsort(dist.probabilities)[-6:].tolist())
         # the heavier of floor/ceiling per peak: ceiling iff delta > 1/2
         expected = {p.c_nu + (1 if p.delta_nu > 0.5 else 0) for p in pk}

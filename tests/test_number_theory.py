@@ -184,6 +184,7 @@ class TestContinuedFraction:
         )
 
     def test_integer_input_single_quotient(self):
+        # k = 0 included: Euclid's loop yields the single quotient 0 itself
         for k in (0, 1, 17):
             exp = continued_fraction(Fraction(k))
             assert exp.partial_quotients == (k,)
