@@ -23,8 +23,6 @@ import itertools
 import json
 import sys
 
-import numpy as np
-
 from .distribution import (
     METHOD_ORACLE,
     METHOD_PER_K,
@@ -146,6 +144,8 @@ def _json_chunks(obj: dict, arrays: dict):
 def _distribution_csv(count: int, values):
     """The `c,P(c)` table of the cells 0..count-1 as text chunks, where
     `values(start, stop)` gives P over cells start..stop-1 as an array."""
+    import numpy as np
+
     return _csv_chunks("c,P(c)", "%d,%.15e\n", ((np.arange(start, stop), values(start, stop))
                                                  for start, stop in _ranges(count)))
 
@@ -165,6 +165,8 @@ def _probabilities_json(count: int, values):
 
 def _two_term_values(inst, info):
     """P over cells start..stop-1 of the two-term form, evaluated on demand."""
+    import numpy as np
+
     return lambda start, stop: two_term_at(inst, info, np.arange(start, stop, dtype=np.int64))
 
 

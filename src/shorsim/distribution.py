@@ -39,13 +39,17 @@ preimages c = (r'^-1 * t mod N') + j*N'.  Every integer choice is an
 unbiased bounded draw (Lemire's multiply-and-reject), so the law is the
 two-term distribution itself (up to the double rounding of the acceptance
 test), at any register width.
+
+The array routes load numpy when they run; ``sample_states`` and the
+scalar helpers are pure Python, so a caller that only samples states and
+recovers orders never imports it.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, ResourceError
 from .number_theory import carmichael_lambda, multiplicative_order, order_from_multiple
@@ -233,6 +237,8 @@ def oracle_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistrib
     r = multiplicative_order(inst.x, inst.n)
     if r != info.r:
         raise DomainError(f"info.r={info.r} is not the order {r} of {inst.x} mod {inst.n}")
+    import numpy as np
+
     N = inst.N
     c = np.arange(N, dtype=np.int64)
     total = np.zeros(N, dtype=np.float64)
@@ -251,6 +257,8 @@ def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray,
                   singular: np.ndarray, den_safe: np.ndarray) -> np.ndarray:
     """sin^2(pi*size*r*c/N) / sin^2(pi*r*c/N) with the exact limit size^2
     substituted wherever r*c = 0 (mod N)."""
+    import numpy as np
+
     twoN = 2 * N
     t = (size * r % twoN) * c & (twoN - 1)  # mod 2N, a power of two
     num = np.sin((np.pi / N) * t) ** 2
@@ -258,6 +266,8 @@ def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray,
 
 
 def _denominator_parts(N: int, r: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     twoN = 2 * N
     s = (r % twoN) * c & (twoN - 1)
     singular = (s & (N - 1)) == 0
@@ -270,6 +280,8 @@ def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribu
     class, filled block by block; each cell adds its classes in order k."""
     guard_register(inst)
     guard_classes(inst, info.r, "the per-class closed form")
+    import numpy as np
+
     N, r = inst.N, info.r
     out = np.empty(N)
     for c in _cell_blocks(N):
@@ -291,6 +303,8 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     q_A <= 31.
     """
     guard_register(inst, 31, "int64 angle reduction")
+    import numpy as np
+
     N, r = inst.N, info.r
     c = np.asarray(c, dtype=np.int64)
     singular, den_safe = _denominator_parts(N, r, c)
@@ -304,6 +318,8 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
 
 def _cell_blocks(N: int):
     """The register's cells as consecutive int64 index blocks."""
+    import numpy as np
+
     for start in range(0, N, _BLOCK_CELLS):
         yield np.arange(start, min(start + _BLOCK_CELLS, N), dtype=np.int64)
 
@@ -314,6 +330,8 @@ def two_term_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistr
     within accumulation noise (< 1e-12 per entry).
     """
     guard_register(inst)
+    import numpy as np
+
     out = np.empty(inst.N)
     for cells in _cell_blocks(inst.N):
         out[cells[0]:cells[-1] + 1] = two_term_at(inst, info, cells)
@@ -329,6 +347,8 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
     bits of ``np.cumsum`` over the whole vector.
     """
     guard_register(inst)
+    import numpy as np
+
     cells = np.asarray(cells, dtype=np.int64)
     sums = np.empty(len(cells))
     carry = 0.0
@@ -380,6 +400,8 @@ def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) 
     nu*N fits int64 (float64 holds r and nu*N mod r < r < 2^31 exactly, so
     the quotient rounds as Python's int / int does), else object arrays of
     Python ints and floats."""
+    import numpy as np
+
     nu = np.arange(start, stop, dtype=np.int64)
     if (stop - 1) * inst.N >= 1 << 63:
         nu = nu.astype(object)
@@ -434,6 +456,8 @@ def sample_from(dist: OutputDistribution, rng: SplitMix64, count: int) -> list[i
     caller-owned stream (``SplitMix64(seed)`` for a fresh one), from a built
     vector; ``sample_states`` draws from the same law without one.
     """
+    import numpy as np
+
     p = dist.probabilities
     if np.any(p < 0.0):
         raise DomainError("distribution has negative entries")

@@ -12,10 +12,12 @@ Java's SplittableRandom; Steele, Lea & Flood 2014) and is fixed forever:
     output  <- z XOR (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits: (output >> 11) * 2^-53.
-Scalar and block outputs draw from one and the same stream.
+Scalar and block outputs draw from one and the same stream.  The scalar
+methods are pure Python; the block methods load numpy on first use, so a
+caller that draws only scalars never imports it.
 """
 
-import numpy as np
+from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -64,6 +66,8 @@ class SplitMix64:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
+        import numpy as np
+
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._state)  # wraps mod 2^64 by unsigned arithmetic
@@ -77,4 +81,6 @@ class SplitMix64:
 
     def random_block(self, count: int) -> np.ndarray:
         """The next `count` uniform doubles in [0, 1)."""
+        import numpy as np
+
         return (self.uint64_block(count) >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -541,6 +542,36 @@ class TestStreamedOutput:
         code, _, err = run_cli(capsys, "dist", *flags, "--format", fmt, "--out", str(target))
         assert code == expected and err.count("\n") == 1
         assert not target.exists()
+
+    def test_run_and_guarantee_never_load_numpy(self):
+        # in a fresh interpreter: this module's own import of numpy would
+        # hide a module-level one in the package
+        child = textwrap.dedent("""
+            import contextlib, hashlib, io, json, sys
+            import shorsim, shorsim.cli
+
+            def digest(command):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert shorsim.cli.main(command.split()) == 0
+                return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+            report = {command: digest(command) for command in sys.argv[1:3]}
+            shorsim.run_with_retries(1007, 5, seed=7)
+            report["numpy"] = "numpy" in sys.modules
+            report.update((command, digest(command)) for command in sys.argv[3:])
+            report["numpy after"] = "numpy" in sys.modules
+            print(json.dumps(report))
+        """)
+        commands = ["run --n 21 --x 10 --qa 9 --seed 3", "guarantee --n 21 --x 10 --qa 9",
+                    "dist --n 21 --x 10 --qa 8", "census --nmax 10000 --format json"]
+        src = os.path.dirname(os.path.dirname(shorsim.__file__))
+        done = subprocess.run([sys.executable, "-c", child, *commands], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        report = json.loads(done.stdout)
+        assert report.pop("numpy") is False
+        assert report.pop("numpy after") is True
+        assert report == {command: PINNED_OUTPUT[command] for command in commands}
 
     @pytest.mark.parametrize("argv", [
         ("dist", "--n", "1007", "--x", "5", "--qa", "16"),

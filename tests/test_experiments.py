@@ -14,6 +14,7 @@ for the valuation model, and inverse-CDF draws from the built vector for
 the capture rate.
 """
 
+import gc
 import hashlib
 import itertools
 import math
@@ -359,6 +360,35 @@ class TestFailureCensus:
         for route in (census_sweep, _census_chunks):
             with pytest.raises(ResourceError):
                 route(MAX_CENSUS_NMAX + 1)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_sweep_pauses_the_collector_and_restores_it(self, monkeypatch, enabled):
+        expected = [repr(row) for row in census_sweep(10_000)]
+        tuples, states = experiments._census_tuples, []
+
+        def watched(columns):
+            states.append(gc.isenabled())
+            return tuples(columns)
+
+        def failing(columns):
+            raise OverflowError("row build failed")
+
+        found = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            monkeypatch.setattr(experiments, "_census_tuples", watched)
+            assert [repr(row) for row in census_sweep(10_000)] == expected
+            assert states and not any(states)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ResourceError):
+                census_sweep(MAX_CENSUS_NMAX + 1)
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(experiments, "_census_tuples", failing)
+            with pytest.raises(OverflowError):
+                census_sweep(10_000)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if found else gc.disable)()
 
     def test_aggregate_of_no_rows_is_a_domain_error(self):
         with pytest.raises(DomainError):
