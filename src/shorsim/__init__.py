@@ -85,4 +85,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

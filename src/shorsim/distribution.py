@@ -48,8 +48,9 @@ recovers orders never imports it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
 from .number_theory import carmichael_lambda, multiplicative_order, order_from_multiple
@@ -92,7 +93,8 @@ _CLASS_CELLS = 1 << 8
 #: memory does not grow with r and its time does, about 1 us a peak
 #: (2-CPU host, r = 988 288: 0.5 s and 35 MB as CSV, 1.0 s and 44 MB as
 #: JSON, whose text is 2.3 times longer): about 1 s at the cap.  ``peaks``
-#: itself holds a PeakModel per peak, about 3 s and 0.3 GB at the cap.
+#: itself holds a PeakModel per peak: 1.5 s and 240 MB peak RSS at
+#: r = 988 288, just below the cap.
 MAX_PEAKS_ORDER = 1 << 20
 
 METHOD_ORACLE = "oracle_sum"
@@ -100,31 +102,52 @@ METHOD_PER_K = "per_k_closed_form"
 METHOD_TWO_TERM = "two_term_form"
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """One simulated machine: modulus n, base x, and register sizes.
-
-    N is always exactly 2^q_A.  Build via :meth:`create`, which applies
-    the default register sizes q_A = ceil(2*log2 n) (so N >= n^2) and
-    q_B = ceil(log2 n) when they are not given explicitly.
-    """
-
+class _ProblemInstanceFields(NamedTuple):
     n: int
     x: int
     q_A: int
     q_B: int
-    N: int = field(init=False)
+    N: int
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise DomainError(f"modulus n must be >= 3, got {self.n}")
-        if not 1 < self.x < self.n:
-            raise DomainError(f"base must satisfy 1 < x < n, got x={self.x}, n={self.n}")
-        if math.gcd(self.x, self.n) != 1:
-            raise DomainError(f"gcd({self.x}, {self.n}) != 1; precheck the base first")
-        if self.q_A < 1 or self.q_B < 1:
+
+class ProblemInstance(_ProblemInstanceFields):
+    """One simulated machine: modulus n, base x, and register sizes.
+
+    N is always exactly 2^q_A: the constructor takes n, x, q_A and q_B
+    only, ``_replace`` recomputes N and refuses it as an argument, and
+    ``_make`` refuses an N that is not 2^q_A.  Copies and pickles (protocol
+    2 and up) are rebuilt through the constructor.  Build via
+    :meth:`create`, which applies the default register sizes
+    q_A = ceil(2*log2 n) (so N >= n^2) and q_B = ceil(log2 n) when they
+    are not given explicitly.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, q_A: int, q_B: int):
+        if n < 3:
+            raise DomainError(f"modulus n must be >= 3, got {n}")
+        if not 1 < x < n:
+            raise DomainError(f"base must satisfy 1 < x < n, got x={x}, n={n}")
+        if math.gcd(x, n) != 1:
+            raise DomainError(f"gcd({x}, {n}) != 1; precheck the base first")
+        if q_A < 1 or q_B < 1:
             raise DomainError("register sizes must be positive")
-        object.__setattr__(self, "N", 1 << self.q_A)
+        return tuple.__new__(cls, (n, x, q_A, q_B, 1 << q_A))
+
+    def __getnewargs__(self):
+        return self[:4]
+
+    @classmethod
+    def _make(cls, fields) -> "ProblemInstance":
+        n, x, q_A, q_B, N = fields
+        inst = cls(n, x, q_A, q_B)
+        if N != inst.N:
+            raise DomainError(f"N must be 2^q_A = {inst.N}, got {N}")
+        return inst
+
+    def _replace(self, **changes) -> "ProblemInstance":
+        return type(self)(**dict(zip(("n", "x", "q_A", "q_B"), self), **changes))
 
     @classmethod
     def create(cls, n: int, x: int, q_A: int | None = None, q_B: int | None = None) -> "ProblemInstance":
@@ -140,8 +163,7 @@ class ProblemInstance:
         return (n * n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class OrderInfo:
+class OrderInfo(NamedTuple):
     """The order r of x mod n and the derived class-size split.
 
     M0 = floor((N-r)/r) is the smaller of the two per-class exponent
@@ -178,20 +200,28 @@ class OrderInfo:
         return cls(r=r, M0=(N - r) // r, k0=N % r, delta_min=delta_min)
 
 
-@dataclass(eq=False)
 class OutputDistribution:
-    """Length-N vector of state probabilities plus the method that built it."""
+    """Length-N vector of state probabilities plus the method that built it.
+    Two distributions are equal only when they are the same object."""
 
-    probabilities: np.ndarray
-    method: str
+    __slots__ = ("probabilities", "method")
+
+    def __init__(self, probabilities: np.ndarray, method: str):
+        self.probabilities = probabilities
+        self.method = method
+
+    def __repr__(self) -> str:
+        return f"OutputDistribution(probabilities={self.probabilities!r}, method={self.method!r})"
+
+    def __reduce__(self):
+        return type(self), (self.probabilities, self.method)
 
     @property
     def total(self) -> float:
         return float(self.probabilities.sum())
 
 
-@dataclass(frozen=True)
-class PeakModel:
+class PeakModel(NamedTuple):
     """One peak of the distribution: real center nu*N/r split into integer
     cell c_nu and fractional displacement delta_nu in [0, 1)."""
 
@@ -416,7 +446,8 @@ def peaks(inst: ProblemInstance, info: OrderInfo) -> list[PeakModel]:
     Capped at r <= MAX_PEAKS_ORDER, checked before any is built."""
     guard_peaks(info)
     columns = (column.tolist() for column in peak_columns(inst, info, 0, info.r))
-    return [PeakModel(*fields) for fields in zip(*columns)]
+    # tuple.__new__ makes each PeakModel with no Python call a peak
+    return list(map(tuple.__new__, repeat(PeakModel), zip(*columns)))
 
 
 def peak_deviation_prob(d: int, delta_nu: float) -> float:

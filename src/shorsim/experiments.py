@@ -37,7 +37,6 @@ from __future__ import annotations
 import gc
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -93,8 +92,7 @@ class FailureCensus(NamedTuple):
     fraction_bad: float
 
 
-@dataclass(frozen=True)
-class CensusAggregate:
+class CensusAggregate(NamedTuple):
     """Sweep-level summary; aggregate fractions are base-weighted."""
 
     count: int
@@ -107,8 +105,7 @@ class CensusAggregate:
     bound_ok: bool  # every per-n bad fraction <= 1/2
 
 
-@dataclass(frozen=True)
-class ValuationModelResult:
+class ValuationModelResult(NamedTuple):
     """Monte Carlo estimate of the idealized failure model.
 
     Two 2-adic valuations are drawn independently with P(k=0) = 1/2 and
@@ -126,8 +123,7 @@ class ValuationModelResult:
     p_fail: float
 
 
-@dataclass(frozen=True)
-class CaptureReport:
+class CaptureReport(NamedTuple):
     """Fraction of measured states landing on a peak's floor/ceiling cell."""
 
     n: int
@@ -138,8 +134,7 @@ class CaptureReport:
     sampled_fraction: float
 
 
-@dataclass(frozen=True)
-class NeighborProbe:
+class NeighborProbe(NamedTuple):
     """Recovery results at offsets d in {-1, 0, 1, 2} from one peak cell."""
 
     nu: int
@@ -150,8 +145,7 @@ class NeighborProbe:
     neighbors_differ: tuple[int, ...]  # d in {-1, 2} disagreeing with d = 0
 
 
-@dataclass(frozen=True)
-class NeighborReport:
+class NeighborReport(NamedTuple):
     n: int
     x: int
     q_A: int

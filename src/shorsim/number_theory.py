@@ -17,8 +17,8 @@ lists every convergent as a Fraction, is the tests' oracle for it.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, NoOrderError
 
@@ -156,8 +156,7 @@ def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None 
     return m
 
 
-@dataclass(frozen=True)
-class ContinuedFractionExpansion:
+class ContinuedFractionExpansion(NamedTuple):
     """Partial quotients of a rational number together with all convergents.
 
     The final convergent always equals the expanded fraction exactly, and

@@ -16,9 +16,9 @@ unverified one is repaired by the multiplier r/gcd(r, candidate).
 """
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, sample_states
 from .errors import ContractError, DomainError, ResourceError
@@ -49,8 +49,7 @@ class Classification(str, Enum):
     EXHAUSTED = "Exhausted"
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(NamedTuple):
     """Order recovery from one measured state c.
 
     recovered is the candidate order/peak-index ratio in lowest terms, or
@@ -64,21 +63,30 @@ class RecoveryResult:
     verified: bool
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Budget for the retry layer: multiplier trials per unverified
-    candidate, and fresh samples after that."""
-
+class _RetryPolicyFields(NamedTuple):
     max_mu: int = 64
     max_resamples: int = 4
 
-    def __post_init__(self):
-        if self.max_mu < 1 or self.max_resamples < 0:
+
+class RetryPolicy(_RetryPolicyFields):
+    """Budget for the retry layer: multiplier trials per unverified
+    candidate, and fresh samples after that.  The constructor, ``_make``,
+    ``_replace``, copies and pickles (protocol 2 and up) check the budget."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        policy = super().__new__(cls, *args, **kwargs)
+        if policy.max_mu < 1 or policy.max_resamples < 0:
             raise DomainError("policy requires max_mu >= 1 and max_resamples >= 0")
+        return policy
+
+    @classmethod
+    def _make(cls, fields) -> "RetryPolicy":
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class RetryEvent:
+class RetryEvent(NamedTuple):
     """One logged retry action: a multiplier scan outcome, an opportunistic
     factor found by treating an unverified candidate as the order, or a
     resample."""
@@ -90,8 +98,7 @@ class RetryEvent:
     factor: int | None = None
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
+class GuaranteeReport(NamedTuple):
     """Whether the register is wide enough that peak cells d in {0, 1}
     always recover the exact order.
 
@@ -114,10 +121,7 @@ class GuaranteeReport:
     holds: bool
 
 
-@dataclass
-class RunOutcome:
-    """One end-to-end attempt (plus its retry log, when retries ran)."""
-
+class _RunOutcomeFields(NamedTuple):
     n: int
     x: int
     instance: ProblemInstance | None
@@ -126,7 +130,21 @@ class RunOutcome:
     classification: Classification
     factors: tuple[int, int] | None
     r_true: int | None
-    retries: list[RetryEvent] = field(default_factory=list)
+    retries: list[RetryEvent]
+
+
+class RunOutcome(_RunOutcomeFields):
+    """One end-to-end attempt (plus its retry log, when retries ran).
+    Left out, retries is a new empty list for each outcome."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, instance: ProblemInstance | None, c: int | None,
+                recovery: RecoveryResult | None, classification: Classification,
+                factors: tuple[int, int] | None, r_true: int | None,
+                retries: list[RetryEvent] | None = None):
+        return tuple.__new__(cls, (n, x, instance, c, recovery, classification, factors, r_true,
+                                   [] if retries is None else retries))
 
 
 def precheck(n: int, x: int) -> int | None:

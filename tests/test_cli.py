@@ -544,8 +544,8 @@ class TestStreamedOutput:
         assert not target.exists()
 
     def test_run_and_guarantee_never_load_numpy(self):
-        # in a fresh interpreter: this module's own import of numpy would
-        # hide a module-level one in the package
+        # in a fresh interpreter: this module's own import of numpy, and
+        # pytest's of dataclasses, would hide a module-level one in the package
         child = textwrap.dedent("""
             import contextlib, hashlib, io, json, sys
             import shorsim, shorsim.cli
@@ -559,6 +559,7 @@ class TestStreamedOutput:
             report = {command: digest(command) for command in sys.argv[1:3]}
             shorsim.run_with_retries(1007, 5, seed=7)
             report["numpy"] = "numpy" in sys.modules
+            report["dataclasses"] = "dataclasses" in sys.modules
             report.update((command, digest(command)) for command in sys.argv[3:])
             report["numpy after"] = "numpy" in sys.modules
             print(json.dumps(report))
@@ -570,6 +571,7 @@ class TestStreamedOutput:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
         report = json.loads(done.stdout)
         assert report.pop("numpy") is False
+        assert report.pop("dataclasses") is False
         assert report.pop("numpy after") is True
         assert report == {command: PINNED_OUTPUT[command] for command in commands}
 

@@ -3,19 +3,39 @@ factor extraction, retry handling, and the recovery guarantee, with the
 exhaustive peak sweep over a fixed list of small semiprimes.
 """
 
+import copy
 import hashlib
 import math
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shorsim import distribution, experiments, number_theory, pipeline
-from shorsim.distribution import OrderInfo, ProblemInstance, peaks
+from shorsim.distribution import OrderInfo, OutputDistribution, PeakModel, ProblemInstance, peaks
 from shorsim.errors import ContractError, DomainError
-from shorsim.number_theory import mod_pow, multiplicative_order, order_from_multiple
+from shorsim.experiments import (
+    CaptureReport,
+    CensusAggregate,
+    FailureCensus,
+    NeighborProbe,
+    NeighborReport,
+    ValuationModelResult,
+)
+from shorsim.number_theory import (
+    ContinuedFractionExpansion,
+    mod_pow,
+    multiplicative_order,
+    order_from_multiple,
+)
 from shorsim.pipeline import (
     Classification,
+    GuaranteeReport,
+    RecoveryResult,
+    RetryEvent,
     RetryPolicy,
+    RunOutcome,
     extract_factors,
     order_recovery_guarantee,
     precheck,
@@ -309,6 +329,11 @@ class TestRunWithRetries:
             RetryPolicy(max_mu=0)
         with pytest.raises(DomainError):
             RetryPolicy(max_resamples=-1)
+        with pytest.raises(DomainError):
+            RetryPolicy()._replace(max_resamples=-1)
+        with pytest.raises(DomainError):
+            RetryPolicy._make((0, 4))
+        assert RetryPolicy() == (64, 4) and RetryPolicy._make((2, 0)) == RetryPolicy(2, 0)
 
     def test_first_attempt_matches_run_once(self):
         for seed in range(12):
@@ -652,3 +677,126 @@ class TestGuaranteeClosedForm:
         assert rep.r == 529960357
         assert rep.max_delta_c_d0 == (rep.r - 1) / rep.r / 256
         assert not rep.size_ok and not rep.holds
+
+
+_INSTANCE = dict(n=21, x=10, q_A=9, q_B=5)
+_RECOVERY = dict(c=85, recovered=Fraction(6, 1), r_candidate=6, verified=True)
+_PROBE = dict(nu=1, c_nu=85, delta_nu=0.3333333333333333,
+              results=((-1, None), (0, (3, 7)), (1, (3, 7)), (2, None)),
+              guaranteed_ds=(0, 1), neighbors_differ=(-1, 2))
+_PROBE_REPR = ("NeighborProbe(nu=1, c_nu=85, delta_nu=0.3333333333333333, results=((-1, None), "
+               "(0, (3, 7)), (1, (3, 7)), (2, None)), guaranteed_ds=(0, 1), neighbors_differ=(-1, 2))")
+
+#: (record, keyword fields, repr) for every public record; each repr was
+#: taken while the records were dataclasses
+RECORDS = [
+    (ProblemInstance, _INSTANCE, "ProblemInstance(n=21, x=10, q_A=9, q_B=5, N=512)"),
+    (OrderInfo, dict(r=6, M0=84, k0=2, delta_min=1 / 420),
+     "OrderInfo(r=6, M0=84, k0=2, delta_min=0.002380952380952381)"),
+    (PeakModel, dict(nu=1, sigma_nu=85.33333333333333, c_nu=85, delta_nu=0.3333333333333333),
+     "PeakModel(nu=1, sigma_nu=85.33333333333333, c_nu=85, delta_nu=0.3333333333333333)"),
+    (ContinuedFractionExpansion,
+     dict(partial_quotients=(0, 2, 3), convergents=(Fraction(0), Fraction(1, 2), Fraction(3, 7))),
+     "ContinuedFractionExpansion(partial_quotients=(0, 2, 3), "
+     "convergents=(Fraction(0, 1), Fraction(1, 2), Fraction(3, 7)))"),
+    (RecoveryResult, _RECOVERY,
+     "RecoveryResult(c=85, recovered=Fraction(6, 1), r_candidate=6, verified=True)"),
+    (RetryPolicy, dict(max_mu=8, max_resamples=0), "RetryPolicy(max_mu=8, max_resamples=0)"),
+    (RetryEvent, dict(kind="resample", c=5),
+     "RetryEvent(kind='resample', c=5, r_candidate=None, multiplier=None, factor=None)"),
+    (GuaranteeReport, dict(n=21, x=10, q_A=9, N=512, r=6, delta_min=1 / 420,
+                           max_delta_c_d0=1 / 768, max_delta_c_d1=1 / 512,
+                           margin_min=1 / 42, size_ok=True, holds=True),
+     "GuaranteeReport(n=21, x=10, q_A=9, N=512, r=6, delta_min=0.002380952380952381, "
+     "max_delta_c_d0=0.0013020833333333333, max_delta_c_d1=0.001953125, "
+     "margin_min=0.023809523809523808, size_ok=True, holds=True)"),
+    (RunOutcome, dict(n=21, x=10, instance=ProblemInstance(**_INSTANCE), c=85,
+                      recovery=RecoveryResult(**_RECOVERY), classification=Classification.SUCCESS,
+                      factors=(3, 7), r_true=6,
+                      retries=[RetryEvent(kind="multiplier_found", c=43, r_candidate=3, multiplier=2)]),
+     "RunOutcome(n=21, x=10, instance=ProblemInstance(n=21, x=10, q_A=9, q_B=5, N=512), c=85, "
+     "recovery=RecoveryResult(c=85, recovered=Fraction(6, 1), r_candidate=6, verified=True), "
+     "classification=<Classification.SUCCESS: 'Success'>, factors=(3, 7), r_true=6, "
+     "retries=[RetryEvent(kind='multiplier_found', c=43, r_candidate=3, multiplier=2, factor=None)])"),
+    (CensusAggregate, dict(count=2, total_x=19, total_odd=3, total_trivial=4,
+                           aggregate_bad_fraction=7 / 19, mean_bad_fraction=0.375,
+                           max_bad_fraction=0.45454545454545453, bound_ok=True),
+     "CensusAggregate(count=2, total_x=19, total_odd=3, total_trivial=4, "
+     "aggregate_bad_fraction=0.3684210526315789, mean_bad_fraction=0.375, "
+     "max_bad_fraction=0.45454545454545453, bound_ok=True)"),
+    (ValuationModelResult, dict(trials=1000, matched_valuations=80, both_odd=250,
+                                estimate=0.08, p_a=0.25, p_b=0.08, p_fail=0.33),
+     "ValuationModelResult(trials=1000, matched_valuations=80, both_odd=250, "
+     "estimate=0.08, p_a=0.25, p_b=0.08, p_fail=0.33)"),
+    (CaptureReport, dict(n=21, x=10, q_A=9, samples=1000, exact_value=0.8105694691387022,
+                         sampled_fraction=0.811),
+     "CaptureReport(n=21, x=10, q_A=9, samples=1000, exact_value=0.8105694691387022, "
+     "sampled_fraction=0.811)"),
+    (NeighborProbe, _PROBE, _PROBE_REPR),
+    (NeighborReport, dict(n=21, x=10, q_A=9, r=6, probes=[NeighborProbe(**_PROBE)],
+                          changed_neighbors=2, changed_within_guarantee=0),
+     f"NeighborReport(n=21, x=10, q_A=9, r=6, probes=[{_PROBE_REPR}], changed_neighbors=2, "
+     "changed_within_guarantee=0)"),
+    (FailureCensus, dict(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, good=6,
+                         common_factor_skipped=8, fraction_odd=2 / 11,
+                         fraction_trivial_sqrt=3 / 11, fraction_bad=5 / 11),
+     "FailureCensus(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, good=6, "
+     "common_factor_skipped=8, fraction_odd=0.18181818181818182, "
+     "fraction_trivial_sqrt=0.2727272727272727, fraction_bad=0.45454545454545453)"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, fields, pinned", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+    def test_semantics(self, record, fields, pinned):
+        value = record(**fields)
+        assert {name: getattr(value, name) for name in fields} == fields
+        assert repr(value) == pinned
+        assert isinstance(value, tuple) and value == tuple(value)
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.note = "extra"
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*copies, copy.deepcopy(value)):
+            assert type(copied) is record and copied == value and repr(copied) == pinned
+
+    def test_instance_keeps_N_on_every_route(self):
+        inst = ProblemInstance.create(21, 10)
+        wider = inst._replace(q_A=10)
+        assert (wider.q_A, wider.N) == (10, 1024)
+        remade = ProblemInstance._make(tuple(inst))
+        assert type(remade) is ProblemInstance and remade == inst
+        with pytest.raises(DomainError, match="N must be 2\\^q_A = 1024, got 512"):
+            ProblemInstance._make((21, 10, 10, 5, 512))
+        with pytest.raises(TypeError):
+            inst._replace(N=1024)
+        with pytest.raises(TypeError):
+            ProblemInstance(21, 10, 9, 5, 512)
+        with pytest.raises(DomainError):
+            inst._replace(x=7)
+        with pytest.raises(DomainError):
+            ProblemInstance._make((21, 10, 0, 5, 1))
+
+    def test_outcomes_get_their_own_retry_log(self):
+        fields = dict(n=21, x=3, instance=None, c=None, recovery=None,
+                      classification=Classification.COMMON_FACTOR_SHORTCUT, factors=(3, 7),
+                      r_true=None)
+        first, second = RunOutcome(**fields), RunOutcome(**fields)
+        assert first.retries == [] and first.retries is not second.retries
+        first.retries.append(RetryEvent(kind="resample", c=1))
+        assert second.retries == [] and RunOutcome(**fields).retries == []
+
+    def test_distribution_compares_by_identity(self):
+        dist = OutputDistribution(np.array([0.25, 0.75]), "manual")
+        assert repr(dist) == "OutputDistribution(probabilities=array([0.25, 0.75]), method='manual')"
+        assert dist == dist and dist != OutputDistribution(dist.probabilities, "manual")
+        with pytest.raises(AttributeError):
+            dist.note = "extra"
+        copies = [pickle.loads(pickle.dumps(dist, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*copies, copy.deepcopy(dist)):
+            assert copied != dist and copied.method == "manual"
+            assert copied.probabilities.tolist() == [0.25, 0.75]
