@@ -11,11 +11,12 @@ The tables (dist, fig1, census, peaks, and the neighbors CSV) are
 returned as a stream of text chunks that is written as it is formatted,
 so the full text is never held; other output is one string.  Each chunk
 is a set of columns that ``render.render_rows`` turns into text with
-the stdlib's exact bytes and no Python call per number.  The two-term
-tables evaluate each chunk's cells as they go, the peaks are computed
-chunk by chunk, and the census CSV and JSON aggregate take each chunk's
-columns from the closed form, so none of them holds a vector or a list
-of rows.
+the stdlib's exact bytes and no Python call per number, one block of the
+package's one block size (``distribution._blocks``) a chunk.  The
+two-term tables evaluate each block of cells as they go, the peaks are
+computed block by block, and the census CSV and JSON aggregate take each
+block's columns from the closed form, so none of them holds a vector or
+a list of rows.
 """
 
 import argparse
@@ -29,6 +30,8 @@ from .distribution import (
     METHOD_TWO_TERM,
     OrderInfo,
     ProblemInstance,
+    _blocks,
+    _cell_blocks,
     guard_peaks,
     guard_register,
     oracle_distribution,
@@ -59,10 +62,6 @@ EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
 
-#: Rows per chunk of a streamed table: about 0.5 MB of text, and the
-#: renderer's arrays, a few hundred bytes a row at their peak (``%r``).
-_CHUNK_ROWS = 1 << 14
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the documented usage exit code."""
@@ -91,12 +90,6 @@ def _kv_csv(obj: dict) -> str:
 
 def _render(args, obj: dict) -> str:
     return _json(obj) if args.format == "json" else _kv_csv(obj)
-
-
-def _ranges(count: int):
-    """(start, stop) of each chunk of `count` rows."""
-    for start in range(0, count, _CHUNK_ROWS):
-        yield start, min(start + _CHUNK_ROWS, count)
 
 
 def _render_rows(row_format: str, columns) -> str:
@@ -141,33 +134,26 @@ def _json_chunks(obj: dict, arrays: dict):
     yield text
 
 
-def _distribution_csv(count: int, values):
-    """The `c,P(c)` table of the cells 0..count-1 as text chunks, where
-    `values(start, stop)` gives P over cells start..stop-1 as an array."""
-    import numpy as np
+def _distribution_csv(N: int, values):
+    """The `c,P(c)` table of the register's N cells as text chunks, where
+    `values(cells)` gives P at a block of ``_cell_blocks`` as an array.
 
-    return _csv_chunks("c,P(c)", "%d,%.15e\n", ((np.arange(start, stop), values(start, stop))
-                                                 for start, stop in _ranges(count)))
-
-
-def _column_chunks(rows):
-    """Rows, each a tuple of fields, regrouped as columns, _CHUNK_ROWS rows
-    a chunk."""
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        yield tuple(zip(*chunk))
+    The chunks come from ``map``, which holds no block of its own while a
+    chunk renders; a generator expression holds its last block, and
+    raised the peak RSS of ``dist`` by 0.1-0.5 MB."""
+    return _csv_chunks("c,P(c)", "%d,%.15e\n",
+                       map(lambda cells: (cells, values(cells)), _cell_blocks(N)))
 
 
-def _probabilities_json(count: int, values):
-    """The `_json_chunks` entry of the float array P(0..count-1)."""
-    return "%r", ((values(start, stop),) for start, stop in _ranges(count))
+def _probabilities_json(N: int, values):
+    """The `_json_chunks` entry of the float array P(0..N-1), chunked by
+    ``map`` as in ``_distribution_csv``."""
+    return "%r", map(lambda cells: (values(cells),), _cell_blocks(N))
 
 
 def _two_term_values(inst, info):
-    """P over cells start..stop-1 of the two-term form, evaluated on demand."""
-    import numpy as np
-
-    return lambda start, stop: two_term_at(inst, info, np.arange(start, stop, dtype=np.int64))
+    """P at a block of cells by the two-term form, evaluated on demand."""
+    return lambda cells: two_term_at(inst, info, cells)
 
 
 _METHODS = {
@@ -185,10 +171,7 @@ def _cmd_dist(args):
         values = _two_term_values(inst, info)
     else:
         build = oracle_distribution if args.method == "oracle" else per_k_distribution
-        probabilities = build(inst, info).probabilities
-
-        def values(start, stop):
-            return probabilities[start:stop]
+        values = build(inst, info).probabilities.__getitem__
     if args.format == "json":
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
@@ -207,7 +190,7 @@ _PEAK_JSON = ('{\n      "nu": %d,\n      "sigma_nu": %r,\n'
 def _peak_chunks(inst, info):
     """The columns (nu, sigma_nu, c_nu, delta_nu) of the peaks, chunk by chunk."""
     guard_peaks(info)
-    return (peak_columns(inst, info, start, stop) for start, stop in _ranges(info.r))
+    return (peak_columns(inst, info, start, stop) for start, stop in _blocks(info.r))
 
 
 def _cmd_peaks(args):
@@ -269,14 +252,6 @@ def _census_nonempty(chunks, nmax):
     return itertools.chain((first,), chunks)
 
 
-def _census_csv_columns(chunks):
-    """The printed columns of each census chunk, _CHUNK_ROWS rows at a time."""
-    for c in chunks:
-        columns = (c.n, c.p1, c.p2, c.num_x, c.odd_r, c.trivial_sqrt, c.fraction_bad)
-        for start, stop in _ranges(len(c.n)):
-            yield tuple(column[start:stop] for column in columns)
-
-
 def _cmd_census(args):
     chunks = _census_nonempty(_census_chunks(args.nmax), args.nmax)
     if args.format == "json":
@@ -299,7 +274,8 @@ def _cmd_census(args):
         })
 
     return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction", "%d,%d,%d,%d,%d,%d,%.15e\n",
-                       _census_csv_columns(chunks))
+                       ((c.n, c.p1, c.p2, c.num_x, c.odd_r, c.trivial_sqrt, c.fraction_bad)
+                        for c in chunks))
 
 
 def _cmd_mc_valuation(args) -> str:
@@ -340,7 +316,11 @@ def _cmd_guarantee(args) -> str:
 
 def _cmd_neighbors(args):
     rep = neighbor_state_check(args.n, args.x, args.qa)
-    obj = {
+    if args.format == "csv":
+        rows = [(p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ)) for p in rep.probes]
+        return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n",
+                           (tuple(zip(*rows[start:stop])) for start, stop in _blocks(len(rows))))
+    return _json({
         "n": rep.n, "x": rep.x, "qA": rep.q_A, "r": rep.r,
         "changed_neighbors": rep.changed_neighbors,
         "changed_within_guarantee": rep.changed_within_guarantee,
@@ -354,13 +334,7 @@ def _cmd_neighbors(args):
             }
             for p in rep.probes
         ],
-    }
-    if args.format == "json":
-        return _json(obj)
-
-    return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n",
-                       _column_chunks((p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))
-                                      for p in rep.probes))
+    })
 
 
 def build_parser() -> _Parser:

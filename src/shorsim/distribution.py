@@ -63,9 +63,16 @@ from .rng import SplitMix64
 #: proportion to N.  ``sample_states`` visits no state and has no cap.
 MAX_REGISTER_QUBITS = 24
 
-#: Cells per block of a pass over the register: the temporaries of one
-#: block of ``two_term_at`` stay small and in cache.
-_BLOCK_CELLS = 1 << 15
+#: Cap on every register: N = 2^q_A must convert to a float (q_A <= 1023),
+#: as the guarantee, the peak centres and the neighbor probe need.
+MAX_QUBITS = 1023
+
+#: Items per block of every streamed pass: cells of the register, semiprimes
+#: of the census, random words of a Monte Carlo tally, rows of a table.  A
+#: block's temporaries stay in cache, and a table chunk's text and the
+#: renderer's arrays, a few hundred bytes a row at their peak (``%r``),
+#: stay a few MB.
+_BLOCK = 1 << 14
 
 #: Cap on the modulus of every route that needs the order r.  r is reduced
 #: from lambda(n), and lambda(n) needs n trial-divided, about sqrt(n)/2
@@ -78,10 +85,11 @@ MAX_ORACLE_QUBITS = 13
 
 #: Cap on the routes that make one pass over the register per residue
 #: class (per-k, and the oracle, which also walks the r powers first),
-#: counted as r*(N + _CLASS_CELLS) cells: a per-k pass costs about 8 us
-#: plus 38 ns a cell (2-CPU host), so the cap is about 10 s whether the
-#: register is narrow and r large or the reverse (measured near the cap:
-#: 8.8 s at N = 2, r = 988 288; 9.9 s at N = 2^24, r = 15).  r*N alone
+#: counted as r*(N + _CLASS_CELLS) cells: a per-k pass costs about 9 us
+#: plus 19-23 ns a cell (2-CPU host), so the cap is at most about 10 s
+#: whether the register is narrow and r large or the reverse (measured
+#: near the cap: 8.8-9.8 s at N = 2, r = 988 288; 4.7-5.6 s at N = 2^24,
+#: r = 15, against 7.1 s with blocks of 2^15 cells).  r*N alone
 #: would admit r = 2^27 classes at N = 2, about 18 minutes.  The oracle's
 #: passes cost less (4.5 s at N = 2, r = 988 288); its N^2 phasor sum is
 #: capped apart.
@@ -133,6 +141,9 @@ class ProblemInstance(_ProblemInstanceFields):
             raise DomainError(f"gcd({x}, {n}) != 1; precheck the base first")
         if q_A < 1 or q_B < 1:
             raise DomainError("register sizes must be positive")
+        if q_A > MAX_QUBITS:
+            raise ResourceError(f"q_A={q_A} exceeds the cap of {MAX_QUBITS}: "
+                                "N = 2^q_A must fit a float")
         return tuple.__new__(cls, (n, x, q_A, q_B, 1 << q_A))
 
     def __getnewargs__(self):
@@ -346,12 +357,27 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     return total * (1.0 / float(N) ** 2)
 
 
+def _blocks(count: int):
+    """(start, stop) of each consecutive block of `count` items, _BLOCK at most."""
+    for start in range(0, count, _BLOCK):
+        yield start, min(start + _BLOCK, count)
+
+
+def _records(cls, columns):
+    """The rows of equal-length arrays `columns`, each a record of type cls.
+
+    ``tuple.__new__`` makes each record with no Python call; ``cls._make``
+    would add one a row, about 0.2 us, a quarter of the cost of a census row.
+    """
+    return map(tuple.__new__, repeat(cls), zip(*(column.tolist() for column in columns)))
+
+
 def _cell_blocks(N: int):
     """The register's cells as consecutive int64 index blocks."""
     import numpy as np
 
-    for start in range(0, N, _BLOCK_CELLS):
-        yield np.arange(start, min(start + _BLOCK_CELLS, N), dtype=np.int64)
+    for start, stop in _blocks(N):
+        yield np.arange(start, stop, dtype=np.int64)
 
 
 def two_term_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
@@ -445,9 +471,7 @@ def peaks(inst: ProblemInstance, info: OrderInfo) -> list[PeakModel]:
     """The r peak models, with centers computed in exact rational arithmetic.
     Capped at r <= MAX_PEAKS_ORDER, checked before any is built."""
     guard_peaks(info)
-    columns = (column.tolist() for column in peak_columns(inst, info, 0, info.r))
-    # tuple.__new__ makes each PeakModel with no Python call a peak
-    return list(map(tuple.__new__, repeat(PeakModel), zip(*columns)))
+    return list(_records(PeakModel, peak_columns(inst, info, 0, info.r)))
 
 
 def peak_deviation_prob(d: int, delta_nu: float) -> float:

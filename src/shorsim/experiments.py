@@ -19,11 +19,11 @@ read from primitive-root tables, is the test suite's differential oracle.
 
 The census is computed as columns: ``_census_chunks`` runs the closed form
 on a block of int64 arrays of (p, q) at a time, ``census_sweep`` makes rows
-from those columns, and ``failure_census`` runs the same formula on
-one-element arrays of Python ints.  At nmax = 10**7 (1 555 366
-semiprimes, 2-CPU host) the CSV of ``shorsim census``, rendered from the
-columns, takes about 1.5 s, and its JSON aggregate, summed from the
-columns by ``_census_chunks_aggregate``, about 0.5 s.
+from those columns, and ``failure_census`` runs the same formula on Python
+ints.  At nmax = 10**7 (1 555 366 semiprimes, 2-CPU host) the CSV of
+``shorsim census``, rendered from the columns, takes about 1.5 s, and its
+JSON aggregate, summed from the columns by ``_census_chunks_aggregate``,
+about 0.5 s.
 
 Under the random-prime heuristic v2(p-1) = s with density 2**-s, a unit's
 order is odd with probability 1/3 (not the idealized model's 1/2), and the
@@ -37,12 +37,13 @@ from __future__ import annotations
 import gc
 import math
 from collections.abc import Iterable, Iterator
-from itertools import repeat
 from typing import NamedTuple
 
 from .distribution import (
     OrderInfo,
     ProblemInstance,
+    _blocks,
+    _records,
     guard_register,
     peak_columns,
     two_term_at,
@@ -55,21 +56,17 @@ from .rng import SplitMix64
 
 #: Cap on the census route.  Time and memory grow about linearly with
 #: nmax: at nmax = 10**7 (1 555 366 semiprimes, 2-CPU host) the CSV takes
-#: about 1.5 s and 83 MB peak RSS, and the JSON aggregate, read from the
-#: same columns, 0.5 s and 83 MB.  The int64 arrays of the
+#: about 1.3-1.6 s and 82 MB peak RSS, and the JSON aggregate, read from
+#: the same columns, 0.5 s and 82 MB.  The int64 arrays of the
 #: semiprimes take 32 bytes a semiprime while they are sorted, 16 after;
-#: the census itself is streamed block by block.
+#: the census itself is streamed in blocks of ``_blocks``, each block one
+#: chunk of the CSV.
 MAX_CENSUS_NMAX = 10**7
 
 #: Cap on the order for the neighbor probe, which recovers four cells of
 #: each peak whose index is coprime to r, about 0.22 ms a peak (2-CPU
 #: host): up to 2^16 peaks take about 15 s.
 MAX_NEIGHBOR_ORDER = 1 << 16
-
-#: Items per block of the streamed routes: random words of a Monte Carlo
-#: tally, semiprimes of the census.  A block's arrays stay cache-sized
-#: whatever the total.
-_BLOCK = 1 << 16
 
 #: Heuristic limit of the census's base-weighted bad fraction as nmax
 #: grows (random-prime heuristic; see the module docstring).
@@ -192,13 +189,13 @@ def _semiprime_factors_below(limit: int) -> tuple[np.ndarray, np.ndarray]:
 def semiprimes_below(limit: int) -> list[tuple[int, int, int]]:
     """All (n, p, q) with n = p*q < limit, p < q odd primes, sorted by n."""
     p, q = _semiprime_factors_below(limit)
-    return [(a * b, a, b) for start in range(0, len(p), _BLOCK)
-            for a, b in zip(p[start : start + _BLOCK].tolist(), q[start : start + _BLOCK].tolist())]
+    return [(a * b, a, b) for start, stop in _blocks(len(p))
+            for a, b in zip(p[start:stop].tolist(), q[start:stop].tolist())]
 
 
-def _census_columns(p: np.ndarray, q: np.ndarray) -> FailureCensus:
+def _census_columns(p, q) -> FailureCensus:
     """The census of each n = p*q in closed form, as a FailureCensus whose
-    fields are arrays, from the 2-adic splits of p-1 and q-1.
+    fields are arrays (or numbers), from the 2-adic splits of p-1 and q-1.
 
     Z_p* is cyclic of order p-1 = 2**s * m, so exactly m units have odd
     order and exactly 2**(v-1) * m have order valuation v >= 1.  By CRT a
@@ -207,19 +204,19 @@ def _census_columns(p: np.ndarray, q: np.ndarray) -> FailureCensus:
     the same valuation v >= 1 (4**(v-1) * m1*m2 bases for each v up to
     min(s1, s2)).  Every count is an exact integer.
 
-    p and q are int64 arrays with every p*q below 2**53, or object arrays
-    of Python ints.  No operand exceeds p*q, so int64 does not wrap and
-    float64 holds each operand exactly: a fraction is the correctly rounded
-    quotient, the same bits as Python's int / int.
+    p and q are int64 arrays with every p*q below 2**53, object arrays of
+    Python ints, or Python ints: the formula uses operators only.  No
+    operand exceeds p*q, so int64 does not wrap and float64 holds each
+    operand exactly: a fraction is the correctly rounded quotient, the same
+    bits as Python's int / int.
     """
-    import numpy as np
-
     a, b = p - 1, q - 1
     low1, low2 = a & -a, b & -b  # 2**s1 and 2**s2
     m1m2 = (a // low1) * (b // low2)
     num_x = a * b - 1  # coprime bases, x = 1 excluded
     n_odd = m1m2 - 1
-    n_trivial = m1m2 * (np.minimum(low1, low2) ** 2 - 1) // 3  # 4**min(s1, s2) - 1
+    low = low1 | low2
+    n_trivial = m1m2 * ((low & -low) ** 2 - 1) // 3  # 4**min(s1, s2) - 1
     return FailureCensus(
         n=p * q, p1=p, p2=q,
         num_x=num_x,
@@ -233,37 +230,23 @@ def _census_columns(p: np.ndarray, q: np.ndarray) -> FailureCensus:
     )
 
 
-def _census_tuples(columns: FailureCensus) -> Iterator[FailureCensus]:
-    """The rows of a FailureCensus of arrays, one FailureCensus each.
-
-    ``tuple.__new__`` makes each row with no Python call; ``_make`` would
-    add one a row, about 0.2 us, a quarter of the cost of a row.
-    """
-    rows = zip(*(column.tolist() for column in columns))
-    return map(tuple.__new__, repeat(FailureCensus), rows)
-
-
 def failure_census(n: int) -> FailureCensus:
     """Classify every coprime base 1 < x < n as odd-order, trivial square
     root (x**(r/2) = -1 mod n), or good, counted in closed form."""
     factors = semiprime_factors(n)
     if factors is None:
         raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")
-    import numpy as np
-
-    p, q = (np.array([f], dtype=object) for f in factors)  # Python ints: exact at any size
-    return next(_census_tuples(_census_columns(p, q)))
+    return _census_columns(*factors)
 
 
 def _census_chunks(nmax: int = 10_000) -> Iterator[FailureCensus]:
     """The census of every odd distinct-prime semiprime below nmax, in order
-    of n, as FailureCensus chunks whose fields are arrays of up to _BLOCK
-    rows.  The cap is checked on the call."""
+    of n, as FailureCensus chunks whose fields are arrays, one chunk per
+    block of ``_blocks``.  The cap is checked on the call."""
     if nmax > MAX_CENSUS_NMAX:
         raise ResourceError(f"nmax={nmax} exceeds the census cap of {MAX_CENSUS_NMAX}")
     p, q = _semiprime_factors_below(nmax)
-    return (_census_columns(p[start : start + _BLOCK], q[start : start + _BLOCK])
-            for start in range(0, len(p), _BLOCK))
+    return (_census_columns(p[start:stop], q[start:stop]) for start, stop in _blocks(len(p)))
 
 
 def census_sweep(nmax: int = 10_000) -> list[FailureCensus]:
@@ -280,7 +263,7 @@ def census_sweep(nmax: int = 10_000) -> list[FailureCensus]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return [row for columns in chunks for row in _census_tuples(columns)]
+        return [row for columns in chunks for row in _records(FailureCensus, columns)]
     finally:
         if enabled:
             gc.enable()
@@ -362,8 +345,8 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
     first, second = SplitMix64(seed), SplitMix64(seed).advance(trials)
     one = np.uint64(1)
     both_odd = matched = 0
-    for start in range(0, trials, _BLOCK):
-        count = min(_BLOCK, trials - start)
+    for start, stop in _blocks(trials):
+        count = stop - start
         w1, w2 = first.uint64_block(count), second.uint64_block(count)
         both_odd += int(np.count_nonzero(w1 & w2 & one))
         # w1 ^ (w1 - 1) masks the bits of w1 up to its lowest set bit (all
@@ -421,8 +404,8 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     upper = sums[np.searchsorted(ends, hit)]
     rng = SplitMix64(seed)
     hits = 0
-    for start in range(0, samples, _BLOCK):
-        u = np.sort(rng.random_block(min(_BLOCK, samples - start)) * total)
+    for start, stop in _blocks(samples):
+        u = np.sort(rng.random_block(stop - start) * total)
         # the draws in [lower, upper) of each hit cell; a count ignores order
         hits += int((np.searchsorted(u, upper) - np.searchsorted(u, lower)).sum())
     return CaptureReport(

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import shorsim
-from shorsim import cli, experiments, number_theory, render
+from shorsim import cli, distribution, experiments, number_theory, render
 from shorsim.distribution import two_term_at
+from shorsim.rng import SplitMix64
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 
@@ -336,6 +337,17 @@ class TestRouteGuards:
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["guarantee", "peaks", "neighbors"])
+    def test_register_wider_than_a_float_exits_resource(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "21", "--x", "10", "--qa", "1024")
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
+
+    def test_guarantee_at_the_widest_register(self, capsys):
+        code, out, err = run_cli(capsys, "guarantee", "--n", "21", "--x", "10", "--qa", "1023")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["qA"] == 1023
+
     def test_guarantee_at_a_large_order_is_immediate(self, capsys):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "guarantee", "--n", "2119933513", "--x", "3",
@@ -460,25 +472,50 @@ class TestStreamedOutput:
         "fig1",
         "fig1 --format json",
         "census --nmax 10000",  # 1932 rows
+        "census --nmax 10000 --format json",
         "peaks --n 1007 --x 5 --qa 16",  # 468 peaks
         "peaks --n 1007 --x 5 --qa 16 --format json",
         "neighbors --n 1007 --x 5 --format csv",
     ])
     def test_chunk_size_does_not_change_bytes(self, capsys, monkeypatch, chunk_rows, command):
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(distribution, "_BLOCK", chunk_rows)
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
 
-    @pytest.mark.parametrize("block", [1, 7, 255])
-    @pytest.mark.parametrize("command", ["census --nmax 10000", "census --nmax 10000 --format json"])
-    def test_census_blocks_do_not_change_bytes(self, capsys, monkeypatch, block, command):
-        # blocks of the census smaller and larger than the chunks of text
-        monkeypatch.setattr(experiments, "_BLOCK", block)
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
+    @pytest.mark.parametrize("command", [
+        "mc-valuation --trials 65537 --format csv",
+        "capture --n 15 --x 7 --qa 10 --samples 5000 --format csv",
+        "census --nmax 10000",
+        "dist --n 21 --x 10 --qa 8",
+        "peaks --n 1007 --x 5 --qa 16",
+    ])
+    def test_every_pass_takes_blocks_of_the_one_size(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        sizes = []
+
+        def counted(function, size):
+            def wrapper(*args):
+                sizes.append(size(*args))
+                return function(*args)
+            return wrapper
+
+        # the random words of both Monte Carlo tallies (random_block draws
+        # through uint64_block), the census chunks, the cells of two_term_at
+        # from dist and from two_term_prefix_sums, and the peak chunks
+        monkeypatch.setattr(SplitMix64, "uint64_block",
+                            counted(SplitMix64.uint64_block, lambda rng, count: count))
+        monkeypatch.setattr(experiments, "_census_columns",
+                            counted(experiments._census_columns, lambda p, q: len(p)))
+        for module in (cli, distribution):
+            monkeypatch.setattr(module, "two_term_at",
+                                counted(two_term_at, lambda inst, info, c: len(c)))
+        monkeypatch.setattr(cli, "peak_columns",
+                            counted(cli.peak_columns, lambda inst, info, start, stop: stop - start))
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
+        assert sizes and max(sizes) <= 7
 
     @pytest.mark.parametrize("command", [
         "dist --n 1007 --x 5 --qa 16",
@@ -486,7 +523,7 @@ class TestStreamedOutput:
         "fig1 --format json",
     ])
     def test_two_term_tables_evaluate_one_chunk_at_a_time(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(distribution, "_BLOCK", 1000)
         sizes = []
 
         def counted(inst, info, c):
@@ -523,7 +560,7 @@ class TestStreamedOutput:
         assert kernel_runs
 
     def test_peaks_json_is_streamed(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
+        monkeypatch.setattr(distribution, "_BLOCK", 100)
         args = cli.build_parser().parse_args("peaks --n 1007 --x 5 --qa 16 --format json".split())
         chunks = args.func(args)
         assert not isinstance(chunks, str)
@@ -558,6 +595,7 @@ class TestStreamedOutput:
 
             report = {command: digest(command) for command in sys.argv[1:3]}
             shorsim.run_with_retries(1007, 5, seed=7)
+            report["census row"] = repr(shorsim.failure_census(4087))
             report["numpy"] = "numpy" in sys.modules
             report["dataclasses"] = "dataclasses" in sys.modules
             report.update((command, digest(command)) for command in sys.argv[3:])
@@ -570,6 +608,7 @@ class TestStreamedOutput:
         done = subprocess.run([sys.executable, "-c", child, *commands], capture_output=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
         report = json.loads(done.stdout)
+        assert report.pop("census row") == repr(shorsim.failure_census(4087))
         assert report.pop("numpy") is False
         assert report.pop("dataclasses") is False
         assert report.pop("numpy after") is True

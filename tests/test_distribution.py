@@ -274,7 +274,7 @@ class TestRangeEvaluator:
 
     @pytest.mark.parametrize("key, size", BLOCK_CASES)
     def test_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
-        monkeypatch.setattr(distribution, "_BLOCK_CELLS", size)
+        monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
         assert digest(two_term_distribution(inst, info).probabilities) == PINNED_VECTORS[key][0]
 
@@ -288,7 +288,7 @@ class TestRangeEvaluator:
 
     @pytest.mark.parametrize("key, size", BLOCK_CASES)
     def test_prefix_sums_equal_the_whole_cumsum(self, monkeypatch, key, size):
-        monkeypatch.setattr(distribution, "_BLOCK_CELLS", size)
+        monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
         cdf = np.cumsum(two_term_distribution(inst, info).probabilities)
         cells = np.unique(np.random.default_rng(2).integers(0, inst.N, 300))

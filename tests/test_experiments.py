@@ -207,7 +207,7 @@ class TestSemiprimeEnumeration:
     @pytest.mark.parametrize("limit", [0, 15, 16, 22, 3000])
     @pytest.mark.parametrize("size", [1, 7, 1 << 16])
     def test_matches_a_literal_scan_in_any_chunks(self, monkeypatch, limit, size):
-        monkeypatch.setattr(experiments, "_BLOCK", size)
+        monkeypatch.setattr(distribution, "_BLOCK", size)
         scan = []
         for n in range(limit):
             p = next((f for f in range(3, math.isqrt(n) + 1, 2) if n % f == 0), None)
@@ -364,26 +364,26 @@ class TestFailureCensus:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_sweep_pauses_the_collector_and_restores_it(self, monkeypatch, enabled):
         expected = [repr(row) for row in census_sweep(10_000)]
-        tuples, states = experiments._census_tuples, []
+        records, states = experiments._records, []
 
-        def watched(columns):
+        def watched(cls, columns):
             states.append(gc.isenabled())
-            return tuples(columns)
+            return records(cls, columns)
 
-        def failing(columns):
+        def failing(cls, columns):
             raise OverflowError("row build failed")
 
         found = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            monkeypatch.setattr(experiments, "_census_tuples", watched)
+            monkeypatch.setattr(experiments, "_records", watched)
             assert [repr(row) for row in census_sweep(10_000)] == expected
             assert states and not any(states)
             assert gc.isenabled() is enabled
             with pytest.raises(ResourceError):
                 census_sweep(MAX_CENSUS_NMAX + 1)
             assert gc.isenabled() is enabled
-            monkeypatch.setattr(experiments, "_census_tuples", failing)
+            monkeypatch.setattr(experiments, "_records", failing)
             with pytest.raises(OverflowError):
                 census_sweep(10_000)
             assert gc.isenabled() is enabled
@@ -441,13 +441,13 @@ class TestCensusColumns:
     @pytest.mark.parametrize("size", [1, 7, 1931])
     def test_blocks_do_not_change_the_rows(self, monkeypatch, size):
         expected = [repr(row) for row in census_sweep(10_000)]
-        monkeypatch.setattr(experiments, "_BLOCK", size)
+        monkeypatch.setattr(distribution, "_BLOCK", size)
         assert [repr(row) for row in census_sweep(10_000)] == expected
         assert max(len(chunk.n) for chunk in _census_chunks(10_000)) == size
 
     @pytest.mark.parametrize("size", [1, 7, 1931, 1 << 16])
     def test_column_aggregate_equals_the_row_aggregate(self, monkeypatch, size):
-        monkeypatch.setattr(experiments, "_BLOCK", size)
+        monkeypatch.setattr(distribution, "_BLOCK", size)
         for nmax in (16, 100, 3000, 10_000, 30_000):
             expected = repr(census_aggregate(census_sweep(nmax)))
             assert repr(_census_chunks_aggregate(_census_chunks(nmax))) == expected, nmax
@@ -584,8 +584,7 @@ BLOCK_SIZES = (1, 7, (1 << 16) + 1)
 
 
 def patch_blocks(monkeypatch, size):
-    monkeypatch.setattr(distribution, "_BLOCK_CELLS", size)
-    monkeypatch.setattr(experiments, "_BLOCK", size)
+    monkeypatch.setattr(distribution, "_BLOCK", size)
 
 
 class TestBlockwiseMonteCarlo:
