@@ -38,7 +38,9 @@ from .distribution import (
 from .errors import ContractError, DomainError, NoOrderError, ResourceError
 from .experiments import (
     CENSUS_HEURISTIC_LIMIT,
+    MAX_CAPTURE_SAMPLES,
     MAX_CENSUS_NMAX,
+    MAX_MC_TRIALS,
     MAX_NEIGHBOR_ORDER,
     CaptureReport,
     CensusAggregate,
@@ -85,4 +87,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"

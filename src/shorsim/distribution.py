@@ -294,26 +294,39 @@ def oracle_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistrib
     return OutputDistribution(total, METHOD_ORACLE)
 
 
-def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray,
-                  singular: np.ndarray, den_safe: np.ndarray) -> np.ndarray:
+def _sin_sq(N: int, a: int, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sin^2(pi*a*c/N) at the cells c, as a new float64 array.  a*c is
+    reduced exactly mod 2N (a power of two) into the int64 array t first,
+    and t keeps it for the caller."""
+    import numpy as np
+
+    twoN = 2 * N
+    np.multiply(c, a % twoN, out=t)
+    t &= twoN - 1
+    x = np.multiply(t, np.pi / N)
+    np.sin(x, out=x)
+    return np.square(x, out=x)
+
+
+def _denominator_parts(N: int, r: int, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The singular cells (r*c = 0 mod N, found by the exact integer test)
+    and sin^2(pi*r*c/N) with 1 put at them, so no division meets a zero."""
+    import numpy as np
+
+    den = _sin_sq(N, r, c, t)
+    singular = np.flatnonzero((t & (N - 1)) == 0)
+    den[singular] = 1.0
+    return singular, den
+
+
+def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray, t: np.ndarray,
+                  singular: np.ndarray, den: np.ndarray) -> np.ndarray:
     """sin^2(pi*size*r*c/N) / sin^2(pi*r*c/N) with the exact limit size^2
-    substituted wherever r*c = 0 (mod N)."""
-    import numpy as np
-
-    twoN = 2 * N
-    t = (size * r % twoN) * c & (twoN - 1)  # mod 2N, a power of two
-    num = np.sin((np.pi / N) * t) ** 2
-    return np.where(singular, float(size * size), num / den_safe)
-
-
-def _denominator_parts(N: int, r: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    twoN = 2 * N
-    s = (r % twoN) * c & (twoN - 1)
-    singular = (s & (N - 1)) == 0
-    den = np.sin((np.pi / N) * s) ** 2
-    return singular, np.where(singular, 1.0, den)
+    put at the singular cells."""
+    ratio = _sin_sq(N, size * r, c, t)
+    ratio /= den
+    ratio[singular] = float(size * size)
+    return ratio
 
 
 def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
@@ -326,16 +339,18 @@ def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribu
     N, r = inst.N, info.r
     out = np.empty(N)
     for c in _cell_blocks(N):
-        singular, den_safe = _denominator_parts(N, r, c)
+        t = np.empty_like(c)
+        singular, den = _denominator_parts(N, r, c, t)
         total = np.zeros(len(c))
         for k in range(r):
-            total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, singular, den_safe)
+            total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, t, singular, den)
         out[c[0]:c[-1] + 1] = total / float(N) ** 2
     return OutputDistribution(out, METHOD_PER_K)
 
 
 def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
-    """P(c) at the cells of an integer index array, by the two-term form.
+    """P(c) at the cells of a one-dimensional integer index array, by the
+    two-term form.
 
     k0 classes hold M0+2 exponents and r-k0 hold M0+1, so the per-class
     sum reduces to two weighted closed-form terms.  Each entry depends on
@@ -348,13 +363,19 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
 
     N, r = inst.N, info.r
     c = np.asarray(c, dtype=np.int64)
-    singular, den_safe = _denominator_parts(N, r, c)
-    large = _sin_sq_ratio(N, r, info.M0 + 2, c, singular, den_safe)
-    small = _sin_sq_ratio(N, r, info.M0 + 1, c, singular, den_safe)
-    total = info.k0 * large + (r - info.k0) * small
+    t = np.empty_like(c)
+    singular, den = _denominator_parts(N, r, c, t)
+    large = _sin_sq_ratio(N, r, info.M0 + 2, c, t, singular, den)
+    small = _sin_sq_ratio(N, r, info.M0 + 1, c, t, singular, den)
+    # k0*large + (r-k0)*small, in place: the sum of two products has the
+    # same bits in either order
+    large *= info.k0
+    small *= r - info.k0
+    large += small
     # N^2 is a power of two and no term is subnormal, so the product is
     # the exact quotient total / N^2
-    return total * (1.0 / float(N) ** 2)
+    large *= 1.0 / float(N) ** 2
+    return large
 
 
 def _blocks(count: int):
@@ -413,7 +434,7 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
         if np.any(p < 0.0):
             raise DomainError("distribution has negative entries")
         p[0] += carry
-        cdf = np.cumsum(p)
+        cdf = np.cumsum(p, out=p)
         lo, hi = np.searchsorted(cells, (block[0], block[-1] + 1))
         sums[lo:hi] = cdf[cells[lo:hi] - block[0]]
         carry = cdf[-1]

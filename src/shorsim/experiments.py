@@ -68,6 +68,17 @@ MAX_CENSUS_NMAX = 10**7
 #: host): up to 2^16 peaks take about 15 s.
 MAX_NEIGHBOR_ORDER = 1 << 16
 
+#: Cap on the trials of the valuation Monte Carlo, checked before any
+#: draw.  A trial costs about 13 ns (two words and their tally, 2-CPU
+#: host), so the cap takes about 11 s and holds about 30 MB.
+MAX_MC_TRIALS = 8 * 10**8
+
+#: Cap on the draws of the capture Monte Carlo, checked before any work.
+#: A draw costs about 21 ns (its word, its sort and its count, 2-CPU
+#: host), on top of one pass over the register (1.3 s at q_A 24), so the
+#: cap takes about 10 s at any register and holds about 32 MB.
+MAX_CAPTURE_SAMPLES = 4 * 10**8
+
 #: Heuristic limit of the census's base-weighted bad fraction as nmax
 #: grows (random-prime heuristic; see the module docstring).
 CENSUS_HEURISTIC_LIMIT = 7 / 27
@@ -336,24 +347,35 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
     places later; that count has exactly the law P(j) = 2**-(j+1) (the
     all-zero word counts as 64).  Both are odd when w1 & w2 & 1 is set,
     and k1 = k2 >= 1 when w1 is even and both have the same lowest set
-    bit.  The tallies are exact integers, made block by block.
+    bit.  The pairs whose lowest set bits agree are counted once: the
+    both-odd pairs are exactly those that agree at bit 0, so matched =
+    agree - both_odd.  The tallies are exact integers, made block by
+    block in place on the block's words.
     """
     if trials < 1:
         raise DomainError("trials must be positive")
+    if trials > MAX_MC_TRIALS:
+        raise ResourceError(f"trials={trials} exceeds the Monte Carlo cap of {MAX_MC_TRIALS}")
     import numpy as np
 
     first, second = SplitMix64(seed), SplitMix64(seed).advance(trials)
     one = np.uint64(1)
-    both_odd = matched = 0
+    both_odd = agree = 0
     for start, stop in _blocks(trials):
         count = stop - start
         w1, w2 = first.uint64_block(count), second.uint64_block(count)
-        both_odd += int(np.count_nonzero(w1 & w2 & one))
+        scratch = np.bitwise_and(w1, w2)
+        scratch &= one
+        both_odd += int(np.count_nonzero(scratch))
         # w1 ^ (w1 - 1) masks the bits of w1 up to its lowest set bit (all
         # bits when w1 = 0); w2 has the same lowest set bit iff it agrees
-        # with w1 there.  A match needs w1 even, so count the misses.
-        miss = ((w1 ^ w2) & (w1 ^ (w1 - one))) | (w1 & one)
-        matched += count - int(np.count_nonzero(miss))
+        # with w1 there
+        mask = np.subtract(w1, one, out=scratch)
+        mask ^= w1
+        w2 ^= w1
+        w2 &= mask
+        agree += count - int(np.count_nonzero(w2))
+    matched = agree - both_odd
     return ValuationModelResult(
         trials=trials,
         matched_valuations=matched,
@@ -379,6 +401,8 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
+    if samples > MAX_CAPTURE_SAMPLES:
+        raise ResourceError(f"samples={samples} exceeds the capture cap of {MAX_CAPTURE_SAMPLES}")
     inst = ProblemInstance.create(n, x, q_A)
     if inst.N < n * n:
         raise DomainError(f"need N >= n^2 for capture analysis, got N={inst.N}, n={n}")
@@ -393,20 +417,22 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     exact = float(np.cumsum(pairs)[-1])  # in peak order, one term at a time
     # N >= n^2 > 2r puts the peaks more than two cells apart, so each cell
     # c_nu + d (d in {0, 1}) has peak nu nearest: these are exactly the
-    # cells whose draws count, distinct, in order, and below N - 1.
-    hit = np.column_stack((c_nu, c_nu + 1)).ravel()
-    # a draw u lands on cell c when cdf(c-1) <= u < cdf(c), where cdf(-1) = 0
-    ends = np.union1d(hit - 1, hit)[1:]  # without the -1 of c_0 = 0
+    # cells whose draws count, distinct, in order, and below N - 1.  A draw
+    # u lands on cell c when cdf(c-1) <= u < cdf(c), where cdf(-1) = 0, so
+    # on c_nu or c_nu + 1 when cdf(c_nu - 1) <= u < cdf(c_nu + 1).
+    ends = np.column_stack((c_nu - 1, c_nu + 1)).ravel()[1:]  # without the -1 of c_0 = 0
     sums, total = two_term_prefix_sums(inst, info, ends)
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"distribution is not normalized: total={total!r}")
-    lower = np.where(hit > 0, sums[np.searchsorted(ends, hit - 1)], 0.0)
-    upper = sums[np.searchsorted(ends, hit)]
+    lower = np.concatenate(([0.0], sums[1::2]))
+    upper = sums[::2]
     rng = SplitMix64(seed)
     hits = 0
     for start, stop in _blocks(samples):
-        u = np.sort(rng.random_block(stop - start) * total)
-        # the draws in [lower, upper) of each hit cell; a count ignores order
+        u = rng.random_block(stop - start)
+        u *= total
+        u.sort()
+        # the draws in [lower, upper) of each peak; a count ignores order
         hits += int((np.searchsorted(u, upper) - np.searchsorted(u, lower)).sum())
     return CaptureReport(
         n=n, x=x, q_A=inst.q_A, samples=samples,

@@ -15,6 +15,13 @@ Uniform doubles in [0, 1) take the top 53 bits: (output >> 11) * 2^-53.
 Scalar and block outputs draw from one and the same stream.  The scalar
 methods are pure Python; the block methods load numpy on first use, so a
 caller that draws only scalars never imports it.
+
+The states of a block are the current state plus (i + 1) * gamma, so a
+block adds its state to a table of those offsets, built by the first block
+call (never at import), read-only and shared, and tiled for blocks longer
+than its 2^14 words (128 KB).  Each call then mixes its block in place with
+one scratch array of its own: nothing writable is shared, so generators
+may draw blocks from several threads at once.
 """
 
 from __future__ import annotations
@@ -24,6 +31,21 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _DOUBLE_UNIT = 2.0 ** -53
+_OFFSET_WORDS = 1 << 14
+_offsets = None  # (i + 1) * gamma mod 2^64 for i < _OFFSET_WORDS, read-only
+
+
+def _offset_table():
+    """The read-only table of state offsets, built on first use."""
+    global _offsets
+    if _offsets is None:
+        import numpy as np
+
+        table = np.arange(1, _OFFSET_WORDS + 1, dtype=np.uint64)
+        table *= np.uint64(_GAMMA)
+        table.flags.writeable = False
+        _offsets = table
+    return _offsets
 
 
 def _mix(z: int) -> int:
@@ -68,19 +90,27 @@ class SplitMix64:
             raise ValueError("count must be non-negative")
         import numpy as np
 
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self._state)  # wraps mod 2^64 by unsigned arithmetic
-        z ^= z >> np.uint64(30)
+        offsets = _offset_table()
+        z = np.empty(count, dtype=np.uint64)
+        state = self._state
+        for start in range(0, count, _OFFSET_WORDS):
+            stop = min(start + _OFFSET_WORDS, count)
+            # wraps mod 2^64 by unsigned arithmetic
+            np.add(offsets[:stop - start], np.uint64(state), out=z[start:stop])
+            state = (state + (stop - start) * _GAMMA) & _MASK64
+        scratch = np.empty_like(z)
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
         z *= np.uint64(_MIX_A)
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
         z *= np.uint64(_MIX_B)
-        z ^= z >> np.uint64(31)
-        self.advance(count)
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
+        self._state = state
         return z
 
     def random_block(self, count: int) -> np.ndarray:
         """The next `count` uniform doubles in [0, 1)."""
         import numpy as np
 
-        return (self.uint64_block(count) >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
+        z = self.uint64_block(count)
+        z >>= np.uint64(11)
+        return np.multiply(z, _DOUBLE_UNIT)  # exact: z < 2^53 converts as is

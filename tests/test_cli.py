@@ -322,6 +322,17 @@ class TestRouteGuards:
         assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ("mc-valuation", "--trials", str(experiments.MAX_MC_TRIALS + 1)),
+        ("capture", "--n", "4087", "--x", "5", "--samples", str(experiments.MAX_CAPTURE_SAMPLES + 1)),
+    ])
+    def test_monte_carlo_caps_exit_resource_at_once(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("shorsim: resource guard:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ("dist", "--qa", "8"),
         ("peaks", "--qa", "8"),
         ("guarantee", "--qa", "8"),

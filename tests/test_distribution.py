@@ -263,6 +263,31 @@ def digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
+def where_two_term(inst, info, c):
+    """The two-term form as three np.where masks over whole temporaries:
+    the formula two_term_at replaced, kept as its bit-for-bit oracle."""
+    N, r = inst.N, info.r
+    c = np.asarray(c, dtype=np.int64)
+    twoN = 2 * N
+    s = (r % twoN) * c & (twoN - 1)
+    singular = (s & (N - 1)) == 0
+    den_safe = np.where(singular, 1.0, np.sin((np.pi / N) * s) ** 2)
+
+    def ratio(size):
+        t = (size * r % twoN) * c & (twoN - 1)
+        return np.where(singular, float(size * size), np.sin((np.pi / N) * t) ** 2 / den_safe)
+
+    total = info.k0 * ratio(info.M0 + 2) + (r - info.k0) * ratio(info.M0 + 1)
+    return total * (1.0 / float(N) ** 2)
+
+
+# (n, x, q_A) -> gcd(r, N): r | N (r = 4, N = 256), odd r, N < r (r = 468,
+# N = 16, M0 = -1), g = gcd(r, N) >= 4 with r not dividing N, and the
+# widest register
+WHERE_CASES = {(15, 2, 8): 4, (21, 4, 8): 1, (1007, 5, 4): 4, (35, 2, 8): 4, (85, 2, 8): 8,
+               (4087, 5, 24): 2}
+
+
 class TestRangeEvaluator:
     @pytest.mark.parametrize("key", PINNED_VECTORS)
     def test_vectors_are_pinned(self, key):
@@ -296,6 +321,20 @@ class TestRangeEvaluator:
         sums, total = two_term_prefix_sums(inst, info, cells)
         assert np.array_equal(sums, cdf[cells])
         assert total == cdf[-1]
+
+    @pytest.mark.parametrize("key", WHERE_CASES)
+    def test_bits_equal_the_where_formula(self, key):
+        inst, info = build(*key)
+        N = inst.N
+        g = math.gcd(info.r, N)
+        assert g == WHERE_CASES[key]
+        rng = np.random.default_rng(sum(key))
+        singular = np.arange(0, N, N // g)  # r*c = 0 mod N exactly here
+        for cells in (singular, rng.integers(0, N, 5000), np.arange(min(N, 4096)),
+                      np.concatenate((rng.integers(0, N, 50), singular, singular + 1))):
+            got = two_term_at(inst, info, cells)
+            assert got.tobytes() == where_two_term(inst, info, cells).tobytes()
+        assert np.all(two_term_at(inst, info, singular) > 0.0)
 
     def test_int64_angle_cap(self):
         inst = ProblemInstance.create(1_000_003 * 3, 2, q_A=32)

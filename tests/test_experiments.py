@@ -18,6 +18,7 @@ import gc
 import hashlib
 import itertools
 import math
+import types
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +30,9 @@ from shorsim import distribution, experiments
 from shorsim.distribution import OrderInfo, ProblemInstance, peaks, sample_from, two_term_distribution
 from shorsim.errors import DomainError, ResourceError
 from shorsim.experiments import (
+    MAX_CAPTURE_SAMPLES,
     MAX_CENSUS_NMAX,
+    MAX_MC_TRIALS,
     FailureCensus,
     _census_chunks,
     _census_chunks_aggregate,
@@ -583,6 +586,14 @@ PINNED_VALUATION = {
 BLOCK_SIZES = (1, 7, (1 << 16) + 1)
 
 
+class WorkStarted(Exception):
+    """Raised by a patched first step of a route: its guard let it through."""
+
+
+def work_started(*_args, **_kwargs):
+    raise WorkStarted
+
+
 def patch_blocks(monkeypatch, size):
     monkeypatch.setattr(distribution, "_BLOCK", size)
 
@@ -631,6 +642,20 @@ class TestBlockwiseMonteCarlo:
     def test_capture_keeps_the_register_cap(self):
         with pytest.raises(ResourceError):
             capture_rate_empirical(4097, 3, 25, samples=10, seed=0)
+
+    def test_valuation_cap_is_checked_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(experiments, "SplitMix64", work_started)
+        with pytest.raises(WorkStarted):  # the cap itself is allowed
+            valuation_model_mc(MAX_MC_TRIALS)
+        with pytest.raises(ResourceError):
+            valuation_model_mc(MAX_MC_TRIALS + 1)
+
+    def test_capture_cap_is_checked_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ProblemInstance", types.SimpleNamespace(create=work_started))
+        with pytest.raises(WorkStarted):  # the cap itself is allowed
+            capture_rate_empirical(4087, 5, 24, MAX_CAPTURE_SAMPLES)
+        with pytest.raises(ResourceError):
+            capture_rate_empirical(4087, 5, 24, MAX_CAPTURE_SAMPLES + 1)
 
 
 class TestNeighborCheck:

@@ -1,8 +1,12 @@
 """SplitMix64 determinism and stream-consistency checks."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from shorsim import rng
 from shorsim.rng import SplitMix64
 
 
@@ -83,3 +87,68 @@ def test_advance_wraps_mod_two_to_the_64():
 def test_advance_rejects_negative_counts():
     with pytest.raises(ValueError):
         SplitMix64(0).advance(-1)
+
+
+# every state seed + i * gamma of a block from this seed wraps 2^64
+WRAPPING_SEED = 2**64 - 1
+# around the 2^14-word table of state offsets, and several tables long
+BLOCK_COUNTS = [1, 2**14 - 1, 2**14, 2**14 + 1, 50_000]
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_word_block_equals_scalar_draws(count):
+    block, scalar = SplitMix64(WRAPPING_SEED), SplitMix64(WRAPPING_SEED)
+    words = block.uint64_block(count)
+    assert words.dtype == np.uint64 and words.shape == (count,)
+    assert words.tolist() == [scalar.next_uint64() for _ in range(count)]
+    assert block.next_uint64() == scalar.next_uint64()  # the same state after
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_double_block_equals_scalar_draws(count):
+    block, scalar = SplitMix64(WRAPPING_SEED), SplitMix64(WRAPPING_SEED)
+    doubles = block.random_block(count)
+    assert doubles.dtype == np.float64
+    assert doubles.tobytes() == np.array([scalar.random() for _ in range(count)]).tobytes()
+    assert block.random() == scalar.random()
+
+
+def test_offset_table_is_read_only():
+    SplitMix64(1).uint64_block(1)
+    table = rng._offset_table()
+    assert not table.flags.writeable
+    assert table[:3].tolist() == [(i * rng._GAMMA) % 2**64 for i in (1, 2, 3)]
+
+
+def test_threads_draw_blocks_without_sharing_state(monkeypatch):
+    # numpy releases the GIL inside its loops, so a writable array shared
+    # by all generators would mix the words of concurrent blocks; the
+    # threads also race to build the offset table
+    seeds, count, blocks = (3, 2**64 - 5, 17, 2**63), 2**14 + 1, 100
+    expected = {seed: [SplitMix64(seed).advance(j * count).uint64_block(count).tobytes()
+                       for j in range(blocks)] for seed in seeds}
+    monkeypatch.setattr(rng, "_offsets", None)
+    start = threading.Barrier(len(seeds))
+    drawn = {}
+
+    def draw(seed):
+        gen = SplitMix64(seed)
+        start.wait(timeout=60)
+        drawn[seed] = [gen.uint64_block(count).tobytes() for _ in range(blocks)]
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert drawn == expected
+    for seed in seeds:  # block j of a thread holds words j*count... of its own stream
+        scalar = SplitMix64(seed).advance(5 * count)
+        words = np.frombuffer(drawn[seed][5], dtype=np.uint64)
+        assert [int(words[0]), int(words[1])] == [scalar.next_uint64(), scalar.next_uint64()]
