@@ -13,26 +13,21 @@ from .distribution import (
     MAX_PEAKS_ORDER,
     MAX_REGISTER_QUBITS,
     MAX_RUN_MODULUS,
-    METHOD_ORACLE,
-    METHOD_PER_K,
-    METHOD_TWO_TERM,
     FejerProposal,
     OrderInfo,
-    OutputDistribution,
     PeakModel,
     ProblemInstance,
     capture_probability_d01,
     envelope,
     fejer_kernel,
-    oracle_distribution,
+    oracle_at,
     peak_columns,
     peak_deviation_prob,
     peaks,
-    per_k_distribution,
+    per_k_at,
     sample_from,
     sample_states,
     two_term_at,
-    two_term_distribution,
     two_term_prefix_sums,
 )
 from .errors import ContractError, DomainError, NoOrderError, ResourceError
@@ -87,4 +82,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.4.2"
+__version__ = "0.5.0"

@@ -5,7 +5,7 @@ Every command is deterministic given its flags: randomness flows from the
 re-running a command reproduces its output byte for byte.
 
 Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
-64 usage error.
+64 usage error, 74 write error on stdout or --out, 130 interrupted.
 
 The tables (dist, fig1, census, peaks, and the neighbors CSV) are
 returned as a stream of text chunks that is written as it is formatted,
@@ -13,10 +13,10 @@ so the full text is never held; other output is one string.  Each chunk
 is a set of columns that ``render.render_rows`` turns into text with
 the stdlib's exact bytes and no Python call per number, one block of the
 package's one block size (``distribution._blocks``) a chunk.  The
-two-term tables evaluate each block of cells as they go, the peaks are
-computed block by block, and the census CSV and JSON aggregate take each
-block's columns from the closed form, so none of them holds a vector or
-a list of rows.
+distribution tables evaluate each block of cells as they go, whatever
+the method, the peaks are computed block by block, and the census CSV
+and JSON aggregate take each block's columns from the closed form, so
+none of them holds a vector or a list of rows.
 """
 
 import argparse
@@ -25,18 +25,15 @@ import json
 import sys
 
 from .distribution import (
-    METHOD_ORACLE,
-    METHOD_PER_K,
-    METHOD_TWO_TERM,
     OrderInfo,
     ProblemInstance,
     _blocks,
     _cell_blocks,
     guard_peaks,
     guard_register,
-    oracle_distribution,
+    oracle_at,
     peak_columns,
-    per_k_distribution,
+    per_k_at,
     two_term_at,
 )
 from .errors import DomainError, ResourceError
@@ -59,6 +56,8 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
+EXIT_IOERR = 74
+EXIT_INTERRUPTED = 130
 
 SCHEMA_VERSION = 1
 
@@ -134,32 +133,37 @@ def _json_chunks(obj: dict, arrays: dict):
     yield text
 
 
-def _distribution_csv(N: int, values):
-    """The `c,P(c)` table of the register's N cells as text chunks, where
-    `values(cells)` gives P at a block of ``_cell_blocks`` as an array.
+def _cell_values(inst, info, at):
+    """The pairs (cells, P at the cells) over the blocks of ``_cell_blocks``,
+    where `at(inst, info, cells)` evaluates P.  The first block is evaluated
+    at once, so that the evaluator's guards fire before any output.
 
-    The chunks come from ``map``, which holds no block of its own while a
-    chunk renders; a generator expression holds its last block, and
-    raised the peak RSS of ``dist`` by 0.1-0.5 MB."""
-    return _csv_chunks("c,P(c)", "%d,%.15e\n",
-                       map(lambda cells: (cells, values(cells)), _cell_blocks(N)))
-
-
-def _probabilities_json(N: int, values):
-    """The `_json_chunks` entry of the float array P(0..N-1), chunked by
-    ``map`` as in ``_distribution_csv``."""
-    return "%r", map(lambda cells: (values(cells),), _cell_blocks(N))
+    No block is held once it is rendered: the first pair sits in a list
+    iterator, which drops the list when it is taken, and the rest come from
+    ``map``.  A generator expression holds its last block, and raised the
+    peak RSS of ``dist`` by 0.1-0.5 MB."""
+    blocks = _cell_blocks(inst.N)
+    first = next(blocks)
+    return itertools.chain(iter([(first, at(inst, info, first))]),
+                           map(lambda cells: (cells, at(inst, info, cells)), blocks))
 
 
-def _two_term_values(inst, info):
-    """P at a block of cells by the two-term form, evaluated on demand."""
-    return lambda cells: two_term_at(inst, info, cells)
+def _distribution_csv(cell_values):
+    """The `c,P(c)` table of the pairs of ``_cell_values`` as text chunks."""
+    return _csv_chunks("c,P(c)", "%d,%.15e\n", cell_values)
 
 
+def _probabilities_json(cell_values):
+    """The `_json_chunks` entry of the float array P(0..N-1) from the pairs
+    of ``_cell_values``."""
+    return "%r", map(lambda pair: pair[1:], cell_values)
+
+
+#: The --method choices of dist, and the "method" field its JSON prints for each.
 _METHODS = {
-    "two-term": METHOD_TWO_TERM,
-    "per-k": METHOD_PER_K,
-    "oracle": METHOD_ORACLE,
+    "two-term": "two_term_form",
+    "per-k": "per_k_closed_form",
+    "oracle": "oracle_sum",
 }
 
 
@@ -168,17 +172,17 @@ def _cmd_dist(args):
     info = OrderInfo.from_instance(inst)
     if args.method == "two-term":
         guard_register(inst)
-        values = _two_term_values(inst, info)
+        at = two_term_at
     else:
-        build = oracle_distribution if args.method == "oracle" else per_k_distribution
-        values = build(inst, info).probabilities.__getitem__
+        at = per_k_at if args.method == "per-k" else oracle_at
+    cell_values = _cell_values(inst, info, at)
     if args.format == "json":
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
             "method": _METHODS[args.method],
             "probabilities": None,
-        }, {"probabilities": _probabilities_json(inst.N, values)})
-    return _distribution_csv(inst.N, values)
+        }, {"probabilities": _probabilities_json(cell_values)})
+    return _distribution_csv(cell_values)
 
 
 _PEAK_HEADER = "nu,sigma_nu,c_nu,delta_nu"
@@ -206,7 +210,7 @@ def _cmd_peaks(args):
 
 
 def _fig1_csv(inst, info):
-    yield from _distribution_csv(inst.N, _two_term_values(inst, info))
+    yield from _distribution_csv(_cell_values(inst, info, two_term_at))
     yield f"# peaks: {_PEAK_HEADER}\n"
     for columns in _peak_chunks(inst, info):
         yield _render_rows("# peak " + _PEAK_ROW, columns)
@@ -219,7 +223,7 @@ def _cmd_fig1(args):
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
             "probabilities": None,
             "peaks": None,
-        }, {"probabilities": _probabilities_json(inst.N, _two_term_values(inst, info)),
+        }, {"probabilities": _probabilities_json(_cell_values(inst, info, two_term_at)),
             "peaks": (_PEAK_JSON, _peak_chunks(inst, info))})
     return _fig1_csv(inst, info)
 
@@ -374,6 +378,39 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write(chunks, path) -> int:
+    """Write the chunks to the file at path, or to stdout when path is None."""
+    if path:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"shorsim: error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_DOMAIN
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            print(f"shorsim: error: writing {path} failed: {exc.strerror}", file=sys.stderr)
+            return EXIT_IOERR
+        return EXIT_OK
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at devnull so that the interpreter's final flush of
+        # what is left in its buffer stays quiet.
+        import os  # needed on this path only
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):  # the reader left early, which is not an error
+            return EXIT_OK
+        print(f"shorsim: error: writing stdout failed: {exc.strerror}", file=sys.stderr)
+        return EXIT_IOERR
+    return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -382,34 +419,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         output = args.func(args)
+        return _write([output] if isinstance(output, str) else output, args.out)
     except ResourceError as exc:
         print(f"shorsim: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except DomainError as exc:
         print(f"shorsim: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    chunks = [output] if isinstance(output, str) else output
-    if args.out:
-        try:
-            fh = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"shorsim: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_DOMAIN
-        with fh:
-            fh.writelines(chunks)
-        return EXIT_OK
-    try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left early, which is not an error.  Point stdout at
-        # devnull so that the interpreter's final flush stays quiet.
-        import os  # needed on this path only
-
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return EXIT_OK
+    except KeyboardInterrupt:
+        print("shorsim: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry_point():

@@ -5,20 +5,23 @@ register of q_A qubits (N = 2^q_A states), the probability of reading
 state c splits over the r residue classes of the exponent mod r.  The
 class containing k holds L_k = floor((N-k-1)/r) + 1 exponents, and its
 contribution to P(c) is the squared magnitude of a geometric phasor sum
-of length L_k.  Three independent routes compute the same distribution:
+of length L_k.  Three independent evaluators compute P at any array of
+cells, with the same signature:
 
-* ``oracle_distribution``   - sums unit phasors literally, one per
-  exponent, with no closed form anywhere.  This is the reference the
-  other two routes are validated against.
-* ``per_k_distribution``    - the summed-geometric-series closed form
+* ``oracle_at``   - sums unit phasors literally, one per exponent, with
+  no closed form anywhere.  This is the reference the other two are
+  validated against.
+* ``per_k_at``    - the summed-geometric-series closed form
   sin^2(pi*L_k*r*c/N) / (N^2 sin^2(pi*r*c/N)), evaluated once per class.
-* ``two_term_distribution`` - collapses the per-class form onto the two
-  distinct class sizes that occur (k0 classes of the larger size, r-k0
-  of the smaller), leaving two weighted terms.  Its range evaluator
-  ``two_term_at`` computes the same terms at any array of cells, so a
-  route that streams the register (``dist``) or reads a few cells and
-  running sums (``capture``, through ``two_term_prefix_sums``) holds no
-  N-length array.
+* ``two_term_at`` - collapses the per-class form onto the two distinct
+  class sizes that occur (k0 classes of the larger size, r-k0 of the
+  smaller), leaving two weighted terms.
+
+Each entry depends on its own cell alone, so a block, a gathered set of
+cells and the whole register give the same bits.  A route that streams
+the register block by block (``dist``) or reads a few cells and running
+sums (``capture``, through ``two_term_prefix_sums``) holds no N-length
+array.
 
 Angles are reduced modulo 2N in exact integer arithmetic before any
 float conversion, and the removable singularities of the closed forms
@@ -57,9 +60,8 @@ from .number_theory import carmichael_lambda, multiplicative_order, order_from_m
 from .rng import SplitMix64
 
 #: Cap on the exponent-register width of the routes that visit every
-#: state (two-term, per-k, and everything built on them: dist, fig1,
-#: capture).  A whole-vector route holds one float64 per state (128 MiB
-#: at 2^24 states); the streamed routes hold a block, but take time in
+#: state (dist by any method, fig1, capture).  They hold a block of
+#: cells at a time, so the cap bounds their time, which grows in
 #: proportion to N.  ``sample_states`` visits no state and has no cap.
 MAX_REGISTER_QUBITS = 24
 
@@ -104,11 +106,6 @@ _CLASS_CELLS = 1 << 8
 #: itself holds a PeakModel per peak: 1.5 s and 240 MB peak RSS at
 #: r = 988 288, just below the cap.
 MAX_PEAKS_ORDER = 1 << 20
-
-METHOD_ORACLE = "oracle_sum"
-METHOD_PER_K = "per_k_closed_form"
-METHOD_TWO_TERM = "two_term_form"
-
 
 class _ProblemInstanceFields(NamedTuple):
     n: int
@@ -211,27 +208,6 @@ class OrderInfo(NamedTuple):
         return cls(r=r, M0=(N - r) // r, k0=N % r, delta_min=delta_min)
 
 
-class OutputDistribution:
-    """Length-N vector of state probabilities plus the method that built it.
-    Two distributions are equal only when they are the same object."""
-
-    __slots__ = ("probabilities", "method")
-
-    def __init__(self, probabilities: np.ndarray, method: str):
-        self.probabilities = probabilities
-        self.method = method
-
-    def __repr__(self) -> str:
-        return f"OutputDistribution(probabilities={self.probabilities!r}, method={self.method!r})"
-
-    def __reduce__(self):
-        return type(self), (self.probabilities, self.method)
-
-    @property
-    def total(self) -> float:
-        return float(self.probabilities.sum())
-
-
 class PeakModel(NamedTuple):
     """One peak of the distribution: real center nu*N/r split into integer
     cell c_nu and fractional displacement delta_nu in [0, 1)."""
@@ -262,12 +238,13 @@ def _class_size(N: int, r: int, k: int) -> int:
     return (N - k - 1) // r + 1
 
 
-def oracle_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
-    """P(c) by literal phasor summation over every exponent.
+def oracle_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
+    """P(c) at the cells of a one-dimensional integer index array, by
+    literal phasor summation over every exponent.
 
     For each residue class k the amplitude at c is the plain sum of
     exp(2*pi*i*a*c/N) over all a = e*r + k, divided by N; the class
-    contributes its squared magnitude.  O(N^2) work, no closed form,
+    contributes its squared magnitude.  O(N) work a cell, no closed form,
     no shared trigonometric shortcuts: this is the reference oracle.
     Capped at q_A <= MAX_ORACLE_QUBITS because of that cost, and by
     ``guard_classes`` on the r passes, which reads info.r; the sum takes
@@ -281,17 +258,17 @@ def oracle_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistrib
     import numpy as np
 
     N = inst.N
-    c = np.arange(N, dtype=np.int64)
-    total = np.zeros(N, dtype=np.float64)
+    c = np.asarray(c, dtype=np.int64)
+    total = np.zeros(len(c))
     for k in range(r):
-        amp = np.zeros(N, dtype=np.complex128)
+        amp = np.zeros(len(c), dtype=np.complex128)
         for e in range(_class_size(N, r, k)):
             a = e * r + k
             # a*c < N^2 <= 2^48 fits int64; reduce before the angle for accuracy
             angle = (2.0 * np.pi / N) * ((a * c) % N)
             amp += np.exp(1j * angle)
         total += np.abs(amp / N) ** 2
-    return OutputDistribution(total, METHOD_ORACLE)
+    return total
 
 
 def _sin_sq(N: int, a: int, c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -329,23 +306,22 @@ def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray, t: np.ndarray,
     return ratio
 
 
-def per_k_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
-    """P(c) from the geometric-series closed form, one term per residue
-    class, filled block by block; each cell adds its classes in order k."""
+def per_k_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
+    """P(c) at the cells of a one-dimensional integer index array, from the
+    geometric-series closed form, one term per residue class; each cell
+    adds its classes in order k."""
     guard_register(inst)
     guard_classes(inst, info.r, "the per-class closed form")
     import numpy as np
 
     N, r = inst.N, info.r
-    out = np.empty(N)
-    for c in _cell_blocks(N):
-        t = np.empty_like(c)
-        singular, den = _denominator_parts(N, r, c, t)
-        total = np.zeros(len(c))
-        for k in range(r):
-            total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, t, singular, den)
-        out[c[0]:c[-1] + 1] = total / float(N) ** 2
-    return OutputDistribution(out, METHOD_PER_K)
+    c = np.asarray(c, dtype=np.int64)
+    t = np.empty_like(c)
+    singular, den = _denominator_parts(N, r, c, t)
+    total = np.zeros(len(c))
+    for k in range(r):
+        total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, t, singular, den)
+    return total / float(N) ** 2
 
 
 def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
@@ -353,10 +329,8 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     two-term form.
 
     k0 classes hold M0+2 exponents and r-k0 hold M0+1, so the per-class
-    sum reduces to two weighted closed-form terms.  Each entry depends on
-    its own cell alone, so a block, a gathered set of cells and the whole
-    register give the same bits.  The exact int64 angle reduction needs
-    q_A <= 31.
+    sum reduces to two weighted closed-form terms.  The exact int64 angle
+    reduction needs q_A <= 31.
     """
     guard_register(inst, 31, "int64 angle reduction")
     import numpy as np
@@ -399,20 +373,6 @@ def _cell_blocks(N: int):
 
     for start, stop in _blocks(N):
         yield np.arange(start, stop, dtype=np.int64)
-
-
-def two_term_distribution(inst: ProblemInstance, info: OrderInfo) -> OutputDistribution:
-    """P(c) over the whole register by the two-term form, filled block by
-    block from ``two_term_at``.  Must agree with per_k_distribution to
-    within accumulation noise (< 1e-12 per entry).
-    """
-    guard_register(inst)
-    import numpy as np
-
-    out = np.empty(inst.N)
-    for cells in _cell_blocks(inst.N):
-        out[cells[0]:cells[-1] + 1] = two_term_at(inst, info, cells)
-    return OutputDistribution(out, METHOD_TWO_TERM)
 
 
 def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple[np.ndarray, float]:
@@ -527,14 +487,15 @@ def capture_probability_d01() -> float:
     return 2.0 * si / math.pi
 
 
-def sample_from(dist: OutputDistribution, rng: SplitMix64, count: int) -> list[int]:
-    """Draw `count` i.i.d. states from P(c) by inverse CDF out of a
-    caller-owned stream (``SplitMix64(seed)`` for a fresh one), from a built
-    vector; ``sample_states`` draws from the same law without one.
+def sample_from(p, rng: SplitMix64, count: int) -> list[int]:
+    """Draw `count` i.i.d. states from the probabilities p of the states
+    0..len(p)-1 by inverse CDF out of a caller-owned stream
+    (``SplitMix64(seed)`` for a fresh one); ``sample_states`` draws from the
+    two-term law without a vector.
     """
     import numpy as np
 
-    p = dist.probabilities
+    p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0.0):
         raise DomainError("distribution has negative entries")
     total = float(p.sum())

@@ -191,11 +191,10 @@ def continued_fraction(f: Fraction) -> ContinuedFractionExpansion:
     return ContinuedFractionExpansion(tuple(quotients), tuple(convergents))
 
 
-def _bounded_convergent(p: int, q: int, bound: int, by: str) -> tuple[int, int] | None:
+def _bounded_convergent(p: int, q: int, bound: int) -> tuple[int, int] | None:
     """best_convergent_bounded of p/q as the pair (h, k) in lowest terms,
     for any p >= 0 and q >= 1, reduced or not: the quotients of Euclid's
     algorithm do not depend on the terms."""
-    by_numerator = by == "numerator"
     h_prev, h, k_prev, k = 0, 1, 1, 0
     best = None
     while q:
@@ -203,36 +202,26 @@ def _bounded_convergent(p: int, q: int, bound: int, by: str) -> tuple[int, int] 
         p, q = q, p - a * q
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-        if (h if by_numerator else k) >= bound:
+        if h >= bound:
             return best
-        if h or by_numerator:
-            best = h, k
+        best = h, k
     return best
 
 
-def best_convergent_bounded(f: Fraction, bound: int, by: str = "numerator") -> Fraction | None:
-    """Last convergent of f whose numerator (or denominator) is < bound.
+def best_convergent_bounded(f: Fraction, bound: int) -> Fraction | None:
+    """Last convergent of f whose numerator is < bound.
 
-    Two equivalent routes are exposed: expand f and bound the numerator,
-    or expand the reciprocal quantity yourself and call this with
-    by="denominator".  On the denominator route the leading zero
-    convergent (present whenever f < 1) is skipped: a zero numerator
-    never encodes a usable ratio, and skipping it is what makes the two
-    routes agree exactly on reciprocal inputs.
+    The expansion stops at the first convergent whose numerator reaches
+    bound.  That is exact because h_i = a_i h_(i-1) + h_(i-2) with every
+    a_i >= 1 for i >= 1 and h_0 = a_0 <= h_1: the numerators never
+    decrease, so no convergent after the first one at or above bound is
+    below it again.
 
-    The expansion stops at the first convergent whose bounded side
-    reaches bound.  That is exact because h_i = a_i h_(i-1) + h_(i-2) and
-    k_i = a_i k_(i-1) + k_(i-2) with every a_i >= 1 for i >= 1 and
-    h_0 = a_0 <= h_1, k_0 = 1 <= k_1: neither side ever decreases, so no
-    convergent after the first one at or above bound is below it again.
-
-    Returns None when even the first eligible convergent violates the bound.
+    Returns None when even the first convergent violates the bound.
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
-    if by not in ("numerator", "denominator"):
-        raise DomainError(f"unknown selection rule {by!r}")
     if f < 0:
         raise DomainError("best_convergent_bounded expects a non-negative rational")
-    best = _bounded_convergent(f.numerator, f.denominator, bound, by)
+    best = _bounded_convergent(f.numerator, f.denominator, bound)
     return None if best is None else Fraction(*best)

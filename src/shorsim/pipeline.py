@@ -167,7 +167,7 @@ def recover_order(c: int, inst: ProblemInstance) -> RecoveryResult:
         raise DomainError(f"c must lie in [0, N), got {c}")
     if c == 0:
         return RecoveryResult(c=0, recovered=None, r_candidate=None, verified=False)
-    est = _bounded_convergent(inst.N, c, inst.n, "numerator")
+    est = _bounded_convergent(inst.N, c, inst.n)
     if est is None:
         return RecoveryResult(c=c, recovered=None, r_candidate=None, verified=False)
     r_candidate = est[0]

@@ -14,10 +14,10 @@ from shorsim.distribution import (
     OrderInfo,
     ProblemInstance,
     capture_probability_d01,
-    oracle_distribution,
+    oracle_at,
     peaks,
-    per_k_distribution,
-    two_term_distribution,
+    per_k_at,
+    two_term_at,
 )
 from shorsim.experiments import census_aggregate, census_sweep, figure1_instance, valuation_model_mc
 from shorsim.number_theory import multiplicative_order
@@ -37,11 +37,12 @@ def test_criterion_1_closed_forms_match_oracle():
     for n, x in instances:
         inst = ProblemInstance.create(n, x, q_A=8)
         info = OrderInfo.from_instance(inst)
-        reference = oracle_distribution(inst, info).probabilities
-        for dist in (per_k_distribution(inst, info), two_term_distribution(inst, info)):
-            gap = float(np.max(np.abs(dist.probabilities - reference)))
+        cells = np.arange(inst.N)
+        reference = oracle_at(inst, info, cells)
+        for at in (per_k_at, two_term_at):
+            gap = float(np.max(np.abs(at(inst, info, cells) - reference)))
             worst = max(worst, gap)
-            assert gap < 1e-10, (n, x, dist.method, gap)
+            assert gap < 1e-10, (n, x, at.__name__, gap)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     _announce(1, "closed forms vs oracle", f"max entrywise gap {worst:.2e}", elapsed)
@@ -50,10 +51,10 @@ def test_criterion_1_closed_forms_match_oracle():
 def test_criterion_2_reference_figure_reproduction():
     started = time.perf_counter()
     inst, info = figure1_instance()
-    dist, peak_models = two_term_distribution(inst, info), peaks(inst, info)
-    assert inst.N == 256 and len(dist.probabilities) == 256
-    assert abs(dist.total - 1.0) < 1e-9
-    top6 = set(np.argsort(dist.probabilities)[-6:].tolist())
+    p, peak_models = two_term_at(inst, info, np.arange(inst.N)), peaks(inst, info)
+    assert inst.N == 256 and len(p) == 256
+    assert abs(float(p.sum()) - 1.0) < 1e-9
+    top6 = set(np.argsort(p)[-6:].tolist())
     annotated = {p.c_nu + (1 if p.delta_nu > 0.5 else 0) for p in peak_models}
     assert annotated == {0, 43, 85, 128, 171, 213}
     assert top6 == annotated

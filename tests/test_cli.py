@@ -1,5 +1,6 @@
 """Command-line behavior: formats, schemas, determinism, and exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import shorsim
 from shorsim import cli, distribution, experiments, number_theory, render
-from shorsim.distribution import two_term_at
+from shorsim.distribution import oracle_at, per_k_at, two_term_at
 from shorsim.rng import SplitMix64
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -254,6 +255,61 @@ class TestExitCodes:
         assert run_cli(capsys, "dist", "--help")[0] == EXIT_OK
 
 
+class TestOutputFailures:
+    """A write that fails and an interrupt each end in one line on stderr."""
+
+    def test_write_error_on_stdout_exits_ioerr(self, capsys, monkeypatch, tmp_path):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class FullStdout:
+            def writelines(self, chunks):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        try:
+            code = main(["dist", "--n", "21", "--x", "10", "--qa", "8"])
+        finally:
+            os.close(fd)
+        assert code == cli.EXIT_IOERR == 74
+        assert capsys.readouterr().err == (
+            f"shorsim: error: writing stdout failed: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("out", [(), ("--out", "/dev/full")])
+    def test_full_device_exits_ioerr_with_one_line(self, out):
+        src = os.path.dirname(os.path.dirname(shorsim.__file__))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "shorsim.cli", "dist", "--n", "1007",
+                                   "--x", "5", "--qa", "16", *out],
+                                  stdout=full, stderr=subprocess.PIPE, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == cli.EXIT_IOERR
+        assert done.stderr.startswith(b"shorsim: error: writing ") and done.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("argv, route", [
+        (("mc-valuation", "--trials", "100"), "valuation_model_mc"),
+        (("dist", "--n", "1007", "--x", "5", "--qa", "16"), "two_term_at"),
+    ])
+    def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch, argv, route):
+        original, calls = getattr(cli, route), []
+
+        def interrupted(*args, **kwargs):
+            # the dist table is interrupted after its first block is written
+            calls.append(None)
+            if len(calls) > 1 or route != "two_term_at":
+                raise KeyboardInterrupt
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, route, interrupted)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_INTERRUPTED == 130
+        assert err == "shorsim: interrupted\n"
+        assert (out != "") == (route == "two_term_at")
+
+
 class TestOracleOrder:
     def test_order_is_computed_once(self, capsys, monkeypatch):
         original = number_theory._distinct_prime_factors
@@ -450,8 +506,8 @@ PINNED_OUTPUT = {
     "neighbors --n 1007 --x 5": "093a810d192e70f0b2be3e8e52bc1fc31967777cb9fed479d5c8baadf10bd72a",
     "neighbors --n 1007 --x 5 --format csv":
         "4a9d46a3c97aa41f88746bde1c2aaf3880ffd7d8aa855e5343061bc7e53b3dda",
-    # taken while per_k_distribution built whole-register arrays and each
-    # table was %-formatted
+    # taken while per-k and the oracle built whole-register vectors, which
+    # the table then read, and each table was %-formatted
     "dist --n 341 --x 2 --qa 12 --method per-k":
         "afdaab1097aa85bd8e4ccf09d71313dd135df74efb33320deb79e5e63e3bbd70",
     "dist --n 341 --x 2 --qa 12 --method per-k --format json":
@@ -499,6 +555,8 @@ class TestStreamedOutput:
         "capture --n 15 --x 7 --qa 10 --samples 5000 --format csv",
         "census --nmax 10000",
         "dist --n 21 --x 10 --qa 8",
+        "dist --n 341 --x 2 --qa 12 --method per-k",
+        "dist --n 15 --x 2 --method oracle",
         "peaks --n 1007 --x 5 --qa 16",
     ])
     def test_every_pass_takes_blocks_of_the_one_size(self, capsys, monkeypatch, command):
@@ -512,8 +570,8 @@ class TestStreamedOutput:
             return wrapper
 
         # the random words of both Monte Carlo tallies (random_block draws
-        # through uint64_block), the census chunks, the cells of two_term_at
-        # from dist and from two_term_prefix_sums, and the peak chunks
+        # through uint64_block), the census chunks, the cells of every dist
+        # method and of two_term_prefix_sums, and the peak chunks
         monkeypatch.setattr(SplitMix64, "uint64_block",
                             counted(SplitMix64.uint64_block, lambda rng, count: count))
         monkeypatch.setattr(experiments, "_census_columns",
@@ -521,6 +579,8 @@ class TestStreamedOutput:
         for module in (cli, distribution):
             monkeypatch.setattr(module, "two_term_at",
                                 counted(two_term_at, lambda inst, info, c: len(c)))
+        for at in (per_k_at, oracle_at):
+            monkeypatch.setattr(cli, at.__name__, counted(at, lambda inst, info, c: len(c)))
         monkeypatch.setattr(cli, "peak_columns",
                             counted(cli.peak_columns, lambda inst, info, start, stop: stop - start))
         code, out, _ = run_cli(capsys, *command.split())
@@ -528,25 +588,33 @@ class TestStreamedOutput:
         assert sha256(out) == PINNED_OUTPUT[command]
         assert sizes and max(sizes) <= 7
 
-    @pytest.mark.parametrize("command", [
-        "dist --n 1007 --x 5 --qa 16",
-        "dist --n 1007 --x 5 --qa 16 --format json",
-        "fig1 --format json",
-    ])
-    def test_two_term_tables_evaluate_one_chunk_at_a_time(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command, cells", [pytest.param(command, cells, id=command) for command, cells in [
+        ("dist --n 1007 --x 5 --qa 16", 1 << 16),
+        ("dist --n 1007 --x 5 --qa 16 --format json", 1 << 16),
+        ("fig1 --format json", 256),
+        ("dist --n 341 --x 2 --qa 12 --method per-k", 1 << 12),
+        ("dist --n 341 --x 2 --qa 12 --method per-k --format json", 1 << 12),
+        ("dist --n 15 --x 2 --method oracle", 256),
+        ("dist --n 15 --x 2 --method oracle --format json", 256),
+    ]])
+    def test_two_term_tables_evaluate_one_chunk_at_a_time(self, capsys, monkeypatch, command, cells):
+        # every method: no dist table holds the register's N cells at once
         monkeypatch.setattr(distribution, "_BLOCK", 1000)
         sizes = []
 
-        def counted(inst, info, c):
-            sizes.append(len(c))
-            return two_term_at(inst, info, c)
+        def counted(at):
+            def evaluate(inst, info, c):
+                sizes.append(len(c))
+                return at(inst, info, c)
+            return evaluate
 
-        monkeypatch.setattr(cli, "two_term_at", counted)
+        for at in (two_term_at, per_k_at, oracle_at):
+            monkeypatch.setattr(cli, at.__name__, counted(at))
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
         assert max(sizes) <= 1000
-        assert sum(sizes) == (256 if command.startswith("fig1") else 1 << 16)
+        assert sum(sizes) == cells
 
     @pytest.mark.parametrize("command", [
         "dist --n 1007 --x 5 --qa 16",
@@ -584,6 +652,8 @@ class TestStreamedOutput:
         (("--n", "21", "--x", "7"), EXIT_DOMAIN),  # x shares a factor with n
         (("--n", "21", "--x", "10", "--qa", "25"), EXIT_RESOURCE),
         (("--n", "1000000000000000000000000000057", "--x", "2", "--qa", "8"), EXIT_RESOURCE),
+        (("--n", "21", "--x", "10", "--qa", "14", "--method", "oracle"), EXIT_RESOURCE),
+        (("--n", "2119933513", "--x", "3", "--qa", "8", "--method", "per-k"), EXIT_RESOURCE),
     ])
     def test_error_leaves_no_file(self, capsys, tmp_path, fmt, flags, expected):
         target = tmp_path / "out"

@@ -13,21 +13,16 @@ from scipy.special import sici
 
 from shorsim import distribution
 from shorsim.distribution import (
-    METHOD_ORACLE,
-    METHOD_PER_K,
-    METHOD_TWO_TERM,
     OrderInfo,
-    OutputDistribution,
     ProblemInstance,
     capture_probability_d01,
     envelope,
-    oracle_distribution,
+    oracle_at,
     peak_deviation_prob,
     peaks,
-    per_k_distribution,
+    per_k_at,
     sample_from,
     two_term_at,
-    two_term_distribution,
     two_term_prefix_sums,
 )
 from shorsim.errors import DomainError, ResourceError
@@ -43,6 +38,11 @@ def build(n, x, q_A):
     inst = ProblemInstance.create(n, x, q_A)
     info = OrderInfo.from_instance(inst)
     return inst, info
+
+
+def whole(at, inst, info):
+    """P over the whole register by the evaluator `at`."""
+    return at(inst, info, np.arange(inst.N))
 
 
 class TestProblemInstance:
@@ -104,67 +104,62 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("n,x,q_A", ORACLE_INSTANCES)
     def test_per_k_matches_oracle(self, n, x, q_A):
         inst, info = build(n, x, q_A)
-        reference = oracle_distribution(inst, info).probabilities
-        closed = per_k_distribution(inst, info).probabilities
+        reference = whole(oracle_at, inst, info)
+        closed = whole(per_k_at, inst, info)
         assert np.max(np.abs(closed - reference)) < 1e-10
 
     @pytest.mark.parametrize("n,x,q_A", ORACLE_INSTANCES)
     def test_two_term_matches_per_k(self, n, x, q_A):
         inst, info = build(n, x, q_A)
-        a = per_k_distribution(inst, info).probabilities
-        b = two_term_distribution(inst, info).probabilities
+        a = whole(per_k_at, inst, info)
+        b = whole(two_term_at, inst, info)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_larger_register_spot_check(self):
         inst, info = build(33, 2, 11)  # r = 10, N = 2048
-        reference = oracle_distribution(inst, info).probabilities
-        assert np.max(np.abs(per_k_distribution(inst, info).probabilities - reference)) < 1e-10
+        reference = whole(oracle_at, inst, info)
+        assert np.max(np.abs(whole(per_k_at, inst, info) - reference)) < 1e-10
 
     def test_wide_register_spot_check(self):
         inst, info = build(35, 11, 12)  # r = 3, N = 4096
-        reference = oracle_distribution(inst, info).probabilities
-        assert np.max(np.abs(two_term_distribution(inst, info).probabilities - reference)) < 1e-10
+        reference = whole(oracle_at, inst, info)
+        assert np.max(np.abs(whole(two_term_at, inst, info) - reference)) < 1e-10
 
     def test_peak_cells_dominate_when_register_covers_square(self):
         # mass on the floor/ceiling cells of all peaks stays above 0.85
         for n, x, q_A in [(15, 2, 8), (21, 10, 9), (33, 2, 11), (35, 11, 11), (57, 5, 12)]:
             inst, info = build(n, x, q_A)
             assert inst.N >= n * n
-            p = two_term_distribution(inst, info).probabilities
+            p = whole(two_term_at, inst, info)
             mass = sum(p[pk.c_nu] + p[pk.c_nu + 1] for pk in peaks(inst, info))
             assert mass >= 0.85, (n, x, mass)
 
-    @pytest.mark.parametrize("method,builder", [
-        (METHOD_ORACLE, lambda i, o: oracle_distribution(i, o)),
-        (METHOD_PER_K, per_k_distribution),
-        (METHOD_TWO_TERM, two_term_distribution),
-    ])
-    def test_normalized_and_tagged(self, method, builder):
+    @pytest.mark.parametrize("at", [oracle_at, per_k_at, two_term_at])
+    def test_normalized(self, at):
         inst, info = build(21, 10, 8)
-        dist = builder(inst, info)
-        assert dist.method == method
-        assert abs(dist.total - 1.0) < 1e-9
-        assert np.all(dist.probabilities >= 0.0)
+        p = whole(at, inst, info)
+        assert abs(float(p.sum()) - 1.0) < 1e-9
+        assert np.all(p >= 0.0)
 
     def test_symmetry_about_midpoint(self):
         for n, x, q_A in [(21, 10, 8), (15, 7, 8), (35, 11, 11)]:
             inst, info = build(n, x, q_A)
-            p = two_term_distribution(inst, info).probabilities
+            p = whole(two_term_at, inst, info)
             assert np.max(np.abs(p[1:] - p[1:][::-1])) < 1e-12
 
     def test_zero_state_is_local_maximum(self):
         inst, info = build(21, 10, 8)
-        p = oracle_distribution(inst, info).probabilities
+        p = whole(oracle_at, inst, info)
         assert p[0] > p[1] and p[0] > p[-1]
 
     def test_exact_zeros_when_order_divides_register(self):
         inst, info = build(15, 2, 8)  # r = 4 | 256: mass sits on multiples of 64
-        p = two_term_distribution(inst, info).probabilities
+        p = whole(two_term_at, inst, info)
         on_peaks = p[::64]
         assert np.allclose(on_peaks, 0.25, atol=1e-12)
         off = np.delete(p, np.arange(0, 256, 64))
         assert np.max(off) < 1e-20
-        reference = oracle_distribution(inst, info).probabilities
+        reference = whole(oracle_at, inst, info)
         assert np.max(np.abs(p - reference)) < 1e-12
 
     def test_singular_entries_match_count_squares(self):
@@ -173,24 +168,24 @@ class TestOracleAgreement:
         expected_p0 = sum(
             ((inst.N - k - 1) // info.r + 1) ** 2 for k in range(info.r)
         ) / inst.N ** 2
-        p = per_k_distribution(inst, info).probabilities
+        p = whole(per_k_at, inst, info)
         assert p[0] == pytest.approx(expected_p0, abs=1e-15)
 
     def test_oracle_checks_the_order_it_is_given(self):
         inst, info = build(21, 10, 8)  # r = 6
         wrong = OrderInfo(r=3, M0=(inst.N - 3) // 3, k0=inst.N % 3, delta_min=info.delta_min)
         with pytest.raises(DomainError):
-            oracle_distribution(inst, wrong)
+            oracle_at(inst, wrong, [0])
 
     def test_register_cap_enforced(self):
         inst = ProblemInstance.create(21, 10, q_A=25)
         info = OrderInfo.from_instance(inst)
         with pytest.raises(ResourceError):
-            two_term_distribution(inst, info)
+            distribution.guard_register(inst)
         with pytest.raises(ResourceError):
-            per_k_distribution(inst, info)
+            per_k_at(inst, info, [0])
         with pytest.raises(ResourceError):
-            oracle_distribution(inst, info)
+            oracle_at(inst, info, [0])
 
 
 class TestOrderGuards:
@@ -206,9 +201,9 @@ class TestOrderGuards:
 
         monkeypatch.setattr(distribution, "multiplicative_order", walk)
         with pytest.raises(ResourceError):
-            per_k_distribution(inst, info)
+            per_k_at(inst, info, [0])
         with pytest.raises(ResourceError):
-            oracle_distribution(inst, info)
+            oracle_at(inst, info, [0])
         with pytest.raises(ResourceError):
             peaks(inst, info)
 
@@ -216,20 +211,20 @@ class TestOrderGuards:
         inst, info = build(21, 10, 8)  # r = 6, N = 256
         cost = info.r * (inst.N + distribution._CLASS_CELLS)
         monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost)
-        per_k_distribution(inst, info)
-        oracle_distribution(inst, info)
+        whole(per_k_at, inst, info)
+        whole(oracle_at, inst, info)
         monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost - 1)
         with pytest.raises(ResourceError):
-            per_k_distribution(inst, info)
+            per_k_at(inst, info, [0])
         with pytest.raises(ResourceError):
-            oracle_distribution(inst, info)
+            oracle_at(inst, info, [0])
 
     def test_narrow_register_with_many_classes_refused(self):
         # r*N = 2^22 is far below the cap, but 2^21 classes cost ~17 s
         inst = ProblemInstance.create(2119933513, 3, q_A=1)
         info = OrderInfo(r=1 << 21, M0=-1, k0=2, delta_min=0.0)
         with pytest.raises(ResourceError):
-            per_k_distribution(inst, info)
+            per_k_at(inst, info, [0])
 
     def test_peak_cap_admits_the_order_itself(self, monkeypatch):
         inst, info = build(21, 10, 8)
@@ -257,6 +252,10 @@ PINNED_VECTORS = {
 # (instance, cells per block), at most about ten thousand blocks a pass
 BLOCK_CASES = [(key, size) for key in [(15, 2, 8), (21, 10, 9), (1007, 5, 16)]
                for size in (1, 7, (1 << 16) + 1) if (1 << key[2]) <= 10_000 * size]
+
+# the pinned per-k vectors, at most about twenty thousand class passes
+PER_K_BLOCK_CASES = [(key, size) for key, size in BLOCK_CASES
+                     if -(-(1 << key[2]) // size) * multiplicative_order(key[1], key[0]) <= 20_000]
 
 
 def digest(values):
@@ -293,29 +292,52 @@ class TestRangeEvaluator:
     def test_vectors_are_pinned(self, key):
         inst, info = build(*key)
         two_term, per_k = PINNED_VECTORS[key]
-        assert digest(two_term_distribution(inst, info).probabilities) == two_term
+        assert digest(whole(two_term_at, inst, info)) == two_term
         if per_k is not None:
-            assert digest(per_k_distribution(inst, info).probabilities) == per_k
+            assert digest(whole(per_k_at, inst, info)) == per_k
 
     @pytest.mark.parametrize("key, size", BLOCK_CASES)
     def test_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
         monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
-        assert digest(two_term_distribution(inst, info).probabilities) == PINNED_VECTORS[key][0]
+        blocks = [two_term_at(inst, info, cells) for cells in distribution._cell_blocks(inst.N)]
+        assert digest(np.concatenate(blocks)) == PINNED_VECTORS[key][0]
+
+    @pytest.mark.parametrize("key, size", PER_K_BLOCK_CASES)
+    def test_per_k_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
+        monkeypatch.setattr(distribution, "_BLOCK", size)
+        inst, info = build(*key)
+        blocks = [per_k_at(inst, info, cells) for cells in distribution._cell_blocks(inst.N)]
+        assert digest(np.concatenate(blocks)) == PINNED_VECTORS[key][1]
 
     @pytest.mark.parametrize("key", [(21, 10, 9), (1007, 5, 16)])
     def test_gathered_cells_match_the_vector(self, key):
         inst, info = build(*key)
-        p = two_term_distribution(inst, info).probabilities
+        p = whole(two_term_at, inst, info)
         cells = np.random.default_rng(5).permutation(inst.N)[:1000]
         assert np.array_equal(two_term_at(inst, info, cells), p[cells])
         assert np.array_equal(two_term_at(inst, info, [0, inst.N - 1]), p[[0, -1]])
+
+    @pytest.mark.parametrize("at", [oracle_at, per_k_at])
+    def test_per_class_routes_take_any_cells(self, at):
+        # shuffled, repeated and end cells give the whole vector's bits
+        inst, info = build(21, 10, 9)
+        p = whole(at, inst, info)
+        cells = np.random.default_rng(5).permutation(inst.N)[:200]
+        cells = np.concatenate((cells, cells[:10], [inst.N - 1, 0]))
+        assert np.array_equal(at(inst, info, cells), p[cells])
+
+    @pytest.mark.parametrize("at", [oracle_at, per_k_at, two_term_at])
+    def test_no_cells_give_an_empty_vector(self, at):
+        inst, info = build(21, 10, 9)
+        p = at(inst, info, np.arange(0))
+        assert p.dtype == np.float64 and p.shape == (0,)
 
     @pytest.mark.parametrize("key, size", BLOCK_CASES)
     def test_prefix_sums_equal_the_whole_cumsum(self, monkeypatch, key, size):
         monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
-        cdf = np.cumsum(two_term_distribution(inst, info).probabilities)
+        cdf = np.cumsum(whole(two_term_at, inst, info))
         cells = np.unique(np.random.default_rng(2).integers(0, inst.N, 300))
         cells = np.union1d(cells, [0, inst.N - 1])
         sums, total = two_term_prefix_sums(inst, info, cells)
@@ -399,7 +421,7 @@ class TestEnvelope:
 
     def test_matches_distribution_on_integer_grid(self):
         inst, info = build(21, 10, 8)
-        p = two_term_distribution(inst, info).probabilities
+        p = whole(two_term_at, inst, info)
         for c in range(inst.N):
             assert envelope(inst, info, c) == pytest.approx(p[c], abs=1e-12)
 
@@ -450,7 +472,7 @@ class TestPeakDeviation:
         # within a peak, r * P(c_nu + d) tracks the deviation weight to O(1/n)
         inst, info = build(n, x, q_A)
         assert inst.N >= n * n
-        p = two_term_distribution(inst, info).probabilities
+        p = whole(two_term_at, inst, info)
         for peak in peaks(inst, info):
             for d in range(-2, 4):
                 exact = p[(peak.c_nu + d) % inst.N] * info.r
@@ -494,21 +516,19 @@ class TestSampling:
     def test_point_mass_yields_constant(self):
         p = np.zeros(16)
         p[11] = 1.0
-        dist = OutputDistribution(p, "manual")
-        assert sample_from(dist, SplitMix64(4), 50) == [11] * 50
+        assert sample_from(p, SplitMix64(4), 50) == [11] * 50
 
     def test_same_seed_same_draws(self):
         inst, info = build(21, 10, 8)
-        dist = two_term_distribution(inst, info)
-        assert sample_from(dist, SplitMix64(42), 500) == sample_from(dist, SplitMix64(42), 500)
-        assert sample_from(dist, SplitMix64(42), 500) != sample_from(dist, SplitMix64(43), 500)
+        p = whole(two_term_at, inst, info)
+        assert sample_from(p, SplitMix64(42), 500) == sample_from(p, SplitMix64(42), 500)
+        assert sample_from(p, SplitMix64(42), 500) != sample_from(p, SplitMix64(43), 500)
 
     def test_empirical_frequencies_within_binomial_bounds(self):
         inst, info = build(21, 10, 8)
-        dist = two_term_distribution(inst, info)
+        p = whole(two_term_at, inst, info)
         m = 100_000
-        draws = np.bincount(sample_from(dist, SplitMix64(7), m), minlength=inst.N)
-        p = dist.probabilities
+        draws = np.bincount(sample_from(p, SplitMix64(7), m), minlength=inst.N)
         for c in range(inst.N):
             if p[c] < 1e-4:
                 continue
@@ -516,15 +536,14 @@ class TestSampling:
             assert abs(draws[c] / m - p[c]) <= 4 * sigma, c
 
     def test_unnormalized_rejected(self):
-        dist = OutputDistribution(np.full(8, 0.2), "manual")
         with pytest.raises(DomainError):
-            sample_from(dist, SplitMix64(0), 1)
+            sample_from(np.full(8, 0.2), SplitMix64(0), 1)
 
     def test_negative_entries_rejected(self):
         p = np.full(4, 0.5)
         p[0] = -0.5
         with pytest.raises(DomainError):
-            sample_from(OutputDistribution(p, "manual"), SplitMix64(0), 1)
+            sample_from(p, SplitMix64(0), 1)
 
 
 class TestOrderOracleConsistency:

@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shorsim import distribution, experiments
-from shorsim.distribution import OrderInfo, ProblemInstance, peaks, sample_from, two_term_distribution
+from shorsim.distribution import OrderInfo, ProblemInstance, peaks, sample_from, two_term_at
 from shorsim.errors import DomainError, ResourceError
 from shorsim.experiments import (
     MAX_CAPTURE_SAMPLES,
@@ -185,9 +185,9 @@ def inverse_cdf_capture(n, x, q_A, samples, seed):
     their nearest peak."""
     inst = ProblemInstance.create(n, x, q_A)
     info = OrderInfo.from_instance(inst)
-    p = two_term_distribution(inst, info).probabilities
+    p = two_term_at(inst, info, np.arange(inst.N))
     exact = float(sum(p[pk.c_nu] + p[pk.c_nu + 1] for pk in peaks(inst, info)))
-    cs = np.asarray(sample_from(two_term_distribution(inst, info), SplitMix64(seed), samples), dtype=np.int64)
+    cs = np.asarray(sample_from(p, SplitMix64(seed), samples), dtype=np.int64)
     nu_near = np.rint(cs * info.r / inst.N).astype(np.int64)
     d = cs - (nu_near * inst.N) // info.r
     return exact, int(((d == 0) | (d == 1)).sum()) / samples
@@ -712,16 +712,16 @@ class TestNeighborCheck:
 class TestFigureData:
     def test_reference_instance_shape(self):
         inst, info = figure1_instance()
-        dist, pk = two_term_distribution(inst, info), peaks(inst, info)
+        p, pk = two_term_at(inst, info, np.arange(inst.N)), peaks(inst, info)
         assert (inst.n, inst.x, inst.q_A, inst.N) == (21, 10, 8, 256)
-        assert len(dist.probabilities) == 256
+        assert len(p) == 256
         assert len(pk) == 6
-        assert abs(dist.total - 1.0) < 1e-9
+        assert abs(float(p.sum()) - 1.0) < 1e-9
 
     def test_heaviest_states_are_annotated_peak_cells(self):
         inst, info = figure1_instance()
-        dist, pk = two_term_distribution(inst, info), peaks(inst, info)
-        top6 = set(np.argsort(dist.probabilities)[-6:].tolist())
+        p, pk = two_term_at(inst, info, np.arange(inst.N)), peaks(inst, info)
+        top6 = set(np.argsort(p)[-6:].tolist())
         # the heavier of floor/ceiling per peak: ceiling iff delta > 1/2
         expected = {p.c_nu + (1 if p.delta_nu > 0.5 else 0) for p in pk}
         assert top6 == expected == {0, 43, 85, 128, 171, 213}

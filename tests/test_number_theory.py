@@ -233,29 +233,24 @@ class TestContinuedFraction:
             continued_fraction(Fraction(-1, 2))
 
 
-def _literal_best_convergent(f, bound, by):
+def _literal_best_convergent(f, bound):
     """The selection over the whole list of convergents, as a Fraction."""
     best = None
     for cv in continued_fraction(f).convergents:
-        if by == "denominator" and cv.numerator == 0:
-            continue
-        if (cv.numerator if by == "numerator" else cv.denominator) < bound:
+        if cv.numerator < bound:
             best = cv
     return best
 
 
 class TestBestConvergentBounded:
-    @pytest.mark.parametrize("by", ["numerator", "denominator"])
-    def test_equals_the_literal_selection_on_random_fractions(self, by):
+    def test_equals_the_literal_selection_on_random_fractions(self):
         rnd = random.Random(14)
         for _ in range(3000):
             top = rnd.choice([10, 1000, 1 << 40])
             f = Fraction(rnd.randrange(0, top), rnd.randrange(1, top))
             bound = rnd.choice([2, 3, rnd.randrange(2, 100), rnd.randrange(2, top + 2)])
-            assert best_convergent_bounded(f, bound, by) == _literal_best_convergent(f, bound, by), (
-                f, bound)
+            assert best_convergent_bounded(f, bound) == _literal_best_convergent(f, bound), (f, bound)
 
-    @pytest.mark.parametrize("by", ["numerator", "denominator"])
     @pytest.mark.parametrize("f, bound", [
         (Fraction(0), 2),  # a single zero convergent
         (Fraction(0), 10),
@@ -275,16 +270,12 @@ class TestBestConvergentBounded:
         (Fraction(256, 1), 257),
         (Fraction(257, 2), 128),  # [128; 2]: the first numerator is at the bound
     ])
-    def test_edge_cases_equal_the_literal_selection(self, f, bound, by):
-        assert best_convergent_bounded(f, bound, by) == _literal_best_convergent(f, bound, by)
+    def test_edge_cases_equal_the_literal_selection(self, f, bound):
+        assert best_convergent_bounded(f, bound) == _literal_best_convergent(f, bound)
 
     def test_none_at_or_below_the_first_eligible_side(self):
         assert best_convergent_bounded(Fraction(257, 2), 128) is None
         assert best_convergent_bounded(Fraction(257, 2), 129) == Fraction(128)
-        assert best_convergent_bounded(Fraction(0), 5, by="denominator") is None
-        # f < 1 on the denominator route: 0/1 is skipped, and 1/5 is at the bound
-        assert best_convergent_bounded(Fraction(1, 5), 5, by="denominator") is None
-        assert best_convergent_bounded(Fraction(1, 5), 6, by="denominator") == Fraction(1, 5)
 
     def test_equal_consecutive_numerators(self):
         # [0; 3, 1, 2] = 3/11 has convergents 0/1, 1/3, 1/4, 3/11: the stop
@@ -301,8 +292,8 @@ class TestBestConvergentBounded:
             N = 1 << rnd.randrange(4, 63)
             c = rnd.randrange(1, N)
             bound = rnd.randrange(2, 1 << 31)
-            best = _bounded_convergent(N, c, bound, "numerator")
-            literal = _literal_best_convergent(Fraction(N, c), bound, "numerator")
+            best = _bounded_convergent(N, c, bound)
+            literal = _literal_best_convergent(Fraction(N, c), bound)
             assert (best is None and literal is None) or Fraction(*best) == literal
             if best is not None:
                 assert math.gcd(*best) == 1 and best == (literal.numerator, literal.denominator)
@@ -313,7 +304,6 @@ class TestBestConvergentBounded:
 
         monkeypatch.setattr(number_theory, "continued_fraction", listed)
         assert best_convergent_bounded(Fraction(256, 43), 21) == Fraction(6, 1)
-        assert best_convergent_bounded(Fraction(43, 256), 21, by="denominator") == Fraction(1, 6)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -332,45 +322,19 @@ class TestBestConvergentBounded:
         with pytest.raises(DomainError):
             best_convergent_bounded(Fraction(3, 2), 1)
 
-    def test_unknown_route_rejected(self):
-        with pytest.raises(DomainError):
-            best_convergent_bounded(Fraction(3, 2), 10, by="nominator")
-
-    def test_numerator_and_denominator_routes_agree(self):
-        # expanding N/c and bounding the numerator must match expanding c/N
-        # and bounding the denominator, as reciprocals, for every c
-        for N in (256, 512, 1024):
-            for bound in (15, 21, 57):
-                for c in range(1, N):
-                    a = best_convergent_bounded(Fraction(N, c), bound, by="numerator")
-                    b = best_convergent_bounded(Fraction(c, N), bound, by="denominator")
-                    if a is None:
-                        assert b is None, (N, c, bound, b)
-                    else:
-                        assert b == Fraction(a.denominator, a.numerator), (N, c, bound)
-
-    def test_routes_agree_on_sampled_wide_register(self):
-        rnd = random.Random(13)
-        N = 1 << 13
-        for _ in range(500):
-            c = rnd.randrange(1, N)
-            bound = rnd.choice([15, 57, 91, 1009])
-            a = best_convergent_bounded(Fraction(N, c), bound, by="numerator")
-            b = best_convergent_bounded(Fraction(c, N), bound, by="denominator")
-            if a is None:
-                assert b is None
-            else:
-                assert b == Fraction(a.denominator, a.numerator)
-
     def test_best_approximation_property(self):
-        # no non-convergent fraction with denominator up to the selected
-        # convergent's approximates better (exhaustive small-q search)
+        # the convergents of 1/f are the reciprocals of those of f (past a
+        # leading 0/1), so the selection on 1/f gives the last convergent of
+        # f whose denominator is below 40: no non-convergent fraction with
+        # a denominator up to its own approximates f better (exhaustive
+        # small-q search)
         rnd = random.Random(9)
         for _ in range(60):
             f = Fraction(rnd.randrange(1, 3000), rnd.randrange(1, 3000))
-            best = best_convergent_bounded(f, 40, by="denominator")
-            if best is None or best == f:
+            reciprocal = best_convergent_bounded(1 / f, 40)
+            if reciprocal is None or 1 / reciprocal == f:
                 continue
+            best = 1 / reciprocal
             err_best = abs(f - best)
             for q in range(1, best.denominator + 1):
                 p_mid = round(float(f) * q)

@@ -9,11 +9,10 @@ import math
 import pickle
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from shorsim import distribution, experiments, number_theory, pipeline
-from shorsim.distribution import OrderInfo, OutputDistribution, PeakModel, ProblemInstance, peaks
+from shorsim.distribution import OrderInfo, PeakModel, ProblemInstance, peaks
 from shorsim.errors import ContractError, DomainError
 from shorsim.experiments import (
     CaptureReport,
@@ -788,15 +787,3 @@ class TestRecords:
         assert first.retries == [] and first.retries is not second.retries
         first.retries.append(RetryEvent(kind="resample", c=1))
         assert second.retries == [] and RunOutcome(**fields).retries == []
-
-    def test_distribution_compares_by_identity(self):
-        dist = OutputDistribution(np.array([0.25, 0.75]), "manual")
-        assert repr(dist) == "OutputDistribution(probabilities=array([0.25, 0.75]), method='manual')"
-        assert dist == dist and dist != OutputDistribution(dist.probabilities, "manual")
-        with pytest.raises(AttributeError):
-            dist.note = "extra"
-        copies = [pickle.loads(pickle.dumps(dist, protocol))
-                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for copied in (*copies, copy.deepcopy(dist)):
-            assert copied != dist and copied.method == "manual"
-            assert copied.probabilities.tolist() == [0.25, 0.75]

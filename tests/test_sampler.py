@@ -22,7 +22,7 @@ from shorsim.distribution import (
     ProblemInstance,
     fejer_kernel,
     sample_states,
-    two_term_distribution,
+    two_term_at,
 )
 from shorsim.distribution import _bounded
 from shorsim.errors import DomainError, ResourceError
@@ -105,7 +105,7 @@ class TestExactLaw:
     @pytest.mark.parametrize("n,x,q_A", LAW_INSTANCES)
     def test_accept_times_propose_is_the_two_term_law(self, n, x, q_A):
         inst, info = build(n, x, q_A)
-        reference = two_term_distribution(inst, info).probabilities
+        reference = two_term_at(inst, info, np.arange(inst.N))
         assert np.max(np.abs(analytic_law(inst, info) - reference)) < 1e-12
 
     def test_cases_covered(self):
@@ -160,7 +160,7 @@ class TestChiSquare:
         inst, info = build(n, x, q_A)
         draws = sample_states(inst, info, SplitMix64(seed), 30_000)
         assert 0 <= min(draws) and max(draws) < inst.N
-        pvalue, dof = chi_square_pvalue(np.array(draws), two_term_distribution(inst, info).probabilities)
+        pvalue, dof = chi_square_pvalue(np.array(draws), two_term_at(inst, info, np.arange(inst.N)))
         assert dof >= 3
         assert pvalue > 1e-4, (n, x, q_A, pvalue, dof)
 
