@@ -12,15 +12,16 @@ returned as a stream of text chunks that is written as it is formatted,
 so the full text is never held; other output is one string.  Each chunk
 is a set of columns that ``render.render_rows`` turns into text with
 the stdlib's exact bytes and no Python call per number, one block of the
-package's one block size (``distribution._blocks``) a chunk.  The
-distribution tables evaluate each block of cells as they go, whatever
-the method, the peaks are computed block by block, and the census CSV
-and JSON aggregate take each block's columns from the closed form, so
-none of them holds a vector or a list of rows.
+package's one block size (``distribution._blocks``) a chunk.
+``distribution`` makes, caps and primes every pass over the register
+(``_register_values``, whatever the method) and over the peaks
+(``_peak_blocks``), and the census CSV and JSON aggregate take each
+block's columns from the closed form, so none of them holds a vector or
+a list of rows; the CLI picks the evaluator and formats.  Every pass
+raises its errors before its first chunk, so an error leaves no output.
 """
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -28,11 +29,10 @@ from .distribution import (
     OrderInfo,
     ProblemInstance,
     _blocks,
-    _cell_blocks,
-    guard_peaks,
-    guard_register,
+    _peak_blocks,
+    _primed,
+    _register_values,
     oracle_at,
-    peak_columns,
     per_k_at,
     two_term_at,
 )
@@ -133,29 +133,14 @@ def _json_chunks(obj: dict, arrays: dict):
     yield text
 
 
-def _cell_values(inst, info, at):
-    """The pairs (cells, P at the cells) over the blocks of ``_cell_blocks``,
-    where `at(inst, info, cells)` evaluates P.  The first block is evaluated
-    at once, so that the evaluator's guards fire before any output.
-
-    No block is held once it is rendered: the first pair sits in a list
-    iterator, which drops the list when it is taken, and the rest come from
-    ``map``.  A generator expression holds its last block, and raised the
-    peak RSS of ``dist`` by 0.1-0.5 MB."""
-    blocks = _cell_blocks(inst.N)
-    first = next(blocks)
-    return itertools.chain(iter([(first, at(inst, info, first))]),
-                           map(lambda cells: (cells, at(inst, info, cells)), blocks))
-
-
 def _distribution_csv(cell_values):
-    """The `c,P(c)` table of the pairs of ``_cell_values`` as text chunks."""
+    """The `c,P(c)` table of the pairs of ``_register_values`` as text chunks."""
     return _csv_chunks("c,P(c)", "%d,%.15e\n", cell_values)
 
 
 def _probabilities_json(cell_values):
     """The `_json_chunks` entry of the float array P(0..N-1) from the pairs
-    of ``_cell_values``."""
+    of ``_register_values``."""
     return "%r", map(lambda pair: pair[1:], cell_values)
 
 
@@ -170,12 +155,9 @@ _METHODS = {
 def _cmd_dist(args):
     inst = ProblemInstance.create(args.n, args.x, args.qa)
     info = OrderInfo.from_instance(inst)
-    if args.method == "two-term":
-        guard_register(inst)
-        at = two_term_at
-    else:
-        at = per_k_at if args.method == "per-k" else oracle_at
-    cell_values = _cell_values(inst, info, at)
+    # built on each call, so that a patched evaluator is the one used
+    at = {"two-term": two_term_at, "per-k": per_k_at, "oracle": oracle_at}[args.method]
+    cell_values = _register_values(inst, info, at)
     if args.format == "json":
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
@@ -191,16 +173,10 @@ _PEAK_JSON = ('{\n      "nu": %d,\n      "sigma_nu": %r,\n'
               '      "c_nu": %d,\n      "delta_nu": %r\n    }')
 
 
-def _peak_chunks(inst, info):
-    """The columns (nu, sigma_nu, c_nu, delta_nu) of the peaks, chunk by chunk."""
-    guard_peaks(info)
-    return (peak_columns(inst, info, start, stop) for start, stop in _blocks(info.r))
-
-
 def _cmd_peaks(args):
     inst = ProblemInstance.create(args.n, args.x, args.qa)
     info = OrderInfo.from_instance(inst)
-    chunks = _peak_chunks(inst, info)
+    chunks = _peak_blocks(inst, info)
     if args.format == "json":
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N, "r": info.r,
@@ -210,9 +186,9 @@ def _cmd_peaks(args):
 
 
 def _fig1_csv(inst, info):
-    yield from _distribution_csv(_cell_values(inst, info, two_term_at))
+    yield from _distribution_csv(_register_values(inst, info, two_term_at))
     yield f"# peaks: {_PEAK_HEADER}\n"
-    for columns in _peak_chunks(inst, info):
+    for columns in _peak_blocks(inst, info):
         yield _render_rows("# peak " + _PEAK_ROW, columns)
 
 
@@ -223,8 +199,8 @@ def _cmd_fig1(args):
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
             "probabilities": None,
             "peaks": None,
-        }, {"probabilities": _probabilities_json(_cell_values(inst, info, two_term_at)),
-            "peaks": (_PEAK_JSON, _peak_chunks(inst, info))})
+        }, {"probabilities": _probabilities_json(_register_values(inst, info, two_term_at)),
+            "peaks": (_PEAK_JSON, _peak_blocks(inst, info))})
     return _fig1_csv(inst, info)
 
 
@@ -248,16 +224,10 @@ def _cmd_run(args) -> str:
     return _render(args, obj)
 
 
-def _census_nonempty(chunks, nmax):
-    """The census chunks of nmax, once there is a first."""
-    first = next(chunks, None)
-    if first is None:
-        raise DomainError(f"no odd distinct-prime semiprimes below {nmax}")
-    return itertools.chain((first,), chunks)
-
-
 def _cmd_census(args):
-    chunks = _census_nonempty(_census_chunks(args.nmax), args.nmax)
+    chunks = _primed(_census_chunks(args.nmax))
+    if chunks is None:
+        raise DomainError(f"no odd distinct-prime semiprimes below {args.nmax}")
     if args.format == "json":
         agg = _census_chunks_aggregate(chunks)
         band = (1 / 3 - 0.1, 1 / 3 + 0.1)

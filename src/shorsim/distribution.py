@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
@@ -103,7 +103,7 @@ _CLASS_CELLS = 1 << 8
 #: memory does not grow with r and its time does, about 1 us a peak
 #: (2-CPU host, r = 988 288: 0.5 s and 35 MB as CSV, 1.0 s and 44 MB as
 #: JSON, whose text is 2.3 times longer): about 1 s at the cap.  ``peaks``
-#: itself holds a PeakModel per peak: 1.5 s and 240 MB peak RSS at
+#: itself holds a PeakModel per peak: 1.2-1.3 s and 203 MB peak RSS at
 #: r = 988 288, just below the cap.
 MAX_PEAKS_ORDER = 1 << 20
 
@@ -219,7 +219,7 @@ class PeakModel(NamedTuple):
 
 
 def guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
-                   route: str = "full-distribution construction"):
+                   route: str = "a pass over the register"):
     """Raise ResourceError when inst's register is wider than cap qubits."""
     if inst.q_A > cap:
         raise ResourceError(f"q_A={inst.q_A} exceeds the desk-scale cap of {cap} for {route}")
@@ -367,12 +367,35 @@ def _records(cls, columns):
     return map(tuple.__new__, repeat(cls), zip(*(column.tolist() for column in columns)))
 
 
-def _cell_blocks(N: int):
-    """The register's cells as consecutive int64 index blocks."""
+def _primed(items):
+    """The elements of `items` with the first made at once, so that the
+    errors of making it come before any output; None when there is none.
+
+    No element is held once it is taken: the first sits in a list iterator,
+    which drops the list when it is passed; a tuple would stay in
+    ``chain``'s arguments for the whole stream."""
+    items = iter(items)
+    for first in items:
+        return chain(iter([first]), items)
+    return None
+
+
+def _register_values(inst: ProblemInstance, info: OrderInfo, at):
+    """The pairs (cells, P at the cells) over the register's int64 cell
+    blocks, where `at(inst, info, cells)` evaluates P: the one pass over
+    the register, capped by ``guard_register`` and primed by ``_primed``.
+
+    The pairs come from ``map``, which holds no block once it is taken; a
+    generator holds its last block, and raised the peak RSS of ``dist`` by
+    0.1-0.5 MB."""
+    guard_register(inst)
     import numpy as np
 
-    for start, stop in _blocks(N):
-        yield np.arange(start, stop, dtype=np.int64)
+    def values(block):
+        cells = np.arange(*block, dtype=np.int64)
+        return cells, at(inst, info, cells)
+
+    return _primed(map(values, _blocks(inst.N)))
 
 
 def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple[np.ndarray, float]:
@@ -383,14 +406,13 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
     of its ``np.cumsum``, which adds in sequence, so every sum has the
     bits of ``np.cumsum`` over the whole vector.
     """
-    guard_register(inst)
+    values = _register_values(inst, info, two_term_at)
     import numpy as np
 
     cells = np.asarray(cells, dtype=np.int64)
     sums = np.empty(len(cells))
     carry = 0.0
-    for block in _cell_blocks(inst.N):
-        p = two_term_at(inst, info, block)
+    for block, p in values:
         if np.any(p < 0.0):
             raise DomainError("distribution has negative entries")
         p[0] += carry
@@ -448,11 +470,17 @@ def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) 
     return nu, c_nu + delta_nu, c_nu, delta_nu
 
 
+def _peak_blocks(inst: ProblemInstance, info: OrderInfo):
+    """The columns of ``peak_columns`` over the blocks of the r peaks,
+    capped by ``guard_peaks`` on the call."""
+    guard_peaks(info)
+    return (peak_columns(inst, info, start, stop) for start, stop in _blocks(info.r))
+
+
 def peaks(inst: ProblemInstance, info: OrderInfo) -> list[PeakModel]:
     """The r peak models, with centers computed in exact rational arithmetic.
     Capped at r <= MAX_PEAKS_ORDER, checked before any is built."""
-    guard_peaks(info)
-    return list(_records(PeakModel, peak_columns(inst, info, 0, info.r)))
+    return [peak for columns in _peak_blocks(inst, info) for peak in _records(PeakModel, columns)]
 
 
 def peak_deviation_prob(d: int, delta_nu: float) -> float:

@@ -8,13 +8,15 @@ import subprocess
 import sys
 import textwrap
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 import shorsim
 from shorsim import cli, distribution, experiments, number_theory, render
-from shorsim.distribution import oracle_at, per_k_at, two_term_at
+from shorsim.distribution import OrderInfo, ProblemInstance, oracle_at, per_k_at, two_term_at
+from shorsim.errors import ResourceError
 from shorsim.rng import SplitMix64
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -581,8 +583,8 @@ class TestStreamedOutput:
                                 counted(two_term_at, lambda inst, info, c: len(c)))
         for at in (per_k_at, oracle_at):
             monkeypatch.setattr(cli, at.__name__, counted(at, lambda inst, info, c: len(c)))
-        monkeypatch.setattr(cli, "peak_columns",
-                            counted(cli.peak_columns, lambda inst, info, start, stop: stop - start))
+        monkeypatch.setattr(distribution, "peak_columns",
+                            counted(distribution.peak_columns, lambda inst, info, start, stop: stop - start))
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
@@ -714,3 +716,62 @@ class TestStreamedOutput:
             writer.kill()
             writer.wait()
         assert err == b""
+
+
+class TestPasses:
+    """``distribution`` makes every streamed pass: its guards fire before
+    any cell is evaluated, and no block is held once the next is taken."""
+
+    def test_census_chunk_is_freed_once_the_next_is_taken(self, monkeypatch):
+        columns = experiments._census_columns
+        refs = []
+
+        def tracked(p, q):
+            chunk = columns(p, q)
+            refs.append(weakref.ref(chunk.n))
+            return chunk
+
+        monkeypatch.setattr(experiments, "_census_columns", tracked)
+        args = cli.build_parser().parse_args(["census", "--nmax", "1000000"])
+        text = args.func(args)
+        next(text)  # the header
+        next(text)  # the rows of the first chunk
+        assert len(refs) == 1 and refs[0]() is not None
+        next(text)
+        assert len(refs) == 2 and refs[0]() is None
+
+    def test_register_block_is_freed_once_the_next_is_taken(self):
+        inst = ProblemInstance.create(1007, 5, 20)
+        values = distribution._register_values(inst, OrderInfo.from_instance(inst), two_term_at)
+        cells, p = next(values)
+        refs = [weakref.ref(cells), weakref.ref(p)]
+        del cells, p
+        next(values)
+        assert [ref() for ref in refs] == [None, None]
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cell evaluator ran before the register guard")
+
+        for module in (cli, distribution, experiments):
+            for at in (two_term_at, per_k_at, oracle_at):
+                if hasattr(module, at.__name__):
+                    monkeypatch.setattr(module, at.__name__, refuse)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", list(cli._METHODS))
+    def test_dist_guard_comes_before_any_evaluation(self, no_evaluation, method, fmt):
+        args = cli.build_parser().parse_args(
+            ["dist", "--n", "21", "--x", "10", "--qa", "25", "--method", method, "--format", fmt])
+        with pytest.raises(ResourceError):
+            args.func(args)
+
+    def test_prefix_sums_guard_comes_before_any_evaluation(self, no_evaluation):
+        inst = ProblemInstance.create(21, 10, 25)
+        with pytest.raises(ResourceError):
+            distribution.two_term_prefix_sums(inst, OrderInfo.from_instance(inst), [0, 1])
+
+    def test_capture_guard_comes_before_any_evaluation(self, no_evaluation):
+        with pytest.raises(ResourceError):
+            experiments.capture_rate_empirical(21, 10, 25, 1000)

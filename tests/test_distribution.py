@@ -300,14 +300,14 @@ class TestRangeEvaluator:
     def test_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
         monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
-        blocks = [two_term_at(inst, info, cells) for cells in distribution._cell_blocks(inst.N)]
+        blocks = [p for _cells, p in distribution._register_values(inst, info, two_term_at)]
         assert digest(np.concatenate(blocks)) == PINNED_VECTORS[key][0]
 
     @pytest.mark.parametrize("key, size", PER_K_BLOCK_CASES)
     def test_per_k_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
         monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
-        blocks = [per_k_at(inst, info, cells) for cells in distribution._cell_blocks(inst.N)]
+        blocks = [p for _cells, p in distribution._register_values(inst, info, per_k_at)]
         assert digest(np.concatenate(blocks)) == PINNED_VECTORS[key][1]
 
     @pytest.mark.parametrize("key", [(21, 10, 9), (1007, 5, 16)])
