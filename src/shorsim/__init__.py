@@ -82,4 +82,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"

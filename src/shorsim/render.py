@@ -34,13 +34,25 @@ candidate lies inside the interval) is certified by a margin of
 decision inside the margin (a tie or an interval boundary), and a
 negative, non-finite, subnormal or out-of-range value, or a power of two
 (whose interval is asymmetric), is formatted by the stdlib instead.  So
-the text equals the stdlib's by construction.  Zero is laid out directly.
+the text equals the stdlib's by construction.  '%.15e' lays zero out
+directly; '%r' leaves it to the stdlib with the powers of two.
 
-Each field is written into fixed slots of a uint8 row buffer, NUL in the
-slots a row does not use; dropping the NULs leaves the text.
+Rows are assembled in a uint8 buffer of equal rows, one row repeated:
+the literal text, and NUL slots for each field as wide as its column
+needs.  ``%d`` takes the digits of its largest value; ``%.15e`` 21 slots;
+``%r`` 22 for scientific rows (the first digit, '.', the 16 digits after
+it, e, sign, two exponent digits) or, in a column without them, the
+longest fixed-notation text; a three-digit exponent adds a slot, and a
+stdlib text may widen a field.  A kernel writes only the bytes a row
+prints: 4-digit groups as uint32 words, an exponent as a uint32 and a
+byte, the head of '%.15e' as one 5-byte item.  Fixed-notation '%r' rows
+are written only where a column has them, left-aligned, their digits
+moved past the point as shifts of uint64 words.  Dropping the NULs of the
+slots a row leaves unused gives the text.
 """
 
 import re
+import sys
 
 import numpy as np
 
@@ -86,31 +98,43 @@ def _power_table(k_min: int, k_max: int) -> tuple[np.ndarray, ...]:
 _K_MIN = 16 - 281
 _HI, _HI_HEAD, _HI_TAIL, _LO = _power_table(_K_MIN, 16 + 282)
 
-# The ASCII digits of 0..9999, four to an entry read as one uint32; the
-# same with a '.' after each digit, read as one uint64; and, for the head
-# of '%.15e', the first digit, a '.' and the other three.
+# The ASCII digits of 0..9999, four to an entry read as one uint32; and,
+# for the head of '%.15e', the first digit, a '.' and the other three, one
+# 5-byte void item an entry.
 _DIGITS = np.stack([np.arange(10000, dtype=np.int16) // 10 ** i % 10 + ord("0")
                     for i in (3, 2, 1, 0)], axis=1).astype(np.uint8)
 _DIGITS4 = _DIGITS.view(np.uint32)[:, 0]
-_DOTTED4 = np.stack([_DIGITS, np.full_like(_DIGITS, ord("."))], axis=2).reshape(
-    10000, 8).view(np.uint64)[:, 0]
-_HEADS = np.insert(_DIGITS, 1, ord("."), axis=1)
+_HEADS = np.insert(_DIGITS, 1, ord("."), axis=1).view("V5")[:, 0]
 
 # 'e', the sign and the digits of each decimal exponent from -_E to _E,
-# the hundreds slot NUL below 100.
+# NUL-padded to five bytes: the first four read as one uint32, the fifth
+# (the last digit of a three-digit exponent) apart.
 _E = 300
 _EXPONENTS = np.frombuffer("".join(
-    "e%s%s%02d" % ("-+"[e >= 0], abs(e) // 100 or "\0", abs(e) % 100)
-    for e in range(-_E, _E + 1)).encode(), dtype=np.uint8).reshape(-1, 5)
+    ("e%+03d" % e).ljust(5, "\0") for e in range(-_E, _E + 1)).encode(),
+    dtype=np.uint8).reshape(-1, 5)
+_EXPONENT4 = _EXPONENTS[:, :4].copy().view(np.uint32)[:, 0]
+_EXPONENT5 = _EXPONENTS[:, 4].copy()
 
 
-def _groups(x: np.ndarray, out: np.ndarray, table=_DIGITS4):
-    """The digits of non-negative int64 x, four to a column of `out`, the
-    last column the lowest four, each column an entry of `table`."""
+def _groups(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The digits of non-negative int64 x, four to a uint32 column of
+    `out`, the last column the lowest four; returns the digits above them,
+    x // 10^(4 * columns)."""
     for i in range(out.shape[1] - 1, -1, -1):
         q = x // 10000
-        out[:, i] = np.take(table, x - q * 10000)
+        out[:, i] = np.take(_DIGITS4, x - q * 10000)
         x = q
+    return x
+
+
+def _exponent(slots: np.ndarray, e10: np.ndarray, wide: bool):
+    """'e', the sign and the digits of each exponent: four slots, and a
+    fifth for the last digit of three when `wide`."""
+    i = e10 + _E
+    slots[:, :4].view(np.uint32)[:, 0] = np.take(_EXPONENT4, i)
+    if wide:
+        slots[:, 4] = np.take(_EXPONENT5, i)
 
 
 def _scaled(v: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,22 +195,26 @@ class _Floats:
         return Q + (d > 0)
 
 
-def _sci_field(column, slots: np.ndarray) -> np.ndarray:
-    """'%.15e' into 23 slots: a sign slot (used by the stdlib's negative
-    values only), d.ddddddddddddddd, e, sign, digits."""
+def _sci_field(column):
+    """'%.15e' into 21 slots, d.ddddddddddddddde-XX, or 22 when some
+    exponent has three digits."""
     fl = _Floats(column)
     D = fl.round_at(1)
     carry = D == 10 ** 16
     if carry.any():
         D[carry] = 10 ** 15
-    head = D // 10 ** 12
-    slots[:, 0] = 0
-    slots[:, 1:6] = np.take(_HEADS, head, axis=0)
-    _groups(D - head * 10 ** 12, slots[:, 6:18].view(np.uint32))
-    slots[:, 18:] = np.take(_EXPONENTS, fl.e10 + carry + _E, axis=0)
-    if fl.zero.any():
-        slots[fl.zero, 1:] = _ascii("0.000000000000000e+00\0")
-    return fl.unsure
+    e10 = fl.e10 + carry
+    wide = bool(np.abs(e10).max() >= 100)
+
+    def write(slots):
+        head = D // 10 ** 12
+        slots[:, :5].view("V5")[:, 0] = np.take(_HEADS, head)
+        _groups(D - head * 10 ** 12, slots[:, 5:17].view(np.uint32))
+        _exponent(slots[:, 17:], e10, wide)
+        if fl.zero.any():
+            slots[fl.zero, :21] = _ascii("0.000000000000000e+00")
+
+    return 21 + wide, write, fl.unsure
 
 
 def _shortest(fl: _Floats):
@@ -228,89 +256,133 @@ def _shortest(fl: _Floats):
     return D17, p, fl.e10 + carry
 
 
-def _repr_layouts() -> np.ndarray:
-    """Slot masks (0 or 0xFF) of the '%r' layouts, one row per decimal
-    point position class (decpt = -3..16 fixed, then scientific) and
-    digit count p = 1..17.  Slots: '0' '.' '0' '0' '0' (0.000ddd), the 17
-    digits each followed by a '.' slot, then e, sign, three digits."""
-    masks = np.zeros((21, 17, 44), dtype=bool)
-    for p in range(1, 18):
-        for decpt in range(-3, 17):
-            row = masks[decpt + 3, p - 1]
-            if decpt <= 0:  # 0.000ddd
-                row[:2 - decpt] = True
-                row[5:5 + 2 * p:2] = True
+def _fixed_layouts() -> tuple[np.ndarray, ...]:
+    """The fixed-notation layouts of '%r', one per decimal point position
+    decpt = -3..16 and digit count p = 1..17: layout (decpt + 3) * 17 +
+    p - 1.  A row's 24 slots start as its 17 digits, then '0's; a layout
+    keeps some slots in place, moves others `shift` slots right, and adds
+    the literal '.' or '0.000'.  Returns the masks of the kept and of the
+    moved slots and the literal text, nine uint64 words to a layout, one
+    layout a column; the shifts in bits; and the text's lengths."""
+    keep, moved, text = (np.zeros((20, 17, 24), dtype=np.uint8) for _ in range(3))
+    shift = np.ones((20, 17), dtype=np.uint64)
+    for decpt in range(-3, 17):
+        for p in range(1, 18):
+            at = decpt + 3, p - 1
+            if decpt <= 0:  # 0.000ddd: the digits after "0." and -decpt zeros
+                shift[at] = 2 - decpt
+                text[at][:2 - decpt] = _ascii("0.000")[:2 - decpt]
+                moved[at][2 - decpt:2 - decpt + p] = 0xFF
             else:  # ddd.ddd, or ddd000.0 with the padding's zeros
-                row[5:5 + 2 * max(p, decpt + 1):2] = True
-                row[4 + 2 * decpt] = True
-        row = masks[20, p - 1]  # d.ddde-XX, or de-XX
-        row[5:5 + 2 * p:2] = True
-        row[6] = p > 1
-        row[39:] = True
-    return masks.reshape(21 * 17, 44) * np.uint8(0xFF)
+                keep[at][:decpt] = 0xFF
+                text[at][decpt] = ord(".")
+                moved[at][decpt + 1:max(p, decpt + 1) + 1] = 0xFF
+    masks = np.concatenate([keep, moved, text], axis=2).reshape(20 * 17, 72).view(np.uint64)
+    lengths = np.count_nonzero(keep | moved | text, axis=2).ravel()
+    return masks.T.copy(), 8 * shift.ravel(), lengths
 
 
-_REPR_LAYOUTS = _repr_layouts()
-_REPR_PREFIX = _ascii("0.000")
+_FIXED_MASKS, _FIXED_SHIFTS, _FIXED_LENGTHS = _fixed_layouts()
+_ZEROS4 = np.frombuffer(b"0000", dtype=np.uint32)[0]
+# shifts of a uint64 word that move its bytes to later and earlier slots
+_LATER, _EARLIER = ((np.left_shift, np.right_shift) if sys.byteorder == "little"
+                    else (np.right_shift, np.left_shift))
+# '.' after the first digit of p > 1 digits; the bytes of the 16 digits
+# after it that p digits keep, as two uint64 words
+_POINTS = np.array([0, 0] + [ord(".")] * 16, dtype=np.uint8)
+_KEPT = ((np.arange(16) < np.arange(-1, 17)[:, None]) * np.uint8(0xFF)).view(np.uint64).T.copy()
 
 
-def _repr_field(column, slots: np.ndarray) -> np.ndarray:
-    """float.__repr__ into 44 slots (see _repr_layouts)."""
+def _fixed(D17: np.ndarray, layout: np.ndarray) -> np.ndarray:
+    """The fixed-notation text of each element, from its 17 digits D17 and
+    its layout (see _fixed_layouts), NUL-padded to 24 slots."""
+    digits = np.empty((len(D17), 6), dtype=np.uint32)
+    digits[:, 4:] = _ZEROS4
+    top = D17 // 10
+    _groups(top, digits[:, :4])
+    digits.view(np.uint8)[:, 16] = D17 - top * 10 + ord("0")
+    # word-major, so that each step runs over contiguous rows
+    words = digits.view(np.uint64).T.copy()
+    masks = np.take(_FIXED_MASKS, layout, axis=1)
+    bits = np.take(_FIXED_SHIFTS, layout)
+    moved = _LATER(words, bits)  # each slot bits / 8 slots right, across the words
+    moved[1:] |= _EARLIER(words[:-1], 64 - bits)
+    moved &= masks[3:6]
+    words &= masks[:3]
+    words |= moved
+    words |= masks[6:]
+    return np.ascontiguousarray(words.T).view(np.uint8)
+
+
+def _repr_field(column):
+    """float.__repr__.  A scientific row takes 22 slots, 23 when some
+    exponent has three digits: the first digit, '.', the 16 digits after
+    it (NUL past the last), e, sign, exponent digits.  A fixed-notation
+    row is left-aligned, NUL after its text (see _fixed_layouts), and is
+    written over the scientific layout where a column has both."""
     fl = _Floats(column)
     D17, p, e10 = _shortest(fl)
     decpt = e10 + 1
-    sci = (decpt < -3) | (decpt > 16)
-    out = np.empty((len(p), 44), dtype=np.uint8)
-    out[:, :5] = _REPR_PREFIX
-    first = D17 // _X_LO
-    out[:, 5] = first + ord("0")
-    out[:, 6] = ord(".")
-    _groups(D17 - first * _X_LO, out[:, 7:39].view(np.uint64), _DOTTED4)
-    out[:, 39:] = np.take(_EXPONENTS, e10 * sci + _E, axis=0)
-    layout = decpt + 3
-    layout[sci] = 20
-    out &= np.take(_REPR_LAYOUTS, layout * 17 + p - 1, axis=0)
-    if fl.zero.any():
-        out[fl.zero] = np.pad(_ascii("0.0"), (0, 41))
-    slots[:] = out
-    return fl.unsure
+    fixed = np.flatnonzero((decpt >= -3) & (decpt <= 16) & ~fl.unsure)
+    layout = (decpt[fixed] + 3) * 17 + p[fixed] - 1
+    scientific = len(fixed) + np.count_nonzero(fl.unsure) < len(p)
+    wide = scientific and bool(np.abs(e10).max() >= 100)
+    width = max(22 + wide if scientific else 0, int(_FIXED_LENGTHS[layout].max(initial=0)))
+
+    def write(slots):
+        if scientific:
+            first = D17 // _X_LO
+            slots[:, 0] = first + ord("0")
+            slots[:, 1] = np.take(_POINTS, p)
+            digits = slots[:, 2:18]
+            _groups(D17 - first * _X_LO, digits.view(np.uint32))
+            words = digits.view(np.uint64)
+            words[:, 0] &= np.take(_KEPT[0], p)
+            words[:, 1] &= np.take(_KEPT[1], p)
+            _exponent(slots[:, 18:], e10, wide)
+        if len(fixed) == len(p):
+            slots[:] = _fixed(D17, layout)[:, :slots.shape[1]]
+        elif len(fixed):
+            slots[fixed] = _fixed(D17[fixed], layout)[:, :slots.shape[1]]
+
+    return width, write, fl.unsure
 
 
-def _int_width(column) -> int:
-    x = np.asarray(column)
-    if not len(x):
-        return 0
-    # the extremes, or every value when there are Python ints beyond int64
-    return max(len(str(e)) for e in ((x.min(), x.max()) if x.dtype.kind in "iu" else x.tolist()))
-
-
-def _int_field(column, slots: np.ndarray) -> np.ndarray:
-    """'%d' right-aligned into the column's width, leading slots NUL; a
-    negative or beyond-int64 value is left to the stdlib."""
+def _int_field(column):
+    """'%d' right-aligned in the width of the largest value, leading slots
+    NUL where a value has fewer digits; a negative or beyond-int64 value
+    is left to the stdlib."""
     x = np.asarray(column)
     if x.dtype.kind not in "iu":
-        return np.ones(len(x), dtype=bool)
+        return 0, lambda slots: None, np.ones(len(x), dtype=bool)
     x = x.astype(np.int64)
     unsure = x < 0
     if unsure.any():
         x = np.where(unsure, 0, x)
-    width = slots.shape[1]
-    groups = np.empty((len(x), -(-width // 4)), dtype=np.uint32)
-    _groups(x, groups)
-    digits = groups.view(np.uint8)[:, -width:]
-    if len(x) and int(x.min()) < 10 ** (width - 1):  # some have fewer digits
-        lead = width - np.maximum(np.searchsorted(_P10, x, side="right"), 1)
-        digits = digits * (np.arange(width) >= lead[:, None])
-    slots[:] = digits
-    return unsure
+    width = len(str(x.max()))
+    uniform = width == 1 or int(x.min()) >= 10 ** (width - 1)
+
+    def write(slots):
+        digits = slots[:, :width]
+        lead = width % 4
+        top = _groups(x, digits[:, lead:].view(np.uint32))
+        for i in range(lead):
+            digits[:, i] = np.take(_DIGITS[:, 4 - lead + i], top)
+        if not uniform:
+            zeros = width - np.maximum(np.searchsorted(_P10, x, side="right"), 1)
+            digits *= np.arange(width) >= zeros[:, None]
+
+    return width, write, unsure
 
 
-#: conversion -> (width of its slots for a column, kernel filling them and
-#: returning the elements left to the stdlib, the stdlib's text of one)
+#: conversion -> (kernel, the stdlib's text of one element).  The kernel
+#: takes a column and returns the width of its slots, a function laying
+#: the column out in a (rows, width) view of the row buffer, and the mask
+#: of the elements left to the stdlib.
 _FIELDS = {
-    "d": (_int_width, _int_field, lambda e: "%d" % e),
-    ".15e": (lambda column: 23, _sci_field, lambda e: "%.15e" % e),
-    "r": (lambda column: 44, _repr_field, float.__repr__),
+    "d": (_int_field, lambda e: "%d" % e),
+    ".15e": (_sci_field, lambda e: "%.15e" % e),
+    "r": (_repr_field, float.__repr__),
 }
 
 _CONVERSION = re.compile(r"%(d|\.15e|r)")
@@ -324,22 +396,27 @@ def render_rows(row_format: str, columns) -> str:
     literals, convs = parts[0::2], parts[1::2]
     if not convs or len(convs) != len(columns) or any("%" in text for text in literals):
         raise ValueError(f"row format {row_format!r} does not fit {len(columns)} columns")
-    widths = [_FIELDS[conv][0](column) for conv, column in zip(convs, columns)]
-    row_width = sum(map(len, literals)) + sum(widths)
-    text = bytearray(len(columns[0]) * row_width)
-    buf = np.frombuffer(text, dtype=np.uint8).reshape(-1, row_width)
-    at = 0
-    for literal, conv, column, width in zip(literals, convs + [None], columns + [None], widths + [0]):
-        buf[:, at:at + len(literal)] = _ascii(literal)
-        at += len(literal)
-        if conv is None:
-            break
+    if not len(columns[0]):
+        return ""
+    # one row: the literals, NUL in each field's slots
+    row = bytearray(literals[0], "ascii")
+    fields = []
+    for conv, column, literal in zip(convs, columns, literals[1:]):
+        kernel, stdlib = _FIELDS[conv]
+        width, write, unsure = kernel(column)
+        fallback = [(i, _ascii(stdlib(column[i]))) for i in np.flatnonzero(unsure).tolist()]
+        width = max([width, *(len(digits) for _, digits in fallback)])
+        fields.append((len(row), width, write, fallback))
+        row += bytes(width) + literal.encode("ascii")
+    text = row * len(columns[0])
+    buf = np.frombuffer(text, dtype=np.uint8).reshape(-1, len(row))
+    for at, width, write, fallback in fields:
         slots = buf[:, at:at + width]
-        _, kernel, stdlib = _FIELDS[conv]
-        for i in np.flatnonzero(kernel(column, slots)).tolist():
-            digits = _ascii(stdlib(column[i]))
+        write(slots)
+        for i, digits in fallback:
             slots[i] = 0
             slots[i, :len(digits)] = digits
-        at += width
     del buf, slots
-    return text.translate(None, b"\0").decode("ascii")
+    if 0 in text:
+        text = text.replace(b"\0", b"")
+    return text.decode("ascii")

@@ -517,6 +517,11 @@ PINNED_OUTPUT = {
 }
 
 
+# every pinned command whose output is JSON (by --format or by default)
+JSON_COMMANDS = [command for command in PINNED_OUTPUT
+                 if cli.build_parser().parse_args(command.split()).format == "json"]
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -533,6 +538,14 @@ class TestStreamedOutput:
         code, quiet, _ = run_cli(capsys, *command.split(), "--out", str(target))
         assert code == EXIT_OK and quiet == ""
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("command", JSON_COMMANDS)
+    def test_json_output_is_json_dumps_of_its_parse(self, capsys, command):
+        # the JSON writer checked without a pinned digest: every float
+        # reads back to itself and prints as json.dumps prints it
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     @pytest.mark.parametrize("chunk_rows", [1, 100, 255, 256, 257])
     @pytest.mark.parametrize("command", [
@@ -629,12 +642,12 @@ class TestStreamedOutput:
     def test_every_number_through_the_stdlib_gives_the_same_bytes(self, capsys, monkeypatch,
                                                                   command):
         kernel_runs = []
-        for conv, (width, kernel, text) in list(render._FIELDS.items()):
-            def forced(column, slots, kernel=kernel):
+        for conv, (kernel, text) in list(render._FIELDS.items()):
+            def forced(column, kernel=kernel):
                 kernel_runs.append(conv)
-                kernel(column, slots)
-                return np.ones(len(column), dtype=bool)  # every element left to the stdlib
-            monkeypatch.setitem(render._FIELDS, conv, (width, forced, text))
+                width, write, _ = kernel(column)
+                return width, write, np.ones(len(column), dtype=bool)  # every element left to the stdlib
+            monkeypatch.setitem(render._FIELDS, conv, (forced, text))
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
