@@ -340,9 +340,7 @@ def _repr_field(column):
             words[:, 0] &= np.take(_KEPT[0], p)
             words[:, 1] &= np.take(_KEPT[1], p)
             _exponent(slots[:, 18:], e10, wide)
-        if len(fixed) == len(p):
-            slots[:] = _fixed(D17, layout)[:, :slots.shape[1]]
-        elif len(fixed):
+        if len(fixed):
             slots[fixed] = _fixed(D17[fixed], layout)[:, :slots.shape[1]]
 
     return width, write, fl.unsure
