@@ -49,7 +49,6 @@ from .experiments import (
     failure_census,
     figure1_instance,
     neighbor_state_check,
-    semiprimes_below,
     valuation_model_mc,
 )
 from .number_theory import (
@@ -57,13 +56,9 @@ from .number_theory import (
     best_convergent_bounded,
     carmichael_lambda,
     continued_fraction,
-    gcd,
-    lcm,
-    mod_pow,
     multiplicative_order,
     order_from_multiple,
     semiprime_factors,
-    semiprime_lambda,
 )
 from .pipeline import (
     MAX_RUN_QUBITS,
@@ -82,4 +77,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.5.2"
+__version__ = "0.6.0"

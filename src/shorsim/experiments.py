@@ -40,6 +40,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .distribution import (
+    MAX_RUN_MODULUS,
     OrderInfo,
     ProblemInstance,
     _blocks,
@@ -197,13 +198,6 @@ def _semiprime_factors_below(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return p, n // p
 
 
-def semiprimes_below(limit: int) -> list[tuple[int, int, int]]:
-    """All (n, p, q) with n = p*q < limit, p < q odd primes, sorted by n."""
-    p, q = _semiprime_factors_below(limit)
-    return [(a * b, a, b) for start, stop in _blocks(len(p))
-            for a, b in zip(p[start:stop].tolist(), q[start:stop].tolist())]
-
-
 def _census_columns(p, q) -> FailureCensus:
     """The census of each n = p*q in closed form, as a FailureCensus whose
     fields are arrays (or numbers), from the 2-adic splits of p-1 and q-1.
@@ -243,7 +237,9 @@ def _census_columns(p, q) -> FailureCensus:
 
 def failure_census(n: int) -> FailureCensus:
     """Classify every coprime base 1 < x < n as odd-order, trivial square
-    root (x**(r/2) = -1 mod n), or good, counted in closed form."""
+    root (x**(r/2) = -1 mod n), or good, counted in closed form, n < 2^31."""
+    if n >= MAX_RUN_MODULUS:
+        raise ResourceError(f"n={n} exceeds the cap of 2^31 on the modulus")
     factors = semiprime_factors(n)
     if factors is None:
         raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")

@@ -1,6 +1,6 @@
-"""Exact integer arithmetic: modular powers, gcd/lcm, multiplicative
-orders, and continued-fraction machinery for bounded best rational
-approximation.
+"""Exact integer arithmetic: multiplicative orders, Carmichael's lambda,
+and continued-fraction machinery for bounded best rational approximation
+(modular powers, gcd and lcm are the stdlib's).
 
 Everything in this module is integer-exact; no floating point is used
 anywhere.  `multiplicative_order` deliberately walks successive powers:
@@ -21,31 +21,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, NoOrderError
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply, exactly."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    if base < 0 or exponent < 0:
-        raise DomainError("base and exponent must be non-negative")
-    return pow(base, exponent, modulus)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two non-negative integers."""
-    if a < 0 or b < 0:
-        raise DomainError("gcd is defined here for non-negative integers")
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    if a < 1 or b < 1:
-        raise DomainError("lcm requires positive integers")
-    return a // math.gcd(a, b) * b
 
 
 def multiplicative_order(x: int, n: int) -> int:
@@ -97,15 +72,6 @@ def semiprime_factors(n: int) -> tuple[int, int] | None:
     return None
 
 
-def semiprime_lambda(p: int, q: int) -> tuple[int, list[int]]:
-    """Carmichael's lambda(pq) = lcm(p-1, q-1) for distinct odd primes p
-    and q, with its distinct primes: those of p-1 and of q-1, each found
-    by a trial division of about sqrt(q)/2 steps at most, never one of
-    lambda itself."""
-    primes = set(_distinct_prime_factors(p - 1)) | set(_distinct_prime_factors(q - 1))
-    return lcm(p - 1, q - 1), sorted(primes)
-
-
 def carmichael_lambda(n: int) -> tuple[int, list[int]]:
     """Carmichael's lambda(n), the exponent of the unit group mod n >= 2,
     with its distinct primes.
@@ -113,19 +79,24 @@ def carmichael_lambda(n: int) -> tuple[int, list[int]]:
     lambda is the lcm over the prime powers p**e exactly dividing n of
     p**(e-1)*(p-1), except that lambda(2**e) = 2**(e-2) for e >= 3.  The
     order of every unit mod n divides it.  Its primes are those of each
-    p-1, and p itself where p**2 divides n, collected while n is factored,
-    as ``semiprime_lambda`` does: lambda itself is never trial-divided.
+    p-1, and p itself where p**2 divides n, collected while n is factored:
+    lambda itself is never trial-divided.
     """
     if n < 2:
         raise DomainError(f"modulus must be >= 2, got {n}")
+    return _carmichael_lambda(n, _distinct_prime_factors(n))
+
+
+def _carmichael_lambda(n: int, factors: list[int] | tuple[int, int]) -> tuple[int, list[int]]:
+    """carmichael_lambda(n) from n's distinct primes: only each p-1 is trial-divided."""
     result, primes = 1, set()
-    for p in _distinct_prime_factors(n):
+    for p in factors:
         e, rest = 0, n
         while rest % p == 0:
             rest //= p
             e += 1
         part = p ** (e - 1) * (p - 1) if p > 2 or e < 3 else 1 << (e - 2)
-        result = lcm(result, part)
+        result = math.lcm(result, part)
         primes.update(_distinct_prime_factors(p - 1))
         if e > 1:
             primes.add(p)
@@ -141,15 +112,15 @@ def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None 
     list that do not divide the multiple are skipped, and a multiple with
     a prime outside the list is a DomainError.
     """
-    if multiple < 1:
-        raise DomainError("multiple must be positive")
-    if mod_pow(x, multiple, n) != 1:
+    if n < 2 or multiple < 1:
+        raise DomainError(f"need a modulus >= 2 and a positive multiple, got {n} and {multiple}")
+    if pow(x, multiple, n) != 1:
         raise DomainError(f"{multiple} is not a multiple of the order of {x} mod {n}")
     m = rest = multiple
     for f in _distinct_prime_factors(multiple) if primes is None else primes:
         while rest % f == 0:
             rest //= f
-        while m % f == 0 and mod_pow(x, m // f, n) == 1:
+        while m % f == 0 and pow(x, m // f, n) == 1:
             m //= f
     if rest != 1:
         raise DomainError(f"the primes given miss a prime factor of {multiple}")

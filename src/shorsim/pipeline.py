@@ -22,12 +22,7 @@ from typing import NamedTuple
 
 from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, sample_states
 from .errors import ContractError, DomainError, ResourceError
-from .number_theory import (
-    _bounded_convergent,
-    mod_pow,
-    semiprime_factors,
-    semiprime_lambda,
-)
+from .number_theory import _bounded_convergent, _carmichael_lambda, semiprime_factors
 from .rng import SplitMix64
 
 #: Resource guard of the run route, which costs microseconds per draw at
@@ -171,7 +166,7 @@ def recover_order(c: int, inst: ProblemInstance) -> RecoveryResult:
     if est is None:
         return RecoveryResult(c=c, recovered=None, r_candidate=None, verified=False)
     r_candidate = est[0]
-    verified = mod_pow(inst.x, r_candidate, inst.n) == 1
+    verified = pow(inst.x, r_candidate, inst.n) == 1
     return RecoveryResult(c=c, recovered=Fraction(*est), r_candidate=r_candidate, verified=verified)
 
 
@@ -184,11 +179,13 @@ def extract_factors(n: int, x: int, r: int) -> tuple[Classification, tuple[int, 
     must pass the exact order; a proper multiple makes y = 1 and is
     reported as a contract violation.
     """
-    if mod_pow(x, r, n) != 1:
+    if r < 1:
+        raise DomainError(f"an order is positive, got r={r}")
+    if pow(x, r, n) != 1:
         raise ContractError(f"x**r != 1 (mod n) for x={x}, r={r}, n={n}")
     if r % 2 == 1:
         return Classification.ODD_ORDER, None
-    y = mod_pow(x, r // 2, n)
+    y = pow(x, r // 2, n)
     if y == n - 1:
         return Classification.TRIVIAL_SQUARE_ROOT, None
     if y == 1:
@@ -213,7 +210,7 @@ def _opportunistic_factor(n: int, x: int, r_candidate: int) -> int | None:
     try the usual gcd pair as if the candidate were the order."""
     if r_candidate % 2 == 1:
         return None
-    return _split(n, mod_pow(x, r_candidate // 2, n))
+    return _split(n, pow(x, r_candidate // 2, n))
 
 
 def _resolve(n: int, x: int, rec: RecoveryResult,
@@ -248,7 +245,7 @@ def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None)
             factors=(g, n // g), r_true=None,
         )
     inst = ProblemInstance.create(n, x, q_A)
-    info = OrderInfo.from_multiple(inst, *semiprime_lambda(*pq))
+    info = OrderInfo.from_multiple(inst, *_carmichael_lambda(n, pq))
     rng = SplitMix64(seed)
     events: list[RetryEvent] = []
 

@@ -32,10 +32,10 @@ Every decision an element takes (which way a rounding goes, whether a
 candidate lies inside the interval) is certified by a margin of
 ``_EPS``, a hundred thousand times the error bound.  An element with a
 decision inside the margin (a tie or an interval boundary), and a
-negative, non-finite, subnormal or out-of-range value, or a power of two
-(whose interval is asymmetric), is formatted by the stdlib instead.  So
-the text equals the stdlib's by construction.  '%.15e' lays zero out
-directly; '%r' leaves it to the stdlib with the powers of two.
+negative (-0.0 too), non-finite, subnormal or out-of-range value, or a
+power of two (whose interval is asymmetric), is formatted by the stdlib
+instead; +0.0 is in range, X = 0 at exponent 0.  So the text equals the
+stdlib's by construction.
 
 Rows are assembled in a uint8 buffer of equal rows, one row repeated:
 the literal text, and NUL slots for each field as wide as its column
@@ -163,8 +163,8 @@ def _scaled(v: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Floats:
     """A float column scaled for the kernel: e10 and X = I + f of each
-    element (of 1.0 in place of a value outside the kernel's range), and
-    the mask of elements left to the stdlib, which the fields extend."""
+    element (0 for +0.0, 1.0's in place of another value outside the
+    kernel's range), and the mask of elements left to the stdlib."""
 
     def __init__(self, values):
         v = np.asarray(values, dtype=np.float64)
@@ -181,6 +181,7 @@ class _Floats:
             e10[off] += 2 * (I[off] >= _X_HI) - 1
             I[off], f[off] = _scaled(v[off], e10[off])
             self.unsure[off[(I[off] < _X_LO) | (I[off] >= _X_HI)]] = True
+        I[self.zero] = 0  # +0.0: X = 0 at exponent 0, in place of 1.0's 10^16
         self.e10, self.I, self.f = e10, I, f
 
     def round_at(self, j):
@@ -189,9 +190,9 @@ class _Floats:
         marked unsure."""
         P = _P10[j]
         Q = self.I // P
-        # R + f - P/2, exact where it matters (|.| < 2)
-        d = np.clip(self.I - Q * P - P // 2, -2, 2) + self.f - (P == 1) * 0.5
-        self.unsure |= np.abs(d) <= _EPS
+        # 2*(R + f - P/2), exact where it matters (|.| < 4)
+        d = np.clip(2 * (self.I - Q * P) - P, -4, 4) + 2 * self.f
+        self.unsure |= np.abs(d) <= 2 * _EPS
         return Q + (d > 0)
 
 
@@ -211,8 +212,6 @@ def _sci_field(column):
         slots[:, :5].view("V5")[:, 0] = np.take(_HEADS, head)
         _groups(D - head * 10 ** 12, slots[:, 5:17].view(np.uint32))
         _exponent(slots[:, 17:], e10, wide)
-        if fl.zero.any():
-            slots[fl.zero, :21] = _ascii("0.000000000000000e+00")
 
     return 21 + wide, write, fl.unsure
 
@@ -229,6 +228,7 @@ def _shortest(fl: _Floats):
     del H
     fl.unsure |= np.abs(top - np.rint(top)) <= _EPS
     fl.unsure |= np.abs(bottom - np.rint(bottom)) <= _EPS
+    fl.unsure &= ~fl.zero  # +0.0: X = 0 exactly, whose one digit 0 needs no margin
     np.floor(top, out=top)
     np.ceil(bottom, out=bottom)
     span = (top - bottom).astype(np.int64)

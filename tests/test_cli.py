@@ -279,6 +279,32 @@ class TestOutputFailures:
         assert capsys.readouterr().err == (
             f"shorsim: error: writing stdout failed: {os.strerror(errno.ENOSPC)}\n")
 
+    def test_write_error_on_out_mid_stream_exits_ioerr(self, capsys, monkeypatch, tmp_path):
+        target, written = tmp_path / "table.csv", []
+
+        class FullAfterOneChunk:
+            """A file that takes the first chunk and then is out of space."""
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    if written:
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    written.append(chunk)
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullAfterOneChunk(),
+                            raising=False)
+        code, out, err = run_cli(capsys, "dist", "--n", "1007", "--x", "5", "--qa", "16",
+                                 "--out", str(target))
+        assert code == cli.EXIT_IOERR == 74
+        assert len(written) == 1 and out == ""
+        assert err == f"shorsim: error: writing {target} failed: {os.strerror(errno.ENOSPC)}\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("out", [(), ("--out", "/dev/full")])
     def test_full_device_exits_ioerr_with_one_line(self, out):

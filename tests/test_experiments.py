@@ -26,8 +26,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shorsim import distribution, experiments
-from shorsim.distribution import OrderInfo, ProblemInstance, peaks, sample_from, two_term_at
+from shorsim import distribution, experiments, number_theory
+from shorsim.distribution import (
+    MAX_RUN_MODULUS,
+    OrderInfo,
+    ProblemInstance,
+    peaks,
+    sample_from,
+    two_term_at,
+)
 from shorsim.errors import DomainError, ResourceError
 from shorsim.experiments import (
     MAX_CAPTURE_SAMPLES,
@@ -43,14 +50,18 @@ from shorsim.experiments import (
     failure_census,
     figure1_instance,
     neighbor_state_check,
-    semiprimes_below,
     valuation_model_mc,
 )
-from shorsim.number_theory import mod_pow, multiplicative_order
+from shorsim.number_theory import multiplicative_order
 from shorsim.pipeline import Classification, extract_factors
 from shorsim.rng import SplitMix64
 
 SEMIPRIMES = [15, 21, 33, 35, 39, 51, 55, 57]
+
+
+def semiprimes_below(limit):
+    """(n, p, q) of every census row below limit."""
+    return [(r.n, r.p1, r.p2) for r in census_sweep(limit)]
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +167,7 @@ def brute_classification(n, x):
     r = multiplicative_order(x, n)
     if r % 2 == 1:
         return "odd"
-    if mod_pow(x, r // 2, n) == n - 1:
+    if pow(x, r // 2, n) == n - 1:
         return "trivial"
     return "good"
 
@@ -216,7 +227,6 @@ class TestSemiprimeEnumeration:
             p = next((f for f in range(3, math.isqrt(n) + 1, 2) if n % f == 0), None)
             if n % 2 and p and p * p != n and _is_odd_prime(n // p) and n // p != p:
                 scan.append((n, p, n // p))
-        assert semiprimes_below(limit) == scan
         assert [(r.n, r.p1, r.p2) for r in census_sweep(limit)] == scan
 
 
@@ -276,9 +286,9 @@ class TestFailureCensus:
                 r1, r2 = int(tp[x % p]), int(tq[x % q])
                 r = r1 * r2 // math.gcd(r1, r2)
                 v1, v2 = (r1 & -r1).bit_length() - 1, (r2 & -r2).bit_length() - 1
-                assert mod_pow(x, r, n) == 1
+                assert pow(x, r, n) == 1
                 if r % 2 == 0:
-                    assert (mod_pow(x, r // 2, n) == n - 1) == (v1 == v2 >= 1), (n, x)
+                    assert (pow(x, r // 2, n) == n - 1) == (v1 == v2 >= 1), (n, x)
                 else:
                     assert v1 == v2 == 0
 
@@ -296,6 +306,17 @@ class TestFailureCensus:
                 assert expected == brute_classification(n, x)
                 if kind is Classification.SUCCESS:
                     assert factors[0] * factors[1] == n
+
+    def test_modulus_cap_fires_before_trial_division(self, monkeypatch):
+        def refused(m):
+            raise AssertionError(f"trial division of {m}")
+
+        monkeypatch.setattr(number_theory, "_distinct_prime_factors", refused)
+        for n in (MAX_RUN_MODULUS, MAX_RUN_MODULUS + 1, 10**30 + 57):
+            with pytest.raises(ResourceError):
+                failure_census(n)
+        with pytest.raises(AssertionError):
+            failure_census(MAX_RUN_MODULUS - 1)  # below the cap, n is trial-divided
 
     def test_non_semiprime_rejected(self):
         for n in (9, 10, 17, 25, 105):
@@ -427,14 +448,18 @@ class TestCensusColumns:
             assert_same_fields(row, closed_form_census(a, b))
             assert_same_fields(failure_census(a * b), closed_form_census(a, b))
 
-    def test_failure_census_takes_python_ints_beyond_2_53(self):
+    def test_census_formula_takes_python_ints_beyond_2_53(self):
         # 2**53 < n < 2**63: int64 would not wrap, but float64 would round
-        # num_x, and fraction_odd would read 0.2499999999999999
+        # num_x, and fraction_odd would read 0.2499999999999999.  The
+        # formula failure_census runs takes the ints; failure_census itself
+        # refuses an n this large before it trial-divides it.
         p, q = 131071, 68720525347
         assert p * q > 1 << 53
-        row = failure_census(p * q)
+        row = _census_columns(p, q)
         assert_same_fields(row, closed_form_census(p, q))
         assert row.fraction_odd == 0.24999999999999992
+        with pytest.raises(ResourceError):
+            failure_census(p * q)
 
     def test_object_arrays_are_exact_beyond_int64(self):
         p, q = 2097143, 8796130771111  # n > 2**64

@@ -24,7 +24,7 @@ from shorsim.experiments import (
 )
 from shorsim.number_theory import (
     ContinuedFractionExpansion,
-    mod_pow,
+    carmichael_lambda,
     multiplicative_order,
     order_from_multiple,
 )
@@ -126,7 +126,7 @@ class TestRecoverOrder:
         for c in range(1, inst.N, 13):
             rec = recover_order(c, inst)
             if rec.r_candidate is not None:
-                assert rec.verified == (mod_pow(10, rec.r_candidate, 21) == 1)
+                assert rec.verified == (pow(10, rec.r_candidate, 21) == 1)
 
     def test_out_of_range_state_rejected(self):
         inst = ProblemInstance.create(21, 10, q_A=8)
@@ -145,7 +145,7 @@ class TestRecoverOrder:
                 assert (rec.recovered is None) == (c == 0 or inst.N // c >= n)
                 if rec.recovered is not None:
                     assert rec.r_candidate == rec.recovered.numerator < n
-                    assert rec.verified == (mod_pow(x, rec.r_candidate, n) == 1)
+                    assert rec.verified == (pow(x, rec.r_candidate, n) == 1)
                 else:
                     assert rec.r_candidate is None and not rec.verified
 
@@ -179,11 +179,18 @@ class TestExtractFactors:
         with pytest.raises(ContractError):
             extract_factors(21, 10, 12)  # x^6 = 1 already
 
+    def test_non_positive_order_rejected(self):
+        # 8^2 = 1 (mod 21): a modular power at r = -2 would pass as 1 and
+        # split n with the inverse 8^-1 = 8
+        for r in (0, -2):
+            with pytest.raises(DomainError):
+                extract_factors(21, 8, r)
+
     def test_even_nontrivial_orders_always_split(self):
         for n in SEMIPRIMES:
             for x in coprime_bases(n):
                 r = multiplicative_order(x, n)
-                if r % 2 == 1 or mod_pow(x, r // 2, n) == n - 1:
+                if r % 2 == 1 or pow(x, r // 2, n) == n - 1:
                     continue
                 kind, factors = extract_factors(n, x, r)
                 assert kind is Classification.SUCCESS
@@ -507,7 +514,7 @@ class TestRunRoute:
         # defining property instead, over the primes of r by trial division
         n = 46327 * 46337
         r = run_once(n, x, seed=0).r_true
-        assert mod_pow(x, r, n) == 1
+        assert pow(x, r, n) == 1
         rest, f, primes = r, 2, []
         while f * f <= rest:
             if rest % f == 0:
@@ -518,7 +525,7 @@ class TestRunRoute:
         primes += [rest] if rest > 1 else []
         assert primes
         for f in primes:
-            assert mod_pow(x, r // f, n) != 1, (x, r, f)
+            assert pow(x, r // f, n) != 1, (x, r, f)
 
 
 def odd_semiprimes_below(limit):
@@ -529,7 +536,7 @@ def literal_multiplier(n, x, candidate, max_mu):
     """The multiplier scan the run route made before it read the order:
     the first mu in 2..max_mu with x**(mu*candidate) = 1 (mod n)."""
     for mu in range(2, max_mu + 1):
-        if mod_pow(x, mu * candidate, n) == 1:
+        if pow(x, mu * candidate, n) == 1:
             return mu
     return None
 
@@ -539,7 +546,6 @@ def literal_run(n, x, q_A, seed, policy):
     multiplier scan, and every verified multiple reduced to the order by
     order_from_multiple.  The differential oracle of the pipeline."""
     from shorsim.distribution import sample_states
-    from shorsim.number_theory import semiprime_lambda
     from shorsim.rng import SplitMix64
 
     g = precheck(n, x)
@@ -548,7 +554,7 @@ def literal_run(n, x, q_A, seed, policy):
                                    classification=Classification.COMMON_FACTOR_SHORTCUT,
                                    factors=(g, n // g), r_true=None)
     inst = ProblemInstance.create(n, x, q_A)
-    lam, primes = semiprime_lambda(*semiprime_factors(n))
+    lam, primes = carmichael_lambda(n)
     info = OrderInfo.from_multiple(inst, lam, primes)
     rng = SplitMix64(seed)
 
@@ -601,7 +607,7 @@ class TestOrderIsRead:
             for x in coprime_bases(n):
                 r = multiplicative_order(x, n)
                 for candidate in range(1, n):
-                    if mod_pow(x, candidate, n) == 1:
+                    if pow(x, candidate, n) == 1:
                         continue  # verified: a multiple of r
                     mu = r // math.gcd(r, candidate)
                     for max_mu in (1, 2, 3, 64):

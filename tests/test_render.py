@@ -1,5 +1,6 @@
 """The vectorised decimal kernel against the stdlib's formatting, byte for byte."""
 
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -147,6 +148,20 @@ def test_layout_choices_repr():
     for values in (sci, wide, fixed, sci + fixed, wide + fixed, fixed + wide, [0.1, 0.0, 123.25]):
         assert_same("%r\n", values)
         assert_same("%r", values)
+
+
+def test_positive_zero_never_reaches_the_stdlib(monkeypatch):
+    """+0.0 is a kernel element in both float layouts; -0.0 is the stdlib's."""
+    seen = []
+    for conv, (kernel, text) in list(render._FIELDS.items()):
+        monkeypatch.setitem(render._FIELDS, conv,
+                            (kernel, lambda e, text=text: seen.append(e) or text(e)))
+    values = [0.0, 1.5, 0.0, -0.0, 3e-20, 0.0]
+    assert_same("%.15e,%r\n", values, values)
+    assert [math.copysign(1.0, e) for e in seen] == [-1.0, -1.0]
+    seen.clear()
+    assert_same("%r|%.15e;", [0.0] * 5, [0.0] * 5)  # a column of zeros alone
+    assert seen == []
 
 
 def test_layout_choices_sci():

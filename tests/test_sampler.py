@@ -219,6 +219,14 @@ class TestExactDraws:
         assert _bounded(_Words([top]), 3) == 2
         assert _bounded(_Words([]), 1) == 0  # consumes nothing
 
+    def test_lemire_multiword_rejects_a_try(self):
+        # bound 2^64 + 1, two words a try: 2^128 mod s = 1, so only the try
+        # x = 0 is rejected; x = 2^64 gives low = 2^64 < s, kept as 1
+        words = _Words([0, 0, 1, 0])
+        assert _bounded(words, (1 << 64) + 1) == 1
+        with pytest.raises(StopIteration):
+            words.next_uint64()  # both tries, four words, are consumed
+
     @pytest.mark.parametrize("s", [1, 2, 3, (1 << 63) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, 3 ** 90])
     def test_lemire_stream_equals_the_multiword_loop(self, s):
         fast, reference = _Counted(21), _Counted(21)
