@@ -77,4 +77,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"

@@ -8,11 +8,13 @@ Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
 64 usage error, 74 write error on stdout or --out, 130 interrupted.
 
 The tables (dist, fig1, census, peaks, and the neighbors CSV) are
-returned as a stream of text chunks that is written as it is formatted,
-so the full text is never held; other output is one string.  Each chunk
-is a set of columns that ``render.render_rows`` turns into text with
-the stdlib's exact bytes and no Python call per number, one block of the
-package's one block size (``distribution._blocks``) a chunk.
+returned as a stream of ASCII byte chunks that is written as it is
+formatted, so the full text is never held; other output is one string,
+written as its UTF-8 bytes.  Each chunk is a set of columns that
+``render.render_rows`` turns into the stdlib's exact text, as bytes and
+with no Python call per number, one block of the package's one block
+size (``distribution._blocks``) a chunk.  Output goes to the binary
+file under stdout, so every platform writes ``\n``.
 ``distribution`` makes, caps and primes every pass over the register
 (``_register_values``, whatever the method) and over the peaks
 (``_peak_blocks``), and the census CSV and JSON aggregate take each
@@ -91,7 +93,7 @@ def _render(args, obj: dict) -> str:
     return _json(obj) if args.format == "json" else _kv_csv(obj)
 
 
-def _render_rows(row_format: str, columns) -> str:
+def _render_rows(row_format: str, columns) -> bytearray:
     """``render.render_rows``, imported with the first table written, so
     that a command or a library caller that writes none does not build
     the renderer's tables."""
@@ -101,16 +103,16 @@ def _render_rows(row_format: str, columns) -> str:
 
 
 def _csv_chunks(header: str, row_format: str, column_chunks):
-    """A CSV document as text chunks: the header, then the rows of each
+    """A CSV document as byte chunks: the header, then the rows of each
     chunk of `column_chunks`, which gives one sequence per conversion of
     `row_format` (see ``render_rows``)."""
-    yield f"# schema_version={SCHEMA_VERSION}\n{header}\n"
+    yield f"# schema_version={SCHEMA_VERSION}\n{header}\n".encode()
     for columns in column_chunks:
         yield _render_rows(row_format, columns)
 
 
 def _json_chunks(obj: dict, arrays: dict):
-    """`_json(obj)` as text chunks, with each placeholder `obj[key] = None`
+    """`_json(obj)` as byte chunks, with each placeholder `obj[key] = None`
     replaced by the JSON array whose elements `arrays[key] = (element,
     column_chunks)` renders chunk by chunk, each by the format `element`.
     The keys come in the order of obj.
@@ -118,10 +120,10 @@ def _json_chunks(obj: dict, arrays: dict):
     json.dumps prints a finite float as its repr, so ``%r`` gives the same
     bytes; the floats printed are finite.
     """
-    text = _json(obj)
+    text = _json(obj).encode()
     for key, (element, column_chunks) in arrays.items():
-        head, _, text = text.partition(f'"{key}": null')
-        yield head + f'"{key}": ['
+        head, _, text = text.partition(f'"{key}": null'.encode())
+        yield head + f'"{key}": ['.encode()
         first = True
         for columns in column_chunks:
             # each element follows ",\n    ", the first one "[\n    "
@@ -129,12 +131,12 @@ def _json_chunks(obj: dict, arrays: dict):
             if rows:
                 yield rows[1:] if first else rows
                 first = False
-        yield "]" if first else "\n  ]"
+        yield b"]" if first else b"\n  ]"
     yield text
 
 
 def _distribution_csv(cell_values):
-    """The `c,P(c)` table of the pairs of ``_register_values`` as text chunks."""
+    """The `c,P(c)` table of the pairs of ``_register_values`` as byte chunks."""
     return _csv_chunks("c,P(c)", "%d,%.15e\n", cell_values)
 
 
@@ -187,7 +189,7 @@ def _cmd_peaks(args):
 
 def _fig1_csv(inst, info):
     yield from _distribution_csv(_register_values(inst, info, two_term_at))
-    yield f"# peaks: {_PEAK_HEADER}\n"
+    yield f"# peaks: {_PEAK_HEADER}\n".encode()
     for columns in _peak_blocks(inst, info):
         yield _render_rows("# peak " + _PEAK_ROW, columns)
 
@@ -349,10 +351,12 @@ def build_parser() -> _Parser:
 
 
 def _write(chunks, path) -> int:
-    """Write the chunks to the file at path, or to stdout when path is None."""
+    """Write the byte chunks to the file at path, or to stdout when path is
+    None: to its binary buffer, or as text to a stdout that has none (such
+    as an ``io.StringIO``)."""
     if path:
         try:
-            fh = open(path, "w", encoding="utf-8")
+            fh = open(path, "wb")
         except OSError as exc:
             print(f"shorsim: error: cannot write {path}: {exc.strerror}", file=sys.stderr)
             return EXIT_DOMAIN
@@ -363,9 +367,16 @@ def _write(chunks, path) -> int:
             print(f"shorsim: error: writing {path} failed: {exc.strerror}", file=sys.stderr)
             return EXIT_IOERR
         return EXIT_OK
+    stdout = sys.stdout
+    out = getattr(stdout, "buffer", None)
     try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
+        if out is None:
+            stdout.writelines(chunk.decode() for chunk in chunks)
+            stdout.flush()
+        else:
+            stdout.flush()  # text written before goes first
+            out.writelines(chunks)
+            out.flush()
     except OSError as exc:
         # Point stdout at devnull so that the interpreter's final flush of
         # what is left in its buffer stays quiet.
@@ -389,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         output = args.func(args)
-        return _write([output] if isinstance(output, str) else output, args.out)
+        return _write([output.encode()] if isinstance(output, str) else output, args.out)
     except ResourceError as exc:
         print(f"shorsim: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

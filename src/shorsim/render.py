@@ -1,9 +1,9 @@
 """Exact decimal text of numeric columns, without a Python call per element.
 
-``render_rows(row_format, columns)`` returns the text that
-``(row_format * k) % fields`` gives for k rows, where ``fields`` takes
-the columns' values row after row.  ``row_format`` holds literal text and
-three conversions: ``%d`` (an integer), ``%.15e`` (a float, 16
+``render_rows(row_format, columns)`` returns, as ASCII bytes, the text
+that ``(row_format * k) % fields`` gives for k rows, where ``fields``
+takes the columns' values row after row.  ``row_format`` holds literal
+text and three conversions: ``%d`` (an integer), ``%.15e`` (a float, 16
 significant digits) and ``%r`` (a float's ``repr``, the shortest digits
 that read back to it, which is also how ``json.dumps`` prints a float).
 
@@ -48,7 +48,8 @@ prints: 4-digit groups as uint32 words, an exponent as a uint32 and a
 byte, the head of '%.15e' as one 5-byte item.  Fixed-notation '%r' rows
 are written only where a column has them, left-aligned, their digits
 moved past the point as shifts of uint64 words.  Dropping the NULs of the
-slots a row leaves unused gives the text.
+slots a row leaves unused gives the text, and the buffer is returned as
+it is: the caller writes bytes, with no decode and no re-encode.
 """
 
 import re
@@ -386,16 +387,17 @@ _FIELDS = {
 _CONVERSION = re.compile(r"%(d|\.15e|r)")
 
 
-def render_rows(row_format: str, columns) -> str:
+def render_rows(row_format: str, columns) -> bytearray:
     """``(row_format * k) % fields`` for the k rows of the columns, one
-    column per conversion of ``row_format`` (``%d``, ``%.15e``, ``%r``)."""
+    column per conversion of ``row_format`` (``%d``, ``%.15e``, ``%r``),
+    as ASCII bytes."""
     columns = list(columns)
     parts = _CONVERSION.split(row_format)
     literals, convs = parts[0::2], parts[1::2]
     if not convs or len(convs) != len(columns) or any("%" in text for text in literals):
         raise ValueError(f"row format {row_format!r} does not fit {len(columns)} columns")
     if not len(columns[0]):
-        return ""
+        return bytearray()
     # one row: the literals, NUL in each field's slots
     row = bytearray(literals[0], "ascii")
     fields = []
@@ -414,7 +416,9 @@ def render_rows(row_format: str, columns) -> str:
         for i, digits in fallback:
             slots[i] = 0
             slots[i, :len(digits)] = digits
-    del buf, slots
-    if 0 in text:
-        text = text.replace(b"\0", b"")
-    return text.decode("ascii")
+    # the kernels' arrays, held by their write closures, go before the
+    # compacted copy is made and the buffer is handed on
+    del buf, slots, fields, write, fallback
+    if 0 in text:  # a row left slots empty
+        return text.replace(b"\0", b"")
+    return text

@@ -684,9 +684,57 @@ class TestStreamedOutput:
         args = cli.build_parser().parse_args("peaks --n 1007 --x 5 --qa 16 --format json".split())
         chunks = args.func(args)
         assert not isinstance(chunks, str)
-        text = "".join(chunks)
+        text = b"".join(chunks).decode()
         assert sha256(text) == PINNED_OUTPUT["peaks --n 1007 --x 5 --qa 16 --format json"]
         assert len(json.loads(text)["peaks"]) == 468
+
+    @pytest.mark.parametrize("command", [
+        "dist --n 21 --x 10 --qa 8",
+        "dist --n 21 --x 10 --qa 8 --format json",
+        "dist --n 341 --x 2 --qa 12 --method per-k",
+        "dist --n 15 --x 2 --method oracle --format json",
+        "fig1",
+        "fig1 --format json",
+        "peaks --n 21 --x 10 --qa 8",
+        "peaks --n 21 --x 10 --qa 8 --format json",
+        "census --nmax 10000",
+        "neighbors --n 21 --x 10 --format csv",
+    ])
+    def test_tables_reach_the_writer_as_bytes(self, capsys, monkeypatch, command):
+        # no text round trip: the rendered rows go to the writer as they are
+        write, kinds = cli._write, set()
+
+        def recorded(chunks, path):
+            chunks = list(chunks)
+            kinds.update(type(chunk) for chunk in chunks)
+            return write(chunks, path)
+
+        monkeypatch.setattr(cli, "_write", recorded)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert sha256(out) == PINNED_OUTPUT[command]
+        assert kinds == {bytes, bytearray}
+
+    @pytest.mark.parametrize("command", [
+        "dist --n 1007 --x 5 --qa 16",
+        "dist --n 1007 --x 5 --qa 16 --format json",
+        "peaks --n 1007 --x 5 --qa 16 --format json",
+        "fig1",
+        "census --nmax 30000",
+    ])
+    def test_out_file_holds_the_bytes_of_stdout(self, tmp_path, command):
+        # in a fresh interpreter, so that stdout is the process's own
+        src = os.path.dirname(os.path.dirname(shorsim.__file__))
+        argv = [sys.executable, "-m", "shorsim.cli", *command.split()]
+        env = {**os.environ, "PYTHONPATH": src}
+        target = tmp_path / "out"
+        piped = subprocess.run(argv, capture_output=True, env=env, timeout=60, check=True)
+        quiet = subprocess.run([*argv, "--out", str(target)], capture_output=True, env=env,
+                               timeout=60, check=True)
+        assert quiet.stdout == b"" and target.read_bytes() == piped.stdout
+        assert b"\r" not in piped.stdout
+        if command in PINNED_OUTPUT:
+            assert hashlib.sha256(piped.stdout).hexdigest() == PINNED_OUTPUT[command]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("flags,expected", [

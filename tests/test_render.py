@@ -21,7 +21,7 @@ def stdlib(row_format, columns):
 
 def assert_same(row_format, *columns):
     columns = [np.asarray(column).tolist() for column in columns]
-    assert render_rows(row_format, columns) == stdlib(row_format, columns)
+    assert render_rows(row_format, columns) == stdlib(row_format, columns).encode("ascii")
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,8 +190,19 @@ def test_integers():
     assert_same("%d|%d\n", [2**64, 5, -7], [1, 2, 3])  # beyond int64
 
 
+def test_rows_are_the_row_buffer_as_bytes():
+    """The buffer the kernels filled is handed on, compacted only when a
+    row left slots empty; it is never decoded to text."""
+    full = render_rows("%d,%.15e\n", [[1, 2], [0.5, 1e-7]])  # no slot left empty
+    assert isinstance(full, bytearray)
+    assert full == b"1,5.000000000000000e-01\n2,1.000000000000000e-07\n"
+    short = render_rows("%d;%r\n", [[5, 123456789], [0.25, 1e-7]])  # NULs dropped
+    assert isinstance(short, bytearray)
+    assert short == b"5;0.25\n123456789;1e-07\n"
+
+
 def test_literals_and_empty_columns():
-    assert render_rows("[%d]", [[]]) == ""
+    assert render_rows("[%d]", [[]]) == b""
     assert_same('{\n  "a": %d,\n  "b": %r\n},', [1, 22, 333], [0.5, 1e-7, 3.0])
 
 
