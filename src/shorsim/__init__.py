@@ -15,7 +15,6 @@ from .distribution import (
     MAX_RUN_MODULUS,
     FejerProposal,
     OrderInfo,
-    PeakModel,
     ProblemInstance,
     capture_probability_d01,
     envelope,
@@ -23,9 +22,7 @@ from .distribution import (
     oracle_at,
     peak_columns,
     peak_deviation_prob,
-    peaks,
     per_k_at,
-    sample_from,
     sample_states,
     two_term_at,
     two_term_prefix_sums,
@@ -52,10 +49,7 @@ from .experiments import (
     valuation_model_mc,
 )
 from .number_theory import (
-    ContinuedFractionExpansion,
-    best_convergent_bounded,
     carmichael_lambda,
-    continued_fraction,
     multiplicative_order,
     order_from_multiple,
     semiprime_factors,
@@ -77,4 +71,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"

@@ -43,6 +43,11 @@ unbiased bounded draw (Lemire's multiply-and-reject), so the law is the
 two-term distribution itself (up to the double rounding of the acceptance
 test), at any register width.
 
+The peaks' fields come from ``peak_columns``, a block of exact integers
+at a time, which the tables stream.  A list of peak records and
+inverse-CDF draws from a whole vector serve only the tests, as oracles
+(``tests/oracles.py``).
+
 The array routes load numpy when they run; ``sample_states`` and the
 scalar helpers are pure Python, so a caller that only samples states and
 recovers orders never imports it.
@@ -102,9 +107,7 @@ _CLASS_CELLS = 1 << 8
 #: peaks`` streams its rows from ``peak_columns`` chunk by chunk, so its
 #: memory does not grow with r and its time does, about 1 us a peak
 #: (2-CPU host, r = 988 288: 0.5 s and 35 MB as CSV, 1.0 s and 44 MB as
-#: JSON, whose text is 2.3 times longer): about 1 s at the cap.  ``peaks``
-#: itself holds a PeakModel per peak: 1.2-1.3 s and 203 MB peak RSS at
-#: r = 988 288, just below the cap.
+#: JSON, whose text is 2.3 times longer): about 1 s at the cap.
 MAX_PEAKS_ORDER = 1 << 20
 
 class _ProblemInstanceFields(NamedTuple):
@@ -206,16 +209,6 @@ class OrderInfo(NamedTuple):
         N = inst.N
         delta_min = 1.0 / ((inst.n - 1) * inst.n)
         return cls(r=r, M0=(N - r) // r, k0=N % r, delta_min=delta_min)
-
-
-class PeakModel(NamedTuple):
-    """One peak of the distribution: real center nu*N/r split into integer
-    cell c_nu and fractional displacement delta_nu in [0, 1)."""
-
-    nu: int
-    sigma_nu: float
-    c_nu: int
-    delta_nu: float
 
 
 def guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
@@ -440,10 +433,15 @@ def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
     base = sig * r / N
     if base.denominator == 1:  # exact singular point: substitute the limit
         return (k0 * large * large + (r - k0) * small * small) / float(N) ** 2
-    den = math.sin(math.pi * float(base % 2)) ** 2
-    num_large = math.sin(math.pi * float((base * large) % 2)) ** 2
-    num_small = math.sin(math.pi * float((base * small) % 2)) ** 2
-    return (k0 * num_large + (r - k0) * num_small) / (den * float(N) ** 2)
+
+    def sin_sq(turns: Fraction) -> float:
+        # sin^2(pi*turns) is even with period 1: fold turns exactly into
+        # [0, 1/2], where the rounding of pi*turns costs the sine no digits
+        turns %= 1
+        return math.sin(math.pi * float(min(turns, 1 - turns))) ** 2
+
+    den = sin_sq(base)
+    return (k0 * sin_sq(base * large) + (r - k0) * sin_sq(base * small)) / (den * float(N) ** 2)
 
 
 def guard_peaks(info: OrderInfo):
@@ -477,12 +475,6 @@ def _peak_blocks(inst: ProblemInstance, info: OrderInfo):
     return (peak_columns(inst, info, start, stop) for start, stop in _blocks(info.r))
 
 
-def peaks(inst: ProblemInstance, info: OrderInfo) -> list[PeakModel]:
-    """The r peak models, with centers computed in exact rational arithmetic.
-    Capped at r <= MAX_PEAKS_ORDER, checked before any is built."""
-    return [peak for columns in _peak_blocks(inst, info) for peak in _records(PeakModel, columns)]
-
-
 def peak_deviation_prob(d: int, delta_nu: float) -> float:
     """Within-peak weight of integer deviation d for displacement delta_nu.
 
@@ -513,27 +505,6 @@ def capture_probability_d01() -> float:
         term *= -x * x / ((2 * k + 2) * (2 * k + 3))
         k += 1
     return 2.0 * si / math.pi
-
-
-def sample_from(p, rng: SplitMix64, count: int) -> list[int]:
-    """Draw `count` i.i.d. states from the probabilities p of the states
-    0..len(p)-1 by inverse CDF out of a caller-owned stream
-    (``SplitMix64(seed)`` for a fresh one); ``sample_states`` draws from the
-    two-term law without a vector.
-    """
-    import numpy as np
-
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0.0):
-        raise DomainError("distribution has negative entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"distribution is not normalized: total={total!r}")
-    cdf = np.cumsum(p)
-    u = rng.random_block(count) * cdf[-1]
-    idx = np.searchsorted(cdf, u, side="right")
-    np.clip(idx, 0, len(p) - 1, out=idx)
-    return [int(i) for i in idx]
 
 
 def _bounded(rng: SplitMix64, s: int) -> int:

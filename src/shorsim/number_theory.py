@@ -1,6 +1,5 @@
 """Exact integer arithmetic: multiplicative orders, Carmichael's lambda,
-and continued-fraction machinery for bounded best rational approximation
-(modular powers, gcd and lcm are the stdlib's).
+and the bounded convergent that order recovery keeps (modular powers, gcd and lcm are the stdlib's).
 
 Everything in this module is integer-exact; no floating point is used
 anywhere.  `multiplicative_order` deliberately walks successive powers:
@@ -12,13 +11,12 @@ Order recovery keeps the last convergent of N/c whose numerator is below
 n.  ``_bounded_convergent`` runs the Euclid quotients and the convergent
 recurrence on plain ints and stops at the first convergent at or above
 the bound: from index 0 on, numerators and denominators never decrease,
-so the one before it is the last below.  ``continued_fraction``, which
-lists every convergent as a Fraction, is the tests' oracle for it.
+so the one before it is the last below.  The tests check it against the
+selection over the whole list of convergents (``continued_fraction`` in
+``tests/oracles.py``).
 """
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DomainError, NoOrderError
 
@@ -127,44 +125,10 @@ def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None 
     return m
 
 
-class ContinuedFractionExpansion(NamedTuple):
-    """Partial quotients of a rational number together with all convergents.
-
-    The final convergent always equals the expanded fraction exactly, and
-    convergent denominators are strictly increasing from index 1 on.
-    """
-
-    partial_quotients: tuple[int, ...]
-    convergents: tuple[Fraction, ...]
-
-
-def continued_fraction(f: Fraction) -> ContinuedFractionExpansion:
-    """Euclidean-algorithm expansion of a non-negative rational.
-
-    Partial quotients come straight from the Euclidean algorithm on
-    numerator and denominator; convergents follow the standard recurrence
-    p_i = a_i*p_{i-1} + p_{i-2}, q_i = a_i*q_{i-1} + q_{i-2}.
-    """
-    if f < 0:
-        raise DomainError("continued_fraction expects a non-negative rational")
-    p, q = f.numerator, f.denominator
-    quotients: list[int] = []
-    convergents: list[Fraction] = []
-    num_prev, num = 0, 1  # p_{-2}, p_{-1}
-    den_prev, den = 1, 0  # q_{-2}, q_{-1}
-    while q:
-        a = p // q
-        p, q = q, p - a * q
-        num_prev, num = num, a * num + num_prev
-        den_prev, den = den, a * den + den_prev
-        quotients.append(a)
-        convergents.append(Fraction(num, den))
-    return ContinuedFractionExpansion(tuple(quotients), tuple(convergents))
-
-
 def _bounded_convergent(p: int, q: int, bound: int) -> tuple[int, int] | None:
-    """best_convergent_bounded of p/q as the pair (h, k) in lowest terms,
-    for any p >= 0 and q >= 1, reduced or not: the quotients of Euclid's
+    """The last convergent of p/q whose numerator is below bound, as the
+    pair (h, k) in lowest terms, or None when even the first is not; for
+    any p >= 0 and q >= 1, reduced or not: the quotients of Euclid's
     algorithm do not depend on the terms."""
     h_prev, h, k_prev, k = 0, 1, 1, 0
     best = None
@@ -177,22 +141,3 @@ def _bounded_convergent(p: int, q: int, bound: int) -> tuple[int, int] | None:
             return best
         best = h, k
     return best
-
-
-def best_convergent_bounded(f: Fraction, bound: int) -> Fraction | None:
-    """Last convergent of f whose numerator is < bound.
-
-    The expansion stops at the first convergent whose numerator reaches
-    bound.  That is exact because h_i = a_i h_(i-1) + h_(i-2) with every
-    a_i >= 1 for i >= 1 and h_0 = a_0 <= h_1: the numerators never
-    decrease, so no convergent after the first one at or above bound is
-    below it again.
-
-    Returns None when even the first convergent violates the bound.
-    """
-    if bound < 2:
-        raise DomainError(f"bound must be >= 2, got {bound}")
-    if f < 0:
-        raise DomainError("best_convergent_bounded expects a non-negative rational")
-    best = _bounded_convergent(f.numerator, f.denominator, bound)
-    return None if best is None else Fraction(*best)

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import peaks
 from shorsim.distribution import (
     OrderInfo,
     ProblemInstance,
     capture_probability_d01,
     oracle_at,
-    peaks,
     per_k_at,
     two_term_at,
 )

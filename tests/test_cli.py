@@ -4,11 +4,13 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +394,10 @@ class TestRouteGuards:
         ("run", "--n", "4294967297", "--x", "3"),  # 641 * 6700417, beyond the modulus cap
         ("run", "--n", "21", "--x", "10", "--qa", "63"),
         ("dist", "--n", "21", "--x", "10", "--qa", "14", "--method", "oracle"),
+        ("dist", "--n", "21", "--x", "10", "--qa", "25", "--method", "two-term"),
+        ("dist", "--n", "21", "--x", "10", "--qa", "25", "--method", "per-k"),
+        ("dist", "--n", "21", "--x", "10", "--qa", "25", "--method", "oracle"),
+        ("capture", "--n", "21", "--x", "10", "--qa", "25"),
     ])
     def test_route_caps_exit_resource(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -543,9 +549,31 @@ PINNED_OUTPUT = {
 }
 
 
-# every pinned command whose output is JSON (by --format or by default)
+# every pinned command whose output is JSON (by --format or by default),
+# and two more: peaks' floats are mostly fixed notation, and most cells of
+# dist at n 15 are 0.0
 JSON_COMMANDS = [command for command in PINNED_OUTPUT
                  if cli.build_parser().parse_args(command.split()).format == "json"]
+JSON_COMMANDS += ["peaks --n 1007 --x 5 --format json", "dist --n 15 --x 2 --qa 12 --format json"]
+
+# one or more of every command, each table included; run --n 2146654199 is
+# q_A 62, with three-word bounded draws and a long expansion of N/c
+CONSOLE_COMMANDS = [
+    "fig1", "fig1 --format json", "run --n 21 --x 10 --seed 7", "run --n 2146654199 --x 3 --seed 5",
+    "dist --n 1007 --x 5 --qa 16 --format json", "dist --n 341 --x 2 --qa 12 --method per-k",
+    "dist --n 15 --x 2 --method oracle --format json", "peaks --n 21 --x 10 --qa 8 --format json",
+    "census --nmax 30000", "census --nmax 30000 --format json", "neighbors --n 1007 --x 5",
+    "neighbors --n 1007 --x 5 --format csv", "guarantee --n 4087 --x 5",
+    "mc-valuation --trials 100000 --seed 3", "capture --n 1007 --x 5 --samples 100000",
+]
+
+
+def fresh_interpreter(*argv):
+    """The completed process of `python argv`, with this checkout's package
+    first on the path and stdout and stderr captured."""
+    src = os.path.dirname(os.path.dirname(shorsim.__file__))
+    return subprocess.run([sys.executable, *argv], capture_output=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
 
 
 def sha256(text):
@@ -716,25 +744,32 @@ class TestStreamedOutput:
         assert kinds == {bytes, bytearray}
 
     @pytest.mark.parametrize("command", [
+        *CONSOLE_COMMANDS,
         "dist --n 1007 --x 5 --qa 16",
-        "dist --n 1007 --x 5 --qa 16 --format json",
         "peaks --n 1007 --x 5 --qa 16 --format json",
-        "fig1",
-        "census --nmax 30000",
     ])
     def test_out_file_holds_the_bytes_of_stdout(self, tmp_path, command):
         # in a fresh interpreter, so that stdout is the process's own
-        src = os.path.dirname(os.path.dirname(shorsim.__file__))
-        argv = [sys.executable, "-m", "shorsim.cli", *command.split()]
-        env = {**os.environ, "PYTHONPATH": src}
         target = tmp_path / "out"
-        piped = subprocess.run(argv, capture_output=True, env=env, timeout=60, check=True)
-        quiet = subprocess.run([*argv, "--out", str(target)], capture_output=True, env=env,
-                               timeout=60, check=True)
+        piped = fresh_interpreter("-m", "shorsim.cli", *command.split())
+        quiet = fresh_interpreter("-m", "shorsim.cli", *command.split(), "--out", str(target))
         assert quiet.stdout == b"" and target.read_bytes() == piped.stdout
         assert b"\r" not in piped.stdout
         if command in PINNED_OUTPUT:
             assert hashlib.sha256(piped.stdout).hexdigest() == PINNED_OUTPUT[command]
+
+    @pytest.mark.parametrize("command", CONSOLE_COMMANDS)
+    def test_console_script_writes_the_bytes_of_the_module(self, command):
+        # the installed `shorsim` script imports the [project.scripts] target
+        # and exits with what it returns
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        module, function = re.search(r'^\[project\.scripts\]\nshorsim = "([\w.]+):(\w+)"$',
+                                     pyproject, re.M).groups()
+        script = fresh_interpreter(
+            "-c", f"import sys; from {module} import {function}; sys.exit({function}())",
+            *command.split())
+        piped = fresh_interpreter("-m", "shorsim.cli", *command.split())
+        assert script.stdout == piped.stdout and script.stderr == piped.stderr == b""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("flags,expected", [

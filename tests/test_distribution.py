@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
+from oracles import peaks, sample_from
 from shorsim import distribution
 from shorsim.distribution import (
     OrderInfo,
@@ -21,9 +22,7 @@ from shorsim.distribution import (
     envelope,
     oracle_at,
     peak_deviation_prob,
-    peaks,
     per_k_at,
-    sample_from,
     two_term_at,
     two_term_prefix_sums,
 )

@@ -26,13 +26,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import peaks, sample_from
 from shorsim import distribution, experiments, number_theory
 from shorsim.distribution import (
     MAX_RUN_MODULUS,
     OrderInfo,
     ProblemInstance,
-    peaks,
-    sample_from,
     two_term_at,
 )
 from shorsim.errors import DomainError, ResourceError

@@ -11,14 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from shorsim import number_theory
+from oracles import continued_fraction
 from shorsim.errors import DomainError, NoOrderError
 from shorsim.number_theory import (
     _bounded_convergent,
     _carmichael_lambda,
-    best_convergent_bounded,
     carmichael_lambda,
-    continued_fraction,
     multiplicative_order,
     order_from_multiple,
 )
@@ -211,11 +209,11 @@ class TestContinuedFraction:
 
 
 def _literal_best_convergent(f, bound):
-    """The selection over the whole list of convergents, as a Fraction."""
+    """The selection over the whole list of convergents, as the pair (h, k)."""
     best = None
     for cv in continued_fraction(f).convergents:
         if cv.numerator < bound:
-            best = cv
+            best = cv.numerator, cv.denominator
     return best
 
 
@@ -226,7 +224,8 @@ class TestBestConvergentBounded:
             top = rnd.choice([10, 1000, 1 << 40])
             f = Fraction(rnd.randrange(0, top), rnd.randrange(1, top))
             bound = rnd.choice([2, 3, rnd.randrange(2, 100), rnd.randrange(2, top + 2)])
-            assert best_convergent_bounded(f, bound) == _literal_best_convergent(f, bound), (f, bound)
+            got = _bounded_convergent(f.numerator, f.denominator, bound)
+            assert got == _literal_best_convergent(f, bound), (f, bound)
 
     @pytest.mark.parametrize("f, bound", [
         (Fraction(0), 2),  # a single zero convergent
@@ -248,19 +247,19 @@ class TestBestConvergentBounded:
         (Fraction(257, 2), 128),  # [128; 2]: the first numerator is at the bound
     ])
     def test_edge_cases_equal_the_literal_selection(self, f, bound):
-        assert best_convergent_bounded(f, bound) == _literal_best_convergent(f, bound)
+        assert _bounded_convergent(f.numerator, f.denominator, bound) == _literal_best_convergent(f, bound)
 
     def test_none_at_or_below_the_first_eligible_side(self):
-        assert best_convergent_bounded(Fraction(257, 2), 128) is None
-        assert best_convergent_bounded(Fraction(257, 2), 129) == Fraction(128)
+        assert _bounded_convergent(257, 2, 128) is None
+        assert _bounded_convergent(257, 2, 129) == (128, 1)
 
     def test_equal_consecutive_numerators(self):
         # [0; 3, 1, 2] = 3/11 has convergents 0/1, 1/3, 1/4, 3/11: the stop
         # at the first numerator >= bound still passes over 1/3 to 1/4
         assert continued_fraction(Fraction(3, 11)).convergents == (
             Fraction(0), Fraction(1, 3), Fraction(1, 4), Fraction(3, 11))
-        assert best_convergent_bounded(Fraction(3, 11), 2) == Fraction(1, 4)
-        assert best_convergent_bounded(Fraction(3, 11), 3) == Fraction(1, 4)
+        assert _bounded_convergent(3, 11, 2) == (1, 4)
+        assert _bounded_convergent(3, 11, 3) == (1, 4)
 
     def test_unreduced_terms_expand_like_the_reduced_fraction(self):
         # recover_order passes N and c as they are, with no Fraction(N, c)
@@ -270,34 +269,17 @@ class TestBestConvergentBounded:
             c = rnd.randrange(1, N)
             bound = rnd.randrange(2, 1 << 31)
             best = _bounded_convergent(N, c, bound)
-            literal = _literal_best_convergent(Fraction(N, c), bound)
-            assert (best is None and literal is None) or Fraction(*best) == literal
-            if best is not None:
-                assert math.gcd(*best) == 1 and best == (literal.numerator, literal.denominator)
-
-    def test_never_lists_the_convergents(self, monkeypatch):
-        def listed(f):
-            raise AssertionError("the convergent list is only the tests' oracle")
-
-        monkeypatch.setattr(number_theory, "continued_fraction", listed)
-        assert best_convergent_bounded(Fraction(256, 43), 21) == Fraction(6, 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            best_convergent_bounded(Fraction(-1, 2), 10)
+            assert best == _literal_best_convergent(Fraction(N, c), bound)
+            assert best is None or math.gcd(*best) == 1
 
     def test_spec_case_numerator_route(self):
-        assert best_convergent_bounded(Fraction(256, 43), 21) == Fraction(6, 1)
+        assert _bounded_convergent(256, 43, 21) == (6, 1)
 
     def test_reduced_fraction_single_convergent(self):
-        assert best_convergent_bounded(Fraction(256, 128), 21) == Fraction(2, 1)
+        assert _bounded_convergent(256, 128, 21) == (2, 1)
 
     def test_none_when_first_convergent_too_big(self):
-        assert best_convergent_bounded(Fraction(256, 1), 21) is None
-
-    def test_bound_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            best_convergent_bounded(Fraction(3, 2), 1)
+        assert _bounded_convergent(256, 1, 21) is None
 
     def test_best_approximation_property(self):
         # the convergents of 1/f are the reciprocals of those of f (past a
@@ -308,10 +290,10 @@ class TestBestConvergentBounded:
         rnd = random.Random(9)
         for _ in range(60):
             f = Fraction(rnd.randrange(1, 3000), rnd.randrange(1, 3000))
-            reciprocal = best_convergent_bounded(1 / f, 40)
-            if reciprocal is None or 1 / reciprocal == f:
+            reciprocal = _bounded_convergent(f.denominator, f.numerator, 40)
+            if reciprocal is None or Fraction(reciprocal[1], reciprocal[0]) == f:
                 continue
-            best = 1 / reciprocal
+            best = Fraction(reciprocal[1], reciprocal[0])
             err_best = abs(f - best)
             for q in range(1, best.denominator + 1):
                 p_mid = round(float(f) * q)

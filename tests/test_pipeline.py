@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import continued_fraction, peaks
 from shorsim import distribution, experiments, number_theory, pipeline
-from shorsim.distribution import OrderInfo, PeakModel, ProblemInstance, peaks
+from shorsim.distribution import OrderInfo, ProblemInstance
 from shorsim.errors import ContractError, DomainError
 from shorsim.experiments import (
     CaptureReport,
@@ -23,7 +24,6 @@ from shorsim.experiments import (
     ValuationModelResult,
 )
 from shorsim.number_theory import (
-    ContinuedFractionExpansion,
     carmichael_lambda,
     multiplicative_order,
     order_from_multiple,
@@ -155,7 +155,7 @@ class TestRecoverOrder:
         for n, x, q_A in [(15, 2, 8), (21, 10, 9), (1007, 5, 14)]:
             inst = ProblemInstance.create(n, x, q_A)
             for c in range(1, inst.N):
-                below = [cv for cv in number_theory.continued_fraction(Fraction(inst.N, c)).convergents
+                below = [cv for cv in continued_fraction(Fraction(inst.N, c)).convergents
                          if cv.numerator < n]
                 assert recover_order(c, inst).recovered == (below[-1] if below else None), (n, c)
 
@@ -698,12 +698,6 @@ RECORDS = [
     (ProblemInstance, _INSTANCE, "ProblemInstance(n=21, x=10, q_A=9, q_B=5, N=512)"),
     (OrderInfo, dict(r=6, M0=84, k0=2, delta_min=1 / 420),
      "OrderInfo(r=6, M0=84, k0=2, delta_min=0.002380952380952381)"),
-    (PeakModel, dict(nu=1, sigma_nu=85.33333333333333, c_nu=85, delta_nu=0.3333333333333333),
-     "PeakModel(nu=1, sigma_nu=85.33333333333333, c_nu=85, delta_nu=0.3333333333333333)"),
-    (ContinuedFractionExpansion,
-     dict(partial_quotients=(0, 2, 3), convergents=(Fraction(0), Fraction(1, 2), Fraction(3, 7))),
-     "ContinuedFractionExpansion(partial_quotients=(0, 2, 3), "
-     "convergents=(Fraction(0, 1), Fraction(1, 2), Fraction(3, 7)))"),
     (RecoveryResult, _RECOVERY,
      "RecoveryResult(c=85, recovered=Fraction(6, 1), r_candidate=6, verified=True)"),
     (RetryPolicy, dict(max_mu=8, max_resamples=0), "RetryPolicy(max_mu=8, max_resamples=0)"),

@@ -2,8 +2,8 @@
 
 The CLI prints 16 significant digits, so the target is a relative error of
 1e-15 at every sampled cell.  Today the routes that take the sine of an
-angle reduced mod 2N, or mod 2 for the envelope, but not folded towards 0
-miss it: near pi the angle's rounding swamps a small sine.  Measured max
+angle reduced mod 2N but not folded towards 0 miss it: near pi the angle's
+rounding swamps a small sine.  Measured max
 relative errors on the cells sampled below (``default_rng(3)``, 2000 a
 machine or a kernel):
 
@@ -13,8 +13,9 @@ machine or a kernel):
   and 10; 1.4e-12 at (4087, 5, 16), r = 330;
 * oracle: 2.7e-13, 7.6e-14, 2.2e-14 at (21, 10, 12), (341, 2, 12),
   (1007, 5, 13);
-* envelope: 3.0e-12 at most, on the two-term machines and (21, 10, 12),
-  at cells and between them;
+* envelope: 6.7e-16 at most, on the two-term machines and (21, 10, 12),
+  at cells and between them.  It folds its three angles into [0, 1/2]
+  turns in exact rationals; reduced mod 2 turns alone, they gave 3.0e-12;
 * Fejer acceptance: 8.9e-16 at most.  ``fejer_kernel`` folds both angles
   into [0, pi/2] exactly in integers, so it meets the target already.
 
@@ -24,8 +25,7 @@ pi is off by up to about N ulps.  Folding the angle into [-pi/2, pi/2]
 per-k at r = 6 and 10 to 7.5e-16 on the same cells, which flips their
 strict xfails.  Per-k at r = 330 keeps 1.7e-14 from its sum over 330
 classes, and the oracle's sum of N phasors keeps its error, so those two
-stay xfailed after that fix; so does the envelope until the fix reaches
-its own ``math.sin``.
+stay xfailed after that fix.
 """
 
 from fractions import Fraction
@@ -165,7 +165,7 @@ def test_error_is_within_todays_bound(route):
     pytest.param("oracle_at", marks=pytest.mark.xfail(
         strict=True, reason="ROADMAP item 3: the oracle's sum of N phasors, which the fix "
                             "of the sine does not reach")),
-    pytest.param("envelope", marks=pytest.mark.xfail(strict=True, reason=ITEM_3)),
+    "envelope",
     "FejerProposal.acceptance",
 ])
 def test_error_is_within_the_printed_digit(route):
