@@ -440,8 +440,8 @@ def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
         turns %= 1
         return math.sin(math.pi * float(min(turns, 1 - turns))) ** 2
 
-    den = sin_sq(base)
-    return (k0 * sin_sq(base * large) + (r - k0) * sin_sq(base * small)) / (den * float(N) ** 2)
+    numerator = k0 * sin_sq(base * large) + (r - k0) * sin_sq(base * small)
+    return numerator / (sin_sq(base) * float(N) ** 2)
 
 
 def guard_peaks(info: OrderInfo):

@@ -1,5 +1,6 @@
 """Exact integer arithmetic: multiplicative orders, Carmichael's lambda,
-and the bounded convergent that order recovery keeps (modular powers, gcd and lcm are the stdlib's).
+and the bounded convergent that order recovery keeps (modular powers,
+gcd and lcm are the stdlib's).
 
 Everything in this module is integer-exact; no floating point is used
 anywhere.  `multiplicative_order` deliberately walks successive powers:

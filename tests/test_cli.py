@@ -556,8 +556,8 @@ JSON_COMMANDS = [command for command in PINNED_OUTPUT
                  if cli.build_parser().parse_args(command.split()).format == "json"]
 JSON_COMMANDS += ["peaks --n 1007 --x 5 --format json", "dist --n 15 --x 2 --qa 12 --format json"]
 
-# one or more of every command, each table included; run --n 2146654199 is
-# q_A 62, with three-word bounded draws and a long expansion of N/c
+# at least one call of every command; run --n 2146654199 is q_A 62, with
+# three-word bounded draws and a long expansion of N/c
 CONSOLE_COMMANDS = [
     "fig1", "fig1 --format json", "run --n 21 --x 10 --seed 7", "run --n 2146654199 --x 3 --seed 5",
     "dist --n 1007 --x 5 --qa 16 --format json", "dist --n 341 --x 2 --qa 12 --method per-k",

@@ -247,7 +247,8 @@ class TestBestConvergentBounded:
         (Fraction(257, 2), 128),  # [128; 2]: the first numerator is at the bound
     ])
     def test_edge_cases_equal_the_literal_selection(self, f, bound):
-        assert _bounded_convergent(f.numerator, f.denominator, bound) == _literal_best_convergent(f, bound)
+        got = _bounded_convergent(f.numerator, f.denominator, bound)
+        assert got == _literal_best_convergent(f, bound)
 
     def test_none_at_or_below_the_first_eligible_side(self):
         assert _bounded_convergent(257, 2, 128) is None
