@@ -8,8 +8,6 @@ semiprimes.
 """
 
 from .distribution import (
-    MAX_CLASS_CELLS,
-    MAX_ORACLE_QUBITS,
     MAX_PEAKS_ORDER,
     MAX_REGISTER_QUBITS,
     MAX_RUN_MODULUS,
@@ -19,10 +17,8 @@ from .distribution import (
     capture_probability_d01,
     envelope,
     fejer_kernel,
-    oracle_at,
     peak_columns,
     peak_deviation_prob,
-    per_k_at,
     sample_states,
     two_term_at,
     two_term_prefix_sums,
@@ -71,4 +67,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

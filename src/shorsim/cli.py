@@ -15,12 +15,12 @@ written as its UTF-8 bytes.  Each chunk is a set of columns that
 with no Python call per number, one block of the package's one block
 size (``distribution._blocks``) a chunk.  Output goes to the binary
 file under stdout, so every platform writes ``\n``.
-``distribution`` makes, caps and primes every pass over the register
-(``_register_values``, whatever the method) and over the peaks
-(``_peak_blocks``), and the census CSV and JSON aggregate take each
-block's columns from the closed form, so none of them holds a vector or
-a list of rows; the CLI picks the evaluator and formats.  Every pass
-raises its errors before its first chunk, so an error leaves no output.
+``distribution`` makes, caps, evaluates and primes every pass over the
+register (``_register_values``) and over the peaks (``_peak_blocks``),
+and the census CSV and JSON aggregate take each block's columns from the
+closed form, so none of them holds a vector or a list of rows; the CLI
+formats.  Every pass raises its errors before its first chunk, so an
+error leaves no output.
 """
 
 import argparse
@@ -34,9 +34,6 @@ from .distribution import (
     _peak_blocks,
     _primed,
     _register_values,
-    oracle_at,
-    per_k_at,
-    two_term_at,
 )
 from .errors import DomainError, ResourceError
 from .experiments import (
@@ -146,24 +143,14 @@ def _probabilities_json(cell_values):
     return "%r", map(lambda pair: pair[1:], cell_values)
 
 
-#: The --method choices of dist, and the "method" field its JSON prints for each.
-_METHODS = {
-    "two-term": "two_term_form",
-    "per-k": "per_k_closed_form",
-    "oracle": "oracle_sum",
-}
-
-
 def _cmd_dist(args):
     inst = ProblemInstance.create(args.n, args.x, args.qa)
     info = OrderInfo.from_instance(inst)
-    # built on each call, so that a patched evaluator is the one used
-    at = {"two-term": two_term_at, "per-k": per_k_at, "oracle": oracle_at}[args.method]
-    cell_values = _register_values(inst, info, at)
+    cell_values = _register_values(inst, info)
     if args.format == "json":
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
-            "method": _METHODS[args.method],
+            "method": "two_term_form",
             "probabilities": None,
         }, {"probabilities": _probabilities_json(cell_values)})
     return _distribution_csv(cell_values)
@@ -188,7 +175,7 @@ def _cmd_peaks(args):
 
 
 def _fig1_csv(inst, info):
-    yield from _distribution_csv(_register_values(inst, info, two_term_at))
+    yield from _distribution_csv(_register_values(inst, info))
     yield f"# peaks: {_PEAK_HEADER}\n".encode()
     for columns in _peak_blocks(inst, info):
         yield _render_rows("# peak " + _PEAK_ROW, columns)
@@ -201,7 +188,7 @@ def _cmd_fig1(args):
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
             "probabilities": None,
             "peaks": None,
-        }, {"probabilities": _probabilities_json(_register_values(inst, info, two_term_at)),
+        }, {"probabilities": _probabilities_json(_register_values(inst, info)),
             "peaks": (_PEAK_JSON, _peak_blocks(inst, info))})
     return _fig1_csv(inst, info)
 
@@ -331,8 +318,7 @@ def build_parser() -> _Parser:
     qa_flag = {"type": int, "default": None}
     seed_flag = {"type": int, "default": 0}
 
-    dist = add("dist", _cmd_dist, "csv", **{"--n": n_flag, "--x": x_flag, "--qa": qa_flag})
-    dist.add_argument("--method", choices=tuple(_METHODS), default="two-term")
+    add("dist", _cmd_dist, "csv", **{"--n": n_flag, "--x": x_flag, "--qa": qa_flag})
     add("peaks", _cmd_peaks, "csv", **{"--n": n_flag, "--x": x_flag, "--qa": qa_flag})
     add("fig1", _cmd_fig1, "csv")
     run = add("run", _cmd_run, "json",

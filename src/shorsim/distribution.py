@@ -5,17 +5,12 @@ register of q_A qubits (N = 2^q_A states), the probability of reading
 state c splits over the r residue classes of the exponent mod r.  The
 class containing k holds L_k = floor((N-k-1)/r) + 1 exponents, and its
 contribution to P(c) is the squared magnitude of a geometric phasor sum
-of length L_k.  Three independent evaluators compute P at any array of
-cells, with the same signature:
-
-* ``oracle_at``   - sums unit phasors literally, one per exponent, with
-  no closed form anywhere.  This is the reference the other two are
-  validated against.
-* ``per_k_at``    - the summed-geometric-series closed form
-  sin^2(pi*L_k*r*c/N) / (N^2 sin^2(pi*r*c/N)), evaluated once per class.
-* ``two_term_at`` - collapses the per-class form onto the two distinct
-  class sizes that occur (k0 classes of the larger size, r-k0 of the
-  smaller), leaving two weighted terms.
+of length L_k.  Only two class sizes occur (k0 classes of the larger
+size, r-k0 of the smaller), so ``two_term_at`` evaluates P at any array
+of cells as two weighted closed-form terms
+sin^2(pi*L*r*c/N) / (N^2 sin^2(pi*r*c/N)).  Every route evaluates with
+it.  The literal phasor sum and the per-class closed form it collapses
+serve only the tests, as its oracles (``tests/oracles.py``).
 
 Each entry depends on its own cell alone, so a block, a gathered set of
 cells and the whole register give the same bits.  A route that streams
@@ -61,13 +56,12 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
-from .number_theory import carmichael_lambda, multiplicative_order, order_from_multiple
+from .number_theory import carmichael_lambda, order_from_multiple
 from .rng import SplitMix64
 
 #: Cap on the exponent-register width of the routes that visit every
-#: state (dist by any method, fig1, capture).  They hold a block of
-#: cells at a time, so the cap bounds their time, which grows in
-#: proportion to N.  ``sample_states`` visits no state and has no cap.
+#: state (dist, fig1, capture).  They hold a block of cells at a time,
+#: so the cap bounds their time, which grows in proportion to N.  ``sample_states`` visits no state and has no cap.
 MAX_REGISTER_QUBITS = 24
 
 #: Cap on every register: N = 2^q_A must convert to a float (q_A <= 1023),
@@ -86,23 +80,6 @@ _BLOCK = 1 << 14
 #: steps: a few milliseconds below 2^31, unbounded above it.
 MAX_RUN_MODULUS = 1 << 31
 
-#: Cap on the literal phasor-sum oracle, whose work grows as N^2:
-#: q_A = 12 takes under a second, q_A = 14 over ten.
-MAX_ORACLE_QUBITS = 13
-
-#: Cap on the routes that make one pass over the register per residue
-#: class (per-k, and the oracle, which also walks the r powers first),
-#: counted as r*(N + _CLASS_CELLS) cells: a per-k pass costs about 9 us
-#: plus 19-23 ns a cell (2-CPU host), so the cap is at most about 10 s
-#: whether the register is narrow and r large or the reverse (measured
-#: near the cap: 8.8-9.8 s at N = 2, r = 988 288; 4.7-5.6 s at N = 2^24,
-#: r = 15, against 7.1 s with blocks of 2^15 cells).  r*N alone
-#: would admit r = 2^27 classes at N = 2, about 18 minutes.  The oracle's
-#: passes cost less (4.5 s at N = 2, r = 988 288); its N^2 phasor sum is
-#: capped apart.
-MAX_CLASS_CELLS = 1 << 28
-_CLASS_CELLS = 1 << 8
-
 #: Cap on the order for the routes that list every peak.  ``shorsim
 #: peaks`` streams its rows from ``peak_columns`` chunk by chunk, so its
 #: memory does not grow with r and its time does, about 1 us a peak
@@ -114,59 +91,57 @@ class _ProblemInstanceFields(NamedTuple):
     n: int
     x: int
     q_A: int
-    q_B: int
     N: int
 
 
 class ProblemInstance(_ProblemInstanceFields):
-    """One simulated machine: modulus n, base x, and register sizes.
+    """One simulated machine: modulus n, base x, and the width q_A of the
+    measured register.  Register B is traced out of every formula, so it
+    has no field.
 
-    N is always exactly 2^q_A: the constructor takes n, x, q_A and q_B
-    only, ``_replace`` recomputes N and refuses it as an argument, and
-    ``_make`` refuses an N that is not 2^q_A.  Copies and pickles (protocol
-    2 and up) are rebuilt through the constructor.  Build via
-    :meth:`create`, which applies the default register sizes
-    q_A = ceil(2*log2 n) (so N >= n^2) and q_B = ceil(log2 n) when they
-    are not given explicitly.
+    N is always exactly 2^q_A: the constructor takes n, x and q_A only,
+    ``_replace`` recomputes N and refuses it as an argument, and ``_make``
+    refuses an N that is not 2^q_A.  Copies and pickles (protocol 2 and
+    up) are rebuilt through the constructor.  Build via :meth:`create`,
+    which applies the default width q_A = ceil(2*log2 n) (so N >= n^2)
+    when it is not given explicitly.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, x: int, q_A: int, q_B: int):
+    def __new__(cls, n: int, x: int, q_A: int):
         if n < 3:
             raise DomainError(f"modulus n must be >= 3, got {n}")
         if not 1 < x < n:
             raise DomainError(f"base must satisfy 1 < x < n, got x={x}, n={n}")
         if math.gcd(x, n) != 1:
             raise DomainError(f"gcd({x}, {n}) != 1; precheck the base first")
-        if q_A < 1 or q_B < 1:
-            raise DomainError("register sizes must be positive")
+        if q_A < 1:
+            raise DomainError(f"the register width q_A must be positive, got {q_A}")
         if q_A > MAX_QUBITS:
             raise ResourceError(f"q_A={q_A} exceeds the cap of {MAX_QUBITS}: "
                                 "N = 2^q_A must fit a float")
-        return tuple.__new__(cls, (n, x, q_A, q_B, 1 << q_A))
+        return tuple.__new__(cls, (n, x, q_A, 1 << q_A))
 
     def __getnewargs__(self):
-        return self[:4]
+        return self[:3]
 
     @classmethod
     def _make(cls, fields) -> "ProblemInstance":
-        n, x, q_A, q_B, N = fields
-        inst = cls(n, x, q_A, q_B)
+        n, x, q_A, N = fields
+        inst = cls(n, x, q_A)
         if N != inst.N:
             raise DomainError(f"N must be 2^q_A = {inst.N}, got {N}")
         return inst
 
     def _replace(self, **changes) -> "ProblemInstance":
-        return type(self)(**dict(zip(("n", "x", "q_A", "q_B"), self), **changes))
+        return type(self)(**dict(zip(("n", "x", "q_A"), self), **changes))
 
     @classmethod
-    def create(cls, n: int, x: int, q_A: int | None = None, q_B: int | None = None) -> "ProblemInstance":
+    def create(cls, n: int, x: int, q_A: int | None = None) -> "ProblemInstance":
         if q_A is None:
             q_A = cls.default_q_A(n)
-        if q_B is None:
-            q_B = (n - 1).bit_length()  # smallest q with 2^q >= n
-        return cls(n=n, x=x, q_A=q_A, q_B=q_B)
+        return cls(n=n, x=x, q_A=q_A)
 
     @staticmethod
     def default_q_A(n: int) -> int:
@@ -196,8 +171,7 @@ class OrderInfo(NamedTuple):
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "OrderInfo":
-        if inst.n >= MAX_RUN_MODULUS:
-            raise ResourceError(f"n={inst.n} exceeds the cap of 2^31 on the modulus")
+        guard_modulus(inst.n, "the order")
         return cls.from_multiple(inst, *carmichael_lambda(inst.n))
 
     @classmethod
@@ -218,50 +192,11 @@ def guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
         raise ResourceError(f"q_A={inst.q_A} exceeds the desk-scale cap of {cap} for {route}")
 
 
-def guard_classes(inst: ProblemInstance, r: int, route: str):
-    """Raise ResourceError when r per-class passes over inst's register
-    exceed MAX_CLASS_CELLS, before any of them is made."""
-    if r * (inst.N + _CLASS_CELLS) > MAX_CLASS_CELLS:
-        raise ResourceError(f"r={r} classes over N={inst.N} cells exceed the cap of "
-                            f"r*(N + {_CLASS_CELLS}) <= 2^28 for {route}")
-
-
-def _class_size(N: int, r: int, k: int) -> int:
-    """Number of exponents a in [0, N) with a = k (mod r)."""
-    return (N - k - 1) // r + 1
-
-
-def oracle_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
-    """P(c) at the cells of a one-dimensional integer index array, by
-    literal phasor summation over every exponent.
-
-    For each residue class k the amplitude at c is the plain sum of
-    exp(2*pi*i*a*c/N) over all a = e*r + k, divided by N; the class
-    contributes its squared magnitude.  O(N) work a cell, no closed form,
-    no shared trigonometric shortcuts: this is the reference oracle.
-    Capped at q_A <= MAX_ORACLE_QUBITS because of that cost, and by
-    ``guard_classes`` on the r passes, which reads info.r; the sum takes
-    its own r from the brute walk, which must agree with info.r.
-    """
-    guard_register(inst, MAX_ORACLE_QUBITS, "the O(N^2) phasor-sum oracle")
-    guard_classes(inst, info.r, "the phasor-sum oracle")
-    r = multiplicative_order(inst.x, inst.n)
-    if r != info.r:
-        raise DomainError(f"info.r={info.r} is not the order {r} of {inst.x} mod {inst.n}")
-    import numpy as np
-
-    N = inst.N
-    c = np.asarray(c, dtype=np.int64)
-    total = np.zeros(len(c))
-    for k in range(r):
-        amp = np.zeros(len(c), dtype=np.complex128)
-        for e in range(_class_size(N, r, k)):
-            a = e * r + k
-            # a*c < N^2 <= 2^48 fits int64; reduce before the angle for accuracy
-            angle = (2.0 * np.pi / N) * ((a * c) % N)
-            amp += np.exp(1j * angle)
-        total += np.abs(amp / N) ** 2
-    return total
+def guard_modulus(n: int, route: str):
+    """Raise ResourceError when n is at or above MAX_RUN_MODULUS, before
+    it is trial-divided."""
+    if n >= MAX_RUN_MODULUS:
+        raise ResourceError(f"n={n} exceeds the cap of 2^31 on the modulus for {route}")
 
 
 def _sin_sq(N: int, a: int, c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -297,24 +232,6 @@ def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray, t: np.ndarray,
     ratio /= den
     ratio[singular] = float(size * size)
     return ratio
-
-
-def per_k_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
-    """P(c) at the cells of a one-dimensional integer index array, from the
-    geometric-series closed form, one term per residue class; each cell
-    adds its classes in order k."""
-    guard_register(inst)
-    guard_classes(inst, info.r, "the per-class closed form")
-    import numpy as np
-
-    N, r = inst.N, info.r
-    c = np.asarray(c, dtype=np.int64)
-    t = np.empty_like(c)
-    singular, den = _denominator_parts(N, r, c, t)
-    total = np.zeros(len(c))
-    for k in range(r):
-        total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, t, singular, den)
-    return total / float(N) ** 2
 
 
 def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
@@ -373,10 +290,10 @@ def _primed(items):
     return None
 
 
-def _register_values(inst: ProblemInstance, info: OrderInfo, at):
+def _register_values(inst: ProblemInstance, info: OrderInfo):
     """The pairs (cells, P at the cells) over the register's int64 cell
-    blocks, where `at(inst, info, cells)` evaluates P: the one pass over
-    the register, capped by ``guard_register`` and primed by ``_primed``.
+    blocks, P by ``two_term_at``: the one pass over the register, capped
+    by ``guard_register`` and primed by ``_primed``.
 
     The pairs come from ``map``, which holds no block once it is taken; a
     generator holds its last block, and raised the peak RSS of ``dist`` by
@@ -386,7 +303,7 @@ def _register_values(inst: ProblemInstance, info: OrderInfo, at):
 
     def values(block):
         cells = np.arange(*block, dtype=np.int64)
-        return cells, at(inst, info, cells)
+        return cells, two_term_at(inst, info, cells)
 
     return _primed(map(values, _blocks(inst.N)))
 
@@ -399,7 +316,7 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
     of its ``np.cumsum``, which adds in sequence, so every sum has the
     bits of ``np.cumsum`` over the whole vector.
     """
-    values = _register_values(inst, info, two_term_at)
+    values = _register_values(inst, info)
     import numpy as np
 
     cells = np.asarray(cells, dtype=np.int64)
@@ -435,13 +352,20 @@ def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
         return (k0 * large * large + (r - k0) * small * small) / float(N) ** 2
 
     def sin_sq(turns: Fraction) -> float:
-        # sin^2(pi*turns) is even with period 1: fold turns exactly into
-        # [0, 1/2], where the rounding of pi*turns costs the sine no digits
-        turns %= 1
-        return math.sin(math.pi * float(min(turns, 1 - turns))) ** 2
+        return _sin_turns(turns.numerator, turns.denominator) ** 2
 
     numerator = k0 * sin_sq(base * large) + (r - k0) * sin_sq(base * small)
     return numerator / (sin_sq(base) * float(N) ** 2)
+
+
+def _sin_turns(num: int, den: int) -> float:
+    """|sin(pi*num/den)| for integers num and den > 0.
+
+    The sine's magnitude is even with period den in num, so num is folded
+    exactly into [0, den/2] first, where the rounding of the angle costs
+    the sine no digits, and then divided by den with one rounding."""
+    num %= den
+    return math.sin(math.pi * (min(num, den - num) / den))
 
 
 def guard_peaks(info: OrderInfo):
@@ -485,7 +409,7 @@ def peak_deviation_prob(d: int, delta_nu: float) -> float:
         raise DomainError(f"delta_nu must lie in [0, 1), got {delta_nu}")
     if delta_nu == 0.0:
         return 1.0 if d == 0 else 0.0
-    s = math.sin(math.pi * delta_nu)
+    s = _sin_turns(*delta_nu.as_integer_ratio())
     return (s * s) / (math.pi * math.pi * (d - delta_nu) ** 2)
 
 
@@ -546,16 +470,12 @@ def _bounded(rng: SplitMix64, s: int) -> int:
 def fejer_kernel(L: int, Np: int, t: int) -> float:
     """sin^2(pi*L*t/Np) / sin^2(pi*t/Np) on Z_Np, with the limit L^2 at t = 0.
 
-    Both angles are reduced exactly in integers to [0, Np/2] before any
-    float conversion, so the zeros (L*t = 0 mod Np) come out exactly 0.
+    Both angles are folded by ``_sin_turns``, so the zeros (L*t = 0 mod
+    Np) come out exactly 0.
     """
-    t %= Np
-    if t == 0:
+    if t % Np == 0:
         return float(L * L)
-    a = min(t, Np - t)
-    b = L * t % Np
-    b = min(b, Np - b)
-    return (math.sin(math.pi * b / Np) / math.sin(math.pi * a / Np)) ** 2
+    return (_sin_turns(L * t, Np) / _sin_turns(t, Np)) ** 2
 
 
 class FejerProposal:

@@ -40,11 +40,11 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .distribution import (
-    MAX_RUN_MODULUS,
     OrderInfo,
     ProblemInstance,
     _blocks,
     _records,
+    guard_modulus,
     guard_register,
     peak_columns,
     two_term_at,
@@ -238,8 +238,7 @@ def _census_columns(p, q) -> FailureCensus:
 def failure_census(n: int) -> FailureCensus:
     """Classify every coprime base 1 < x < n as odd-order, trivial square
     root (x**(r/2) = -1 mod n), or good, counted in closed form, n < 2^31."""
-    if n >= MAX_RUN_MODULUS:
-        raise ResourceError(f"n={n} exceeds the cap of 2^31 on the modulus")
+    guard_modulus(n, "a census row")
     factors = semiprime_factors(n)
     if factors is None:
         raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, sample_states
+from .distribution import OrderInfo, ProblemInstance, guard_modulus, sample_states
 from .errors import ContractError, DomainError, ResourceError
 from .number_theory import _bounded_convergent, _carmichael_lambda, semiprime_factors
 from .rng import SplitMix64
@@ -230,8 +230,7 @@ def _resolve(n: int, x: int, rec: RecoveryResult,
 
 def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None) -> RunOutcome:
     """The run route: one attempt, then retries under policy (none when None)."""
-    if n >= MAX_RUN_MODULUS:
-        raise ResourceError(f"n={n} exceeds the run route's cap of 2^31 on the modulus")
+    guard_modulus(n, "the run route")
     if q_A is not None and q_A > MAX_RUN_QUBITS:
         raise ResourceError(f"q_A={q_A} exceeds the run route's cap of {MAX_RUN_QUBITS}")
     pq = semiprime_factors(n)

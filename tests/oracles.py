@@ -1,5 +1,11 @@
 """Literal routes that no command or run takes, kept as the tests' oracles.
 
+* ``oracle_at`` sums unit phasors literally, one per exponent, with no
+  closed form anywhere, and ``per_k_at`` evaluates the geometric-series
+  closed form once per residue class.  Every route evaluates P with the
+  package's ``two_term_at``, which collapses the per-class form onto the
+  two class sizes that occur; the tests hold it to both.  Neither has a
+  cost cap: only the tests call them, on inputs they choose.
 * ``continued_fraction`` lists every convergent of a rational as a
   Fraction; the package's ``_bounded_convergent`` stops at the first
   convergent at or above its bound and is checked against the selection
@@ -13,9 +19,67 @@
 from fractions import Fraction
 from typing import NamedTuple
 
-from shorsim.distribution import OrderInfo, ProblemInstance, _peak_blocks, _records
+from shorsim.distribution import (
+    OrderInfo,
+    ProblemInstance,
+    _denominator_parts,
+    _peak_blocks,
+    _records,
+    _sin_sq_ratio,
+)
 from shorsim.errors import DomainError
+from shorsim.number_theory import multiplicative_order
 from shorsim.rng import SplitMix64
+
+
+def _class_size(N: int, r: int, k: int) -> int:
+    """Number of exponents a in [0, N) with a = k (mod r)."""
+    return (N - k - 1) // r + 1
+
+
+def oracle_at(inst: ProblemInstance, info: OrderInfo, c):
+    """P(c) at the cells of a one-dimensional integer index array, by
+    literal phasor summation over every exponent.
+
+    For each residue class k the amplitude at c is the plain sum of
+    exp(2*pi*i*a*c/N) over all a = e*r + k, divided by N; the class
+    contributes its squared magnitude.  O(N) work a cell, no closed form,
+    no shared trigonometric shortcuts: this is the reference oracle.  The
+    sum takes its own r from the brute walk, which must agree with info.r.
+    """
+    r = multiplicative_order(inst.x, inst.n)
+    if r != info.r:
+        raise DomainError(f"info.r={info.r} is not the order {r} of {inst.x} mod {inst.n}")
+    import numpy as np
+
+    N = inst.N
+    c = np.asarray(c, dtype=np.int64)
+    total = np.zeros(len(c))
+    for k in range(r):
+        amp = np.zeros(len(c), dtype=np.complex128)
+        for e in range(_class_size(N, r, k)):
+            a = e * r + k
+            # a*c < N^2 <= 2^48 fits int64; reduce before the angle for accuracy
+            angle = (2.0 * np.pi / N) * ((a * c) % N)
+            amp += np.exp(1j * angle)
+        total += np.abs(amp / N) ** 2
+    return total
+
+
+def per_k_at(inst: ProblemInstance, info: OrderInfo, c):
+    """P(c) at the cells of a one-dimensional integer index array, from the
+    geometric-series closed form, one term per residue class; each cell
+    adds its classes in order k."""
+    import numpy as np
+
+    N, r = inst.N, info.r
+    c = np.asarray(c, dtype=np.int64)
+    t = np.empty_like(c)
+    singular, den = _denominator_parts(N, r, c, t)
+    total = np.zeros(len(c))
+    for k in range(r):
+        total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, t, singular, den)
+    return total / float(N) ** 2
 
 
 class ContinuedFractionExpansion(NamedTuple):

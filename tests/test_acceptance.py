@@ -10,13 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import peaks
+from oracles import oracle_at, peaks, per_k_at
 from shorsim.distribution import (
     OrderInfo,
     ProblemInstance,
     capture_probability_d01,
-    oracle_at,
-    per_k_at,
     two_term_at,
 )
 from shorsim.experiments import census_aggregate, census_sweep, figure1_instance, valuation_model_mc

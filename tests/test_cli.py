@@ -1,5 +1,6 @@
 """Command-line behavior: formats, schemas, determinism, and exit codes."""
 
+import argparse
 import errno
 import hashlib
 import json
@@ -17,7 +18,8 @@ import pytest
 
 import shorsim
 from shorsim import cli, distribution, experiments, number_theory, render
-from shorsim.distribution import OrderInfo, ProblemInstance, oracle_at, per_k_at, two_term_at
+from oracles import oracle_at, per_k_at
+from shorsim.distribution import OrderInfo, ProblemInstance, two_term_at
 from shorsim.errors import ResourceError
 from shorsim.rng import SplitMix64
 from shorsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
@@ -43,15 +45,15 @@ class TestDist:
         # every probability printed with at least 12 significant digits
         assert all(len(r.split(",")[1].split("e")[0].replace(".", "").lstrip("-")) >= 12 for r in rows)
 
-    def test_methods_agree_through_cli(self, capsys):
-        outputs = {}
-        for method in ("two-term", "per-k", "oracle"):
-            _, out, _ = run_cli(capsys, "dist", "--n", "15", "--x", "2", "--qa", "8",
-                                "--method", method)
-            outputs[method] = [float(r.split(",")[1]) for r in out.splitlines()[2:]]
-        for c, (a, b) in enumerate(zip(outputs["two-term"], outputs["oracle"])):
-            assert abs(a - b) < 1e-10, c
-        assert outputs["two-term"] == pytest.approx(outputs["per-k"], abs=1e-12)
+    @pytest.mark.parametrize("n, x, q_A", [(15, 2, 8), (21, 10, 9), (341, 2, 10)])
+    def test_output_matches_the_test_oracles(self, capsys, n, x, q_A):
+        _, out, _ = run_cli(capsys, "dist", "--n", str(n), "--x", str(x), "--qa", str(q_A))
+        printed = np.array([float(r.split(",")[1]) for r in out.splitlines()[2:]])
+        inst = ProblemInstance.create(n, x, q_A)
+        info = OrderInfo.from_instance(inst)
+        cells = np.arange(inst.N)
+        assert np.max(np.abs(printed - oracle_at(inst, info, cells))) < 1e-10
+        assert np.max(np.abs(printed - per_k_at(inst, info, cells))) < 1e-12
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "--n", "21", "--x", "10", "--qa", "8",
@@ -65,6 +67,48 @@ class TestDist:
         _, first, _ = run_cli(capsys, "dist", "--n", "21", "--x", "10", "--qa", "8")
         _, second, _ = run_cli(capsys, "dist", "--n", "21", "--x", "10", "--qa", "8")
         assert first == second
+
+
+#: Every command's flags as ``build_parser()`` makes them, each with its
+#: default and choices: a flag added, taken away or changed shows up here.
+_FORMATS = ("csv", "json")
+_MACHINE = {"--n": (None, None), "--x": (None, None), "--qa": (None, None)}
+OPTION_SURFACE = {
+    "dist": {**_MACHINE, "--format": ("csv", _FORMATS), "--out": (None, None)},
+    "peaks": {**_MACHINE, "--format": ("csv", _FORMATS), "--out": (None, None)},
+    "fig1": {"--format": ("csv", _FORMATS), "--out": (None, None)},
+    "run": {**_MACHINE, "--seed": (0, None), "--max-mu": (64, None), "--max-resamples": (4, None),
+            "--format": ("json", _FORMATS), "--out": (None, None)},
+    "census": {"--nmax": (10_000, None), "--format": ("csv", _FORMATS), "--out": (None, None)},
+    "mc-valuation": {"--trials": (1_000_000, None), "--seed": (0, None),
+                     "--format": ("json", _FORMATS), "--out": (None, None)},
+    "capture": {**_MACHINE, "--seed": (0, None), "--samples": (100_000, None),
+                "--format": ("json", _FORMATS), "--out": (None, None)},
+    "guarantee": {**_MACHINE, "--format": ("json", _FORMATS), "--out": (None, None)},
+    "neighbors": {**_MACHINE, "--format": ("json", _FORMATS), "--out": (None, None)},
+}
+
+
+class TestOptionSurface:
+    def test_parser_matches_the_table(self):
+        parser = cli.build_parser()
+        (commands,) = [action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        surface = {
+            name: {action.option_strings[-1]: (action.default, action.choices)
+                   for action in command._actions
+                   if action.option_strings and not isinstance(action, argparse._HelpAction)}
+            for name, command in commands.items()
+        }
+        assert surface == OPTION_SURFACE
+
+    @pytest.mark.parametrize("flags", [("--method", "per-k"), ("--method", "oracle"),
+                                       ("--method", "two-term")])
+    def test_removed_method_flag_is_a_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "dist", "--n", "15", "--x", "2", *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage: shorsim ")
+        assert err.endswith(f"shorsim: error: unrecognized arguments: {' '.join(flags)}\n")
 
 
 class TestPeaks:
@@ -324,7 +368,8 @@ class TestOutputFailures:
         (("dist", "--n", "1007", "--x", "5", "--qa", "16"), "two_term_at"),
     ])
     def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch, argv, route):
-        original, calls = getattr(cli, route), []
+        module = distribution if route == "two_term_at" else cli
+        original, calls = getattr(module, route), []
 
         def interrupted(*args, **kwargs):
             # the dist table is interrupted after its first block is written
@@ -333,7 +378,7 @@ class TestOutputFailures:
                 raise KeyboardInterrupt
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, route, interrupted)
+        monkeypatch.setattr(module, route, interrupted)
         code, out, err = run_cli(capsys, *argv)
         assert code == cli.EXIT_INTERRUPTED == 130
         assert err == "shorsim: interrupted\n"
@@ -350,8 +395,7 @@ class TestOracleOrder:
             return original(m)
 
         monkeypatch.setattr(number_theory, "_distinct_prime_factors", counted)
-        code, _, _ = run_cli(capsys, "dist", "--n", "4087", "--x", "5", "--qa", "8",
-                             "--method", "oracle")
+        code, _, _ = run_cli(capsys, "dist", "--n", "4087", "--x", "5", "--qa", "8")
         assert code == EXIT_OK
         assert calls == [4087, 60, 66]
 
@@ -393,10 +437,7 @@ class TestRouteGuards:
     @pytest.mark.parametrize("argv", [
         ("run", "--n", "4294967297", "--x", "3"),  # 641 * 6700417, beyond the modulus cap
         ("run", "--n", "21", "--x", "10", "--qa", "63"),
-        ("dist", "--n", "21", "--x", "10", "--qa", "14", "--method", "oracle"),
-        ("dist", "--n", "21", "--x", "10", "--qa", "25", "--method", "two-term"),
-        ("dist", "--n", "21", "--x", "10", "--qa", "25", "--method", "per-k"),
-        ("dist", "--n", "21", "--x", "10", "--qa", "25", "--method", "oracle"),
+        ("dist", "--n", "21", "--x", "10", "--qa", "25"),
         ("capture", "--n", "21", "--x", "10", "--qa", "25"),
     ])
     def test_route_caps_exit_resource(self, capsys, argv):
@@ -460,8 +501,6 @@ class TestRouteGuards:
         assert obj["holds"] is False
 
     @pytest.mark.parametrize("argv", [
-        ("dist", "--qa", "8", "--method", "per-k"),
-        ("dist", "--qa", "8", "--method", "oracle"),
         ("peaks", "--qa", "8"),
         ("peaks", "--qa", "8", "--format", "json"),
         ("neighbors",),
@@ -494,9 +533,6 @@ PINNED_OUTPUT = {
     "dist --n 1007 --x 5 --qa 16": "0f591e726fb51604f21aec9e68afac2d474a2f18fc4ab1c57e788b5ed11bd412",
     "dist --n 1007 --x 5 --qa 16 --format json":
         "0ad444fdfb9d9fb6419d62103bbd0366aa82073ceb68185481e2059cb8e6e3e4",
-    "dist --n 15 --x 2 --method oracle": "d566c3e1cac08ed9290d2756a16e05bd28ab897025a470bc90e72e43f4e4fd9b",
-    "dist --n 15 --x 2 --method oracle --format json":
-        "d4b5cc8912376a3997f77b3054e1a6db2c5c49173e1ed0c5253ac719b816cae1",
     "fig1": "51a1d1d26bb9e5f45fdc3a5c9758a6606a66e800f1371d52ae892b3572d8f479",
     "fig1 --format json": "a0be9bba78f64b18d11b88a705475e37041c911df259cdc9275cd49e08eccd1c",
     "census --nmax 10000": "6eef8c81fa3430ebaeceb3d554d2108ea2ea128b753e11cc329161476d0f922a",
@@ -540,12 +576,15 @@ PINNED_OUTPUT = {
     "neighbors --n 1007 --x 5": "093a810d192e70f0b2be3e8e52bc1fc31967777cb9fed479d5c8baadf10bd72a",
     "neighbors --n 1007 --x 5 --format csv":
         "4a9d46a3c97aa41f88746bde1c2aaf3880ffd7d8aa855e5343061bc7e53b3dda",
-    # taken while per-k and the oracle built whole-register vectors, which
-    # the table then read, and each table was %-formatted
-    "dist --n 341 --x 2 --qa 12 --method per-k":
-        "afdaab1097aa85bd8e4ccf09d71313dd135df74efb33320deb79e5e63e3bbd70",
-    "dist --n 341 --x 2 --qa 12 --method per-k --format json":
-        "049670d95ec0e7d3b1ddfb874398573641c02778f474c8c36e2aa34cc012ea24",
+    # taken at 0.7.0, when dist --method picked among three evaluators,
+    # from its default, two-term: the machines of the per-k and oracle pins
+    # of that release (most cells of n 15 print 0.0)
+    "dist --n 15 --x 2": "50ae11a5fba6c21217a1170420eb2b8234bbfbdea357b1bd103d18a9a9ee8b50",
+    "dist --n 15 --x 2 --format json":
+        "2ffeb7a703a5a137ee1ca0a14019a511fe5653da5e97d1ea5eb08767df4250ee",
+    "dist --n 341 --x 2 --qa 12": "29276c91a87b866506ec913aece45807b4ed626111b385810eaede55aacdfea1",
+    "dist --n 341 --x 2 --qa 12 --format json":
+        "2b6d7978f7eab367b998ec73f0e0b69f44700ca6d31f2d3f60a1af8d6beda1b0",
 }
 
 
@@ -560,8 +599,8 @@ JSON_COMMANDS += ["peaks --n 1007 --x 5 --format json", "dist --n 15 --x 2 --qa 
 # three-word bounded draws and a long expansion of N/c
 CONSOLE_COMMANDS = [
     "fig1", "fig1 --format json", "run --n 21 --x 10 --seed 7", "run --n 2146654199 --x 3 --seed 5",
-    "dist --n 1007 --x 5 --qa 16 --format json", "dist --n 341 --x 2 --qa 12 --method per-k",
-    "dist --n 15 --x 2 --method oracle --format json", "peaks --n 21 --x 10 --qa 8 --format json",
+    "dist --n 1007 --x 5 --qa 16 --format json", "dist --n 341 --x 2 --qa 12",
+    "dist --n 15 --x 2 --format json", "peaks --n 21 --x 10 --qa 8 --format json",
     "census --nmax 30000", "census --nmax 30000 --format json", "neighbors --n 1007 --x 5",
     "neighbors --n 1007 --x 5 --format csv", "guarantee --n 4087 --x 5",
     "mc-valuation --trials 100000 --seed 3", "capture --n 1007 --x 5 --samples 100000",
@@ -624,8 +663,8 @@ class TestStreamedOutput:
         "capture --n 15 --x 7 --qa 10 --samples 5000 --format csv",
         "census --nmax 10000",
         "dist --n 21 --x 10 --qa 8",
-        "dist --n 341 --x 2 --qa 12 --method per-k",
-        "dist --n 15 --x 2 --method oracle",
+        "dist --n 341 --x 2 --qa 12",
+        "dist --n 15 --x 2",
         "peaks --n 1007 --x 5 --qa 16",
     ])
     def test_every_pass_takes_blocks_of_the_one_size(self, capsys, monkeypatch, command):
@@ -639,17 +678,15 @@ class TestStreamedOutput:
             return wrapper
 
         # the random words of both Monte Carlo tallies (random_block draws
-        # through uint64_block), the census chunks, the cells of every dist
-        # method and of two_term_prefix_sums, and the peak chunks
+        # through uint64_block), the census chunks, the cells of every
+        # register pass (dist, fig1 and two_term_prefix_sums), and the peak
+        # chunks
         monkeypatch.setattr(SplitMix64, "uint64_block",
                             counted(SplitMix64.uint64_block, lambda rng, count: count))
         monkeypatch.setattr(experiments, "_census_columns",
                             counted(experiments._census_columns, lambda p, q: len(p)))
-        for module in (cli, distribution):
-            monkeypatch.setattr(module, "two_term_at",
-                                counted(two_term_at, lambda inst, info, c: len(c)))
-        for at in (per_k_at, oracle_at):
-            monkeypatch.setattr(cli, at.__name__, counted(at, lambda inst, info, c: len(c)))
+        monkeypatch.setattr(distribution, "two_term_at",
+                            counted(two_term_at, lambda inst, info, c: len(c)))
         monkeypatch.setattr(distribution, "peak_columns",
                             counted(distribution.peak_columns, lambda inst, info, start, stop: stop - start))
         code, out, _ = run_cli(capsys, *command.split())
@@ -661,24 +698,21 @@ class TestStreamedOutput:
         ("dist --n 1007 --x 5 --qa 16", 1 << 16),
         ("dist --n 1007 --x 5 --qa 16 --format json", 1 << 16),
         ("fig1 --format json", 256),
-        ("dist --n 341 --x 2 --qa 12 --method per-k", 1 << 12),
-        ("dist --n 341 --x 2 --qa 12 --method per-k --format json", 1 << 12),
-        ("dist --n 15 --x 2 --method oracle", 256),
-        ("dist --n 15 --x 2 --method oracle --format json", 256),
+        ("dist --n 341 --x 2 --qa 12", 1 << 12),
+        ("dist --n 341 --x 2 --qa 12 --format json", 1 << 12),
+        ("dist --n 15 --x 2", 256),
+        ("dist --n 15 --x 2 --format json", 256),
     ]])
     def test_two_term_tables_evaluate_one_chunk_at_a_time(self, capsys, monkeypatch, command, cells):
-        # every method: no dist table holds the register's N cells at once
+        # no table holds the register's N cells at once
         monkeypatch.setattr(distribution, "_BLOCK", 1000)
         sizes = []
 
-        def counted(at):
-            def evaluate(inst, info, c):
-                sizes.append(len(c))
-                return at(inst, info, c)
-            return evaluate
+        def evaluate(inst, info, c):
+            sizes.append(len(c))
+            return two_term_at(inst, info, c)
 
-        for at in (two_term_at, per_k_at, oracle_at):
-            monkeypatch.setattr(cli, at.__name__, counted(at))
+        monkeypatch.setattr(distribution, "two_term_at", evaluate)
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
@@ -719,8 +753,8 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("command", [
         "dist --n 21 --x 10 --qa 8",
         "dist --n 21 --x 10 --qa 8 --format json",
-        "dist --n 341 --x 2 --qa 12 --method per-k",
-        "dist --n 15 --x 2 --method oracle --format json",
+        "dist --n 341 --x 2 --qa 12",
+        "dist --n 15 --x 2 --format json",
         "fig1",
         "fig1 --format json",
         "peaks --n 21 --x 10 --qa 8",
@@ -776,8 +810,6 @@ class TestStreamedOutput:
         (("--n", "21", "--x", "7"), EXIT_DOMAIN),  # x shares a factor with n
         (("--n", "21", "--x", "10", "--qa", "25"), EXIT_RESOURCE),
         (("--n", "1000000000000000000000000000057", "--x", "2", "--qa", "8"), EXIT_RESOURCE),
-        (("--n", "21", "--x", "10", "--qa", "14", "--method", "oracle"), EXIT_RESOURCE),
-        (("--n", "2119933513", "--x", "3", "--qa", "8", "--method", "per-k"), EXIT_RESOURCE),
     ])
     def test_error_leaves_no_file(self, capsys, tmp_path, fmt, flags, expected):
         target = tmp_path / "out"
@@ -864,7 +896,7 @@ class TestPasses:
 
     def test_register_block_is_freed_once_the_next_is_taken(self):
         inst = ProblemInstance.create(1007, 5, 20)
-        values = distribution._register_values(inst, OrderInfo.from_instance(inst), two_term_at)
+        values = distribution._register_values(inst, OrderInfo.from_instance(inst))
         cells, p = next(values)
         refs = [weakref.ref(cells), weakref.ref(p)]
         del cells, p
@@ -876,16 +908,15 @@ class TestPasses:
         def refuse(*args):
             raise AssertionError("a cell evaluator ran before the register guard")
 
-        for module in (cli, distribution, experiments):
-            for at in (two_term_at, per_k_at, oracle_at):
-                if hasattr(module, at.__name__):
-                    monkeypatch.setattr(module, at.__name__, refuse)
+        # the register passes evaluate through distribution, and capture
+        # reads its peak cells through experiments
+        for module in (distribution, experiments):
+            monkeypatch.setattr(module, "two_term_at", refuse)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("method", list(cli._METHODS))
-    def test_dist_guard_comes_before_any_evaluation(self, no_evaluation, method, fmt):
+    def test_dist_guard_comes_before_any_evaluation(self, no_evaluation, fmt):
         args = cli.build_parser().parse_args(
-            ["dist", "--n", "21", "--x", "10", "--qa", "25", "--method", method, "--format", fmt])
+            ["dist", "--n", "21", "--x", "10", "--qa", "25", "--format", fmt])
         with pytest.raises(ResourceError):
             args.func(args)
 

@@ -13,16 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
-from oracles import peaks, sample_from
+from oracles import oracle_at, peaks, per_k_at, sample_from
 from shorsim import distribution
 from shorsim.distribution import (
     OrderInfo,
     ProblemInstance,
     capture_probability_d01,
     envelope,
-    oracle_at,
     peak_deviation_prob,
-    per_k_at,
     two_term_at,
     two_term_prefix_sums,
 )
@@ -50,7 +48,7 @@ def whole(at, inst, info):
 class TestProblemInstance:
     def test_default_register_sizes(self):
         inst = ProblemInstance.create(21, 10)
-        assert (inst.q_A, inst.q_B, inst.N) == (9, 5, 512)  # 2^9 = 512 >= 441
+        assert (inst.q_A, inst.N) == (9, 512)  # 2^9 = 512 >= 441
 
     def test_explicit_override(self):
         inst = ProblemInstance.create(21, 10, q_A=8)
@@ -71,7 +69,7 @@ class TestProblemInstance:
 
     @pytest.mark.parametrize("n, x", [(2, 1), (2, 5), (0, 1), (-5, 3)])
     def test_small_modulus_rejected(self, n, x):
-        # q_A and q_B default from n first; the instance's own check decides
+        # q_A defaults from n first; the instance's own check decides
         with pytest.raises(DomainError, match=f"^modulus n must be >= 3, got {n}$"):
             ProblemInstance.create(n, x)
 
@@ -181,52 +179,12 @@ class TestOracleAgreement:
 
     def test_register_cap_enforced(self):
         inst = ProblemInstance.create(21, 10, q_A=25)
-        info = OrderInfo.from_instance(inst)
         with pytest.raises(ResourceError):
             distribution.guard_register(inst)
-        with pytest.raises(ResourceError):
-            per_k_at(inst, info, [0])
-        with pytest.raises(ResourceError):
-            oracle_at(inst, info, [0])
 
 
 class TestOrderGuards:
     """The routes whose cost grows with r are refused before any O(r) work."""
-
-    LARGE = (2119933513, 3, 8)  # r = 529 960 357
-
-    def test_per_class_routes_refuse_a_large_order(self, monkeypatch):
-        inst, info = build(*self.LARGE)
-
-        def walk(*_args):
-            raise AssertionError("the order walk ran before the guard")
-
-        monkeypatch.setattr(distribution, "multiplicative_order", walk)
-        with pytest.raises(ResourceError):
-            per_k_at(inst, info, [0])
-        with pytest.raises(ResourceError):
-            oracle_at(inst, info, [0])
-        with pytest.raises(ResourceError):
-            peaks(inst, info)
-
-    def test_class_cap_counts_a_fixed_cost_per_class(self, monkeypatch):
-        inst, info = build(21, 10, 8)  # r = 6, N = 256
-        cost = info.r * (inst.N + distribution._CLASS_CELLS)
-        monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost)
-        whole(per_k_at, inst, info)
-        whole(oracle_at, inst, info)
-        monkeypatch.setattr(distribution, "MAX_CLASS_CELLS", cost - 1)
-        with pytest.raises(ResourceError):
-            per_k_at(inst, info, [0])
-        with pytest.raises(ResourceError):
-            oracle_at(inst, info, [0])
-
-    def test_narrow_register_with_many_classes_refused(self):
-        # r*N = 2^22 is far below the cap, but 2^21 classes cost ~17 s
-        inst = ProblemInstance.create(2119933513, 3, q_A=1)
-        info = OrderInfo(r=1 << 21, M0=-1, k0=2, delta_min=0.0)
-        with pytest.raises(ResourceError):
-            per_k_at(inst, info, [0])
 
     def test_peak_cap_admits_the_order_itself(self, monkeypatch):
         inst, info = build(21, 10, 8)
@@ -302,14 +260,15 @@ class TestRangeEvaluator:
     def test_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
         monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
-        blocks = [p for _cells, p in distribution._register_values(inst, info, two_term_at)]
+        blocks = [p for _cells, p in distribution._register_values(inst, info)]
         assert digest(np.concatenate(blocks)) == PINNED_VECTORS[key][0]
 
     @pytest.mark.parametrize("key, size", PER_K_BLOCK_CASES)
     def test_per_k_blocks_do_not_change_the_bits(self, monkeypatch, key, size):
         monkeypatch.setattr(distribution, "_BLOCK", size)
         inst, info = build(*key)
-        blocks = [p for _cells, p in distribution._register_values(inst, info, per_k_at)]
+        blocks = [per_k_at(inst, info, np.arange(*block))
+                  for block in distribution._blocks(inst.N)]
         assert digest(np.concatenate(blocks)) == PINNED_VECTORS[key][1]
 
     @pytest.mark.parametrize("key", [(21, 10, 9), (1007, 5, 16)])

@@ -427,13 +427,15 @@ def run_grid_reprs(n):
     return "\n".join(lines)
 
 
-# SHA-256 of run_grid_reprs(n), taken when run_once and run_with_retries
-# were still two separate copies of the attempt.
+# SHA-256 of run_grid_reprs(n): the reprs of 0.7.0 with their one
+# difference cut out, the ProblemInstance field q_B that 0.8.0 removed
+# (the reprs of 0.7.0 gave the digests taken when run_once and
+# run_with_retries were still two separate copies of the attempt).
 PINNED_RUNS = {
-    15: "368860184012b7426ff90ad4ceaaf2236ee5096b1ee1cc07efb8f53c0f355caf",
-    21: "1c319f53ff9b6bb8e34adf3dab457b1d230b0386ef8416af782e183d2922f06b",
-    33: "a7b4e223383e0b0496ebeb4c987e356168813ac41ae9a3f62a649e3326370ad9",
-    1007: "20572047e8cdde7e0be95bd9feae11af360e0e011c0c6525b1d3c07c6f663fb5",
+    15: "1b6d45137625402a966b4ac076adfcf6ffe75f7f13c71dfabbf4b0e2db4d6845",
+    21: "f4cc29d569a87e05c35267619b0744be62b85cab50b017850f73b75f64b9595a",
+    33: "de961cd8d23d6547baffac6d0a5b0763a0d5b2b07770d7cfe240a9d0e3d6ef3b",
+    1007: "914874bd63c29e0f40d3c44c469615a442db91f47e08578ef288a667de4621bb",
 }
 
 # The wide-register grid: n = 46327 * 46337 near the top of the run range.
@@ -454,12 +456,13 @@ def wide_run_reprs(q_A):
     return "\n".join(lines)
 
 
-# SHA-256 of wide_run_reprs(q_A), taken while convergents were still
-# selected from the list of Fractions and every Lemire draw ran the
-# multiword loop.
+# SHA-256 of wide_run_reprs(q_A): the reprs of 0.7.0 with q_B cut out, as
+# above (those of 0.7.0 gave the digests taken while convergents were
+# still selected from the list of Fractions and every Lemire draw ran the
+# multiword loop).
 PINNED_WIDE_RUNS = {
-    62: "ad187aa73f4d07adccafd07e7a9c9d34c17f9004d0fdeb0cec1c62ba7568c0d8",
-    40: "f4bcb57e22e0afbdb722c0e900411167cca6bc4e50d65c283c330aee03b4910a",
+    62: "6841bbefb9d64d9201b50fc7106aba70d68176851b9ef336604e2dc2f2adff5e",
+    40: "b5d814401015a3074567bed91e8d038f87d305b5196dab69c83bc4912cebfb18",
 }
 
 
@@ -684,7 +687,7 @@ class TestGuaranteeClosedForm:
         assert not rep.size_ok and not rep.holds
 
 
-_INSTANCE = dict(n=21, x=10, q_A=9, q_B=5)
+_INSTANCE = dict(n=21, x=10, q_A=9)
 _RECOVERY = dict(c=85, recovered=Fraction(6, 1), r_candidate=6, verified=True)
 _PROBE = dict(nu=1, c_nu=85, delta_nu=0.3333333333333333,
               results=((-1, None), (0, (3, 7)), (1, (3, 7)), (2, None)),
@@ -693,9 +696,10 @@ _PROBE_REPR = ("NeighborProbe(nu=1, c_nu=85, delta_nu=0.3333333333333333, result
                "(0, (3, 7)), (1, (3, 7)), (2, None)), guaranteed_ds=(0, 1), neighbors_differ=(-1, 2))")
 
 #: (record, keyword fields, repr) for every public record; each repr was
-#: taken while the records were dataclasses
+#: taken while the records were dataclasses, except ProblemInstance's,
+#: which has no q_B field since 0.8.0
 RECORDS = [
-    (ProblemInstance, _INSTANCE, "ProblemInstance(n=21, x=10, q_A=9, q_B=5, N=512)"),
+    (ProblemInstance, _INSTANCE, "ProblemInstance(n=21, x=10, q_A=9, N=512)"),
     (OrderInfo, dict(r=6, M0=84, k0=2, delta_min=1 / 420),
      "OrderInfo(r=6, M0=84, k0=2, delta_min=0.002380952380952381)"),
     (RecoveryResult, _RECOVERY,
@@ -713,7 +717,7 @@ RECORDS = [
                       recovery=RecoveryResult(**_RECOVERY), classification=Classification.SUCCESS,
                       factors=(3, 7), r_true=6,
                       retries=[RetryEvent(kind="multiplier_found", c=43, r_candidate=3, multiplier=2)]),
-     "RunOutcome(n=21, x=10, instance=ProblemInstance(n=21, x=10, q_A=9, q_B=5, N=512), c=85, "
+     "RunOutcome(n=21, x=10, instance=ProblemInstance(n=21, x=10, q_A=9, N=512), c=85, "
      "recovery=RecoveryResult(c=85, recovered=Fraction(6, 1), r_candidate=6, verified=True), "
      "classification=<Classification.SUCCESS: 'Success'>, factors=(3, 7), r_true=6, "
      "retries=[RetryEvent(kind='multiplier_found', c=43, r_candidate=3, multiplier=2, factor=None)])"),
@@ -769,15 +773,15 @@ class TestRecords:
         remade = ProblemInstance._make(tuple(inst))
         assert type(remade) is ProblemInstance and remade == inst
         with pytest.raises(DomainError, match="N must be 2\\^q_A = 1024, got 512"):
-            ProblemInstance._make((21, 10, 10, 5, 512))
+            ProblemInstance._make((21, 10, 10, 512))
         with pytest.raises(TypeError):
             inst._replace(N=1024)
         with pytest.raises(TypeError):
-            ProblemInstance(21, 10, 9, 5, 512)
+            ProblemInstance(21, 10, 9, 512)
         with pytest.raises(DomainError):
             inst._replace(x=7)
         with pytest.raises(DomainError):
-            ProblemInstance._make((21, 10, 0, 5, 1))
+            ProblemInstance._make((21, 10, 0, 1))
 
     def test_outcomes_get_their_own_retry_log(self):
         fields = dict(n=21, x=3, instance=None, c=None, recovery=None,

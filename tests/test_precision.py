@@ -17,7 +17,10 @@ machine or a kernel):
   at cells and between them.  It folds its three angles into [0, 1/2]
   turns in exact rationals; reduced mod 2 turns alone, they gave 3.0e-12;
 * Fejer acceptance: 8.9e-16 at most.  ``fejer_kernel`` folds both angles
-  into [0, pi/2] exactly in integers, so it meets the target already.
+  into [0, pi/2] exactly in integers, so it meets the target already;
+* within-peak deviation weight: 6.9e-16 at most, with its angle folded
+  in the same way (``_sin_turns``); unfolded, sin(pi*delta) near delta = 1
+  gave 2.5e-12.
 
 A sampled maximum grows with the sample: a cell whose sine lies next to
 pi is off by up to about N ulps.  Folding the angle into [-pi/2, pi/2]
@@ -33,13 +36,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import oracle_at, per_k_at
 from shorsim.distribution import (
     FejerProposal,
     OrderInfo,
     ProblemInstance,
     envelope,
-    oracle_at,
-    per_k_at,
+    peak_deviation_prob,
     two_term_at,
 )
 
@@ -117,6 +120,15 @@ def envelope_errors(rng):
     return worst
 
 
+def deviation_errors(rng):
+    ds = [int(d) for d in rng.integers(-5, 6, size=CELLS)]
+    deltas = [float(delta) for delta in rng.random(CELLS) if delta > 0.0]
+    with mp.workdps(40):
+        exact = [mp.sin(mp.pi * mp.mpf(delta)) ** 2 / (mp.pi * (d - mp.mpf(delta))) ** 2
+                 for d, delta in zip(ds, deltas)]
+    return max_relative_error([peak_deviation_prob(d, delta) for d, delta in zip(ds, deltas)], exact)
+
+
 def acceptance_errors(rng):
     worst = 0.0
     for L, Np in [(2, 7), (3, 1 << 16), (117, 4097), (1000, 1 << 20), (5, 1 << 24), (1 << 12, 1 << 24)]:
@@ -139,6 +151,7 @@ ROUTES = {
     "per_k_at at r = 330": cell_errors(per_k_at, [(4087, 5, 16)]),
     "oracle_at": cell_errors(oracle_at, [(21, 10, 12), (341, 2, 12), (1007, 5, 13)]),
     "envelope": envelope_errors,
+    "peak_deviation_prob": deviation_errors,
     "FejerProposal.acceptance": acceptance_errors,
 }
 
@@ -166,6 +179,7 @@ def test_error_is_within_todays_bound(route):
         strict=True, reason="ROADMAP item 3: the oracle's sum of N phasors, which the fix "
                             "of the sine does not reach")),
     "envelope",
+    "peak_deviation_prob",
     "FejerProposal.acceptance",
 ])
 def test_error_is_within_the_printed_digit(route):
