@@ -438,7 +438,10 @@ class TestRouteGuards:
         ("run", "--n", "4294967297", "--x", "3"),  # 641 * 6700417, beyond the modulus cap
         ("run", "--n", "21", "--x", "10", "--qa", "63"),
         ("dist", "--n", "21", "--x", "10", "--qa", "25"),
+        ("dist", "--n", "21", "--x", "10", "--qa", "25", "--format", "json"),
+        ("dist", "--n", "4294967297", "--x", "3", "--qa", "8"),
         ("capture", "--n", "21", "--x", "10", "--qa", "25"),
+        ("capture", "--n", "4294967297", "--x", "3"),
     ])
     def test_route_caps_exit_resource(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -499,6 +502,20 @@ class TestRouteGuards:
         obj = json.loads(out)
         assert obj["r"] == 529960357 and obj["max_delta_c_d1"] == 1 / 256
         assert obj["holds"] is False
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dist_at_a_large_order_is_immediate(self, capsys, fmt):
+        # r = 529 960 357 is past the peak cap, but a dist pass costs O(N)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "dist", "--n", "2119933513", "--x", "3", "--qa", "8",
+                                 "--format", fmt)
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_OK and err == ""
+        if fmt == "csv":
+            p = [float(row.split(",")[1]) for row in out.splitlines()[2:]]
+        else:
+            p = json.loads(out)["probabilities"]
+        assert len(p) == 256 and sum(p) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ("peaks", "--qa", "8"),
@@ -810,6 +827,8 @@ class TestStreamedOutput:
         (("--n", "21", "--x", "7"), EXIT_DOMAIN),  # x shares a factor with n
         (("--n", "21", "--x", "10", "--qa", "25"), EXIT_RESOURCE),
         (("--n", "1000000000000000000000000000057", "--x", "2", "--qa", "8"), EXIT_RESOURCE),
+        (("--n", "4294967297", "--x", "3", "--qa", "8"), EXIT_RESOURCE),  # beyond the modulus cap
+        (("--n", "21", "--x", "10", "--qa", "0"), EXIT_DOMAIN),
     ])
     def test_error_leaves_no_file(self, capsys, tmp_path, fmt, flags, expected):
         target = tmp_path / "out"

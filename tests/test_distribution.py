@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
+import oracles
 from oracles import oracle_at, peaks, per_k_at, sample_from
 from shorsim import distribution
 from shorsim.distribution import (
@@ -185,6 +186,18 @@ class TestOracleAgreement:
 
 class TestOrderGuards:
     """The routes whose cost grows with r are refused before any O(r) work."""
+
+    def test_peaks_refuse_a_large_order_before_the_walk(self, monkeypatch):
+        inst, info = build(2119933513, 3, 8)  # r = 529 960 357
+
+        def walk(*_args):
+            raise AssertionError("the order walk ran before the guard")
+
+        monkeypatch.setattr(oracles, "multiplicative_order", walk)
+        with pytest.raises(ResourceError):
+            peaks(inst, info)
+        with pytest.raises(ResourceError):
+            distribution._peak_blocks(inst, info)
 
     def test_peak_cap_admits_the_order_itself(self, monkeypatch):
         inst, info = build(21, 10, 8)
