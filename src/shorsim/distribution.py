@@ -55,13 +55,14 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, guard
 from .number_theory import carmichael_lambda, order_from_multiple
 from .rng import SplitMix64
 
 #: Cap on the exponent-register width of the routes that visit every
 #: state (dist, fig1, capture).  They hold a block of cells at a time,
-#: so the cap bounds their time, which grows in proportion to N.  ``sample_states`` visits no state and has no cap.
+#: so the cap bounds their time, which grows in proportion to N.
+#: ``sample_states`` visits no state and has no cap.
 MAX_REGISTER_QUBITS = 24
 
 #: Cap on every register: N = 2^q_A must convert to a float (q_A <= 1023),
@@ -118,9 +119,7 @@ class ProblemInstance(_ProblemInstanceFields):
             raise DomainError(f"gcd({x}, {n}) != 1; precheck the base first")
         if q_A < 1:
             raise DomainError(f"the register width q_A must be positive, got {q_A}")
-        if q_A > MAX_QUBITS:
-            raise ResourceError(f"q_A={q_A} exceeds the cap of {MAX_QUBITS}: "
-                                "N = 2^q_A must fit a float")
+        guard("q_A", q_A, MAX_QUBITS, "a register, whose N = 2^q_A must fit a float")
         return tuple.__new__(cls, (n, x, q_A, 1 << q_A))
 
     def __getnewargs__(self):
@@ -171,7 +170,7 @@ class OrderInfo(NamedTuple):
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "OrderInfo":
-        guard_modulus(inst.n, "the order")
+        guard("n", inst.n, MAX_RUN_MODULUS - 1, "the order")
         return cls.from_multiple(inst, *carmichael_lambda(inst.n))
 
     @classmethod
@@ -183,20 +182,6 @@ class OrderInfo(NamedTuple):
         N = inst.N
         delta_min = 1.0 / ((inst.n - 1) * inst.n)
         return cls(r=r, M0=(N - r) // r, k0=N % r, delta_min=delta_min)
-
-
-def guard_register(inst: ProblemInstance, cap: int = MAX_REGISTER_QUBITS,
-                   route: str = "a pass over the register"):
-    """Raise ResourceError when inst's register is wider than cap qubits."""
-    if inst.q_A > cap:
-        raise ResourceError(f"q_A={inst.q_A} exceeds the desk-scale cap of {cap} for {route}")
-
-
-def guard_modulus(n: int, route: str):
-    """Raise ResourceError when n is at or above MAX_RUN_MODULUS, before
-    it is trial-divided."""
-    if n >= MAX_RUN_MODULUS:
-        raise ResourceError(f"n={n} exceeds the cap of 2^31 on the modulus for {route}")
 
 
 def _sin_sq(N: int, a: int, c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -242,7 +227,7 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     sum reduces to two weighted closed-form terms.  The exact int64 angle
     reduction needs q_A <= 31.
     """
-    guard_register(inst, 31, "int64 angle reduction")
+    guard("q_A", inst.q_A, 31, "the int64 angle reduction")
     import numpy as np
 
     N, r = inst.N, info.r
@@ -293,12 +278,12 @@ def _primed(items):
 def _register_values(inst: ProblemInstance, info: OrderInfo):
     """The pairs (cells, P at the cells) over the register's int64 cell
     blocks, P by ``two_term_at``: the one pass over the register, capped
-    by ``guard_register`` and primed by ``_primed``.
+    at MAX_REGISTER_QUBITS and primed by ``_primed``.
 
     The pairs come from ``map``, which holds no block once it is taken; a
     generator holds its last block, and raised the peak RSS of ``dist`` by
     0.1-0.5 MB."""
-    guard_register(inst)
+    guard("q_A", inst.q_A, MAX_REGISTER_QUBITS, "a pass over the register")
     import numpy as np
 
     def values(block):
@@ -368,12 +353,6 @@ def _sin_turns(num: int, den: int) -> float:
     return math.sin(math.pi * (min(num, den - num) / den))
 
 
-def guard_peaks(info: OrderInfo):
-    """Raise ResourceError when there are more than MAX_PEAKS_ORDER peaks."""
-    if info.r > MAX_PEAKS_ORDER:
-        raise ResourceError(f"r={info.r} exceeds the cap of 2^{MAX_PEAKS_ORDER.bit_length() - 1} peaks")
-
-
 def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) -> tuple:
     """The fields (nu, sigma_nu, c_nu, delta_nu) of peaks start..stop-1 as
     four arrays, from exact integers: c_nu = floor(nu*N/r) and delta_nu =
@@ -394,8 +373,8 @@ def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) 
 
 def _peak_blocks(inst: ProblemInstance, info: OrderInfo):
     """The columns of ``peak_columns`` over the blocks of the r peaks,
-    capped by ``guard_peaks`` on the call."""
-    guard_peaks(info)
+    capped at MAX_PEAKS_ORDER on the call."""
+    guard("r", info.r, MAX_PEAKS_ORDER, "the peak table")
     return (peak_columns(inst, info, start, stop) for start, stop in _blocks(info.r))
 
 

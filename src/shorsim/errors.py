@@ -10,7 +10,14 @@ class NoOrderError(DomainError):
 
 
 class ResourceError(RuntimeError):
-    """A desk-scale resource guard (memory or runtime cap) would be exceeded."""
+    """A resource guard (a cap on memory, runtime or exactness) would be exceeded."""
+
+
+def guard(name: str, value: int, cap: int, route: str) -> None:
+    """Raise ResourceError when value is above cap: the one check of every
+    resource guard, made before the work that the cap sizes."""
+    if value > cap:
+        raise ResourceError(f"{name}={value} exceeds the cap of {cap} for {route}")
 
 
 class ContractError(RuntimeError):

@@ -40,17 +40,17 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .distribution import (
+    MAX_REGISTER_QUBITS,
+    MAX_RUN_MODULUS,
     OrderInfo,
     ProblemInstance,
     _blocks,
     _records,
-    guard_modulus,
-    guard_register,
     peak_columns,
     two_term_at,
     two_term_prefix_sums,
 )
-from .errors import DomainError, ResourceError
+from .errors import DomainError, guard
 from .number_theory import semiprime_factors
 from .pipeline import RecoveryResult, recover_order
 from .rng import SplitMix64
@@ -238,7 +238,7 @@ def _census_columns(p, q) -> FailureCensus:
 def failure_census(n: int) -> FailureCensus:
     """Classify every coprime base 1 < x < n as odd-order, trivial square
     root (x**(r/2) = -1 mod n), or good, counted in closed form, n < 2^31."""
-    guard_modulus(n, "a census row")
+    guard("n", n, MAX_RUN_MODULUS - 1, "a census row")
     factors = semiprime_factors(n)
     if factors is None:
         raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")
@@ -249,8 +249,7 @@ def _census_chunks(nmax: int = 10_000) -> Iterator[FailureCensus]:
     """The census of every odd distinct-prime semiprime below nmax, in order
     of n, as FailureCensus chunks whose fields are arrays, one chunk per
     block of ``_blocks``.  The cap is checked on the call."""
-    if nmax > MAX_CENSUS_NMAX:
-        raise ResourceError(f"nmax={nmax} exceeds the census cap of {MAX_CENSUS_NMAX}")
+    guard("nmax", nmax, MAX_CENSUS_NMAX, "the census")
     p, q = _semiprime_factors_below(nmax)
     return (_census_columns(p[start:stop], q[start:stop]) for start, stop in _blocks(len(p)))
 
@@ -349,8 +348,7 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
     """
     if trials < 1:
         raise DomainError("trials must be positive")
-    if trials > MAX_MC_TRIALS:
-        raise ResourceError(f"trials={trials} exceeds the Monte Carlo cap of {MAX_MC_TRIALS}")
+    guard("trials", trials, MAX_MC_TRIALS, "the valuation Monte Carlo")
     import numpy as np
 
     first, second = SplitMix64(seed), SplitMix64(seed).advance(trials)
@@ -396,13 +394,12 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
-    if samples > MAX_CAPTURE_SAMPLES:
-        raise ResourceError(f"samples={samples} exceeds the capture cap of {MAX_CAPTURE_SAMPLES}")
+    guard("samples", samples, MAX_CAPTURE_SAMPLES, "the capture Monte Carlo")
     inst = ProblemInstance.create(n, x, q_A)
     if inst.N < n * n:
         raise DomainError(f"need N >= n^2 for capture analysis, got N={inst.N}, n={n}")
     info = OrderInfo.from_instance(inst)
-    guard_register(inst, route="the capture pass")
+    guard("q_A", inst.q_A, MAX_REGISTER_QUBITS, "the capture pass")
     import numpy as np
 
     # no peak guard: N >= n^2 and q_A <= 24 keep r below 4096 peaks, and
@@ -456,8 +453,7 @@ def neighbor_state_check(n: int, x: int, q_A: int | None) -> NeighborReport:
     if inst.N < n * n:
         raise DomainError(f"need N >= n^2 for the neighbor probe, got N={inst.N}, n={n}")
     info = OrderInfo.from_instance(inst)
-    if info.r > MAX_NEIGHBOR_ORDER:
-        raise ResourceError(f"r={info.r} exceeds the neighbor probe's cap of 2^16 on the order")
+    guard("r", info.r, MAX_NEIGHBOR_ORDER, "the neighbor probe")
     probes = []
     changed = 0
     changed_guaranteed = 0

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -408,6 +409,36 @@ class TestOutFile:
         assert code == EXIT_OK and out == ""
         content = target.read_text()
         assert content.splitlines()[1] == "nu,sigma_nu,c_nu,delta_nu"
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_block(heading):
+    """The first fenced code block under the README's `## heading`."""
+    return re.search(rf"^## {heading}\n.*?^```\w*\n(.*?)^```", README, re.M | re.S).group(1)
+
+
+README_COMMANDS = [shlex.split(line, comments=True)[1:]
+                   for line in readme_block("Command line").splitlines() if line.startswith("shorsim ")]
+
+
+class TestReadmeExamples:
+    """The README's examples run as written, so it names no flag that no
+    longer parses."""
+
+    def test_every_command_is_shown(self):
+        assert {argv[0] for argv in README_COMMANDS} == set(OPTION_SURFACE)
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_command_line_example_exits_zero(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert (tmp_path / "out").stat().st_size > 0
+
+    def test_library_example_prints_the_factors(self, capsys):
+        exec(readme_block("Library example"), {})
+        assert capsys.readouterr().out == "(3, 7)\n"
 
 
 class TestOutErrors:

@@ -180,8 +180,9 @@ class TestOracleAgreement:
 
     def test_register_cap_enforced(self):
         inst = ProblemInstance.create(21, 10, q_A=25)
-        with pytest.raises(ResourceError):
-            distribution.guard_register(inst)
+        with pytest.raises(ResourceError,
+                           match="^q_A=25 exceeds the cap of 24 for a pass over the register$"):
+            distribution._register_values(inst, OrderInfo.from_instance(inst))
 
 
 class TestOrderGuards:
