@@ -416,16 +416,17 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     sums, total = two_term_prefix_sums(inst, info, ends)
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"distribution is not normalized: total={total!r}")
-    lower = np.concatenate(([0.0], sums[1::2]))
-    upper = sums[::2]
+    # peak nu's draws lie in [edges[2 nu], edges[2 nu + 1])
+    edges = np.concatenate(([0.0], sums))
     rng = SplitMix64(seed)
     hits = 0
     for start, stop in _blocks(samples):
         u = rng.random_block(stop - start)
         u *= total
         u.sort()
-        # the draws in [lower, upper) of each peak; a count ignores order
-        hits += int((np.searchsorted(u, upper) - np.searchsorted(u, lower)).sum())
+        # a count ignores order
+        at = np.searchsorted(u, edges)
+        hits += int((at[1::2] - at[::2]).sum())
     return CaptureReport(
         n=n, x=x, q_A=inst.q_A, samples=samples,
         exact_value=exact,

@@ -164,3 +164,21 @@ def test_only_errors_guard_makes_a_resource_error():
                             and node.name.startswith("guard_")]
     assert makers == ["errors.py:guard"]
     assert guard_functions == []
+
+
+def _imported_modules(tree):
+    """The top-level name of each module an import statement under tree names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.partition(".")[0]
+
+
+def test_no_scipy_import_in_package_or_tests():
+    # the oracles are mpmath's; scipy is in neither the runtime nor the test extra
+    root = Path(__file__).parents[1]
+    importers = [f"{path.relative_to(root)}" for folder in ("src", "tests")
+                 for path in sorted((root / folder).rglob("*.py"))
+                 if "scipy" in _imported_modules(ast.parse(path.read_text(), str(path)))]
+    assert importers == []

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from shorsim import distribution, number_theory
 from shorsim.distribution import (
@@ -150,10 +149,23 @@ def chi_square_pvalue(draws, probabilities):
     if exp[-1] < 5:  # too little pooled mass to form its own cell
         obs, exp = obs[:-1], exp[:-1]
     stat = float(((obs - exp) ** 2 / exp).sum())
-    return chi2.sf(stat, len(obs) - 1), len(obs) - 1
+    return chi_square_tail(stat, len(obs) - 1), len(obs) - 1
+
+
+def chi_square_tail(x, k):
+    """P(X > x) for X chi-square with k degrees of freedom: the regularized
+    upper incomplete gamma function Q(k/2, x/2)."""
+    mpmath = pytest.importorskip("mpmath")
+    return float(mpmath.gammainc(k / 2, x / 2, mpmath.inf, regularized=True))
 
 
 class TestChiSquare:
+    @pytest.mark.parametrize("x", [0.25, 1.0, 3.84, 10.0, 30.0])
+    def test_tail_matches_closed_forms(self, x):
+        # one degree of freedom is a squared normal, two an exponential of mean 2
+        assert chi_square_tail(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-14)
+        assert chi_square_tail(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+
     @pytest.mark.parametrize("n,x,q_A,seed", [(21, 10, 9, 1), (35, 2, 11, 2), (21, 4, 9, 3),
                                               (15, 2, 8, 4), (33, 2, 3, 5), (57, 5, 12, 6)])
     def test_fixed_seed_draws_fit_two_term(self, n, x, q_A, seed):
