@@ -236,11 +236,10 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     singular, den = _denominator_parts(N, r, c, t)
     large = _sin_sq_ratio(N, r, info.M0 + 2, c, t, singular, den)
     small = _sin_sq_ratio(N, r, info.M0 + 1, c, t, singular, den)
-    # (k0*large + (r-k0)*small) / N^2, in place.  Each weight, an integer
-    # over the power of two N^2, is exact, and scaling by a power of two
-    # commutes with rounding while no term is subnormal (the least nonzero
-    # one, at q_A 31, is about 5e-37): so these are the bits of the sum's
-    # quotient by N^2.  The sum of two products has the same bits in
+    # (k0*large + (r-k0)*small) / N^2, in place.  Each weight is an integer
+    # over the power of two N^2, so exact, and a power-of-two scale commutes
+    # with rounding while no term is subnormal (the least nonzero, at q_A
+    # 31, is about 5e-37).  The sum of two products has the same bits in
     # either order.
     large *= info.k0 / float(N) ** 2
     small *= (r - info.k0) / float(N) ** 2

@@ -178,7 +178,7 @@ def _imported_modules(tree):
 def test_no_scipy_import_in_package_or_tests():
     # the oracles are mpmath's; scipy is in neither the runtime nor the test extra
     root = Path(__file__).parents[1]
-    importers = [f"{path.relative_to(root)}" for folder in ("src", "tests")
+    importers = [str(path.relative_to(root)) for folder in ("src", "tests")
                  for path in sorted((root / folder).rglob("*.py"))
                  if "scipy" in _imported_modules(ast.parse(path.read_text(), str(path)))]
     assert importers == []
