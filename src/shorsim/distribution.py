@@ -51,6 +51,7 @@ recovers orders never imports it.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -308,8 +309,6 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
     sums = np.empty(len(cells))
     carry = 0.0
     for block, p in values:
-        if np.any(p < 0.0):
-            raise DomainError("distribution has negative entries")
         p[0] += carry
         cdf = np.cumsum(p, out=p)
         lo, hi = np.searchsorted(cells, (block[0], block[-1] + 1))
@@ -319,28 +318,21 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
 
 
 def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
-    """The two-term form evaluated at a real (or exact rational) position.
+    """The two-term form at a real (or exact rational) position sigma: with
+    sigma*r/N = a/b in lowest terms, k0 classes of fejer_kernel(M0+2, b, a)
+    and r-k0 of fejer_kernel(M0+1, b, a), over N^2.
 
     Periodic with period N/r; at integer sigma it equals the two-term
-    probability of that state, and at the peak centers nu*N/r it takes
-    the singular-limit maximum (k0*(M0+2)^2 + (r-k0)*(M0+1)^2) / N^2.
-    Pass a Fraction to hit singular points exactly; floats are converted
-    to exact rationals, so angle reduction never loses precision.
+    probability of that state, and at the peak centers nu*N/r (b = 1) the
+    kernel's limit gives (k0*(M0+2)^2 + (r-k0)*(M0+1)^2) / N^2.  Floats are
+    converted to exact rationals, so angle reduction never loses precision.
     """
-    N, r, k0 = inst.N, info.r, info.k0
+    N, r, k0, M0 = inst.N, info.r, info.k0, info.M0
     sig = Fraction(sigma)
     if not 0 <= sig < N:
         raise DomainError(f"sigma must lie in [0, N), got {sigma}")
-    large, small = info.M0 + 2, info.M0 + 1
-    base = sig * r / N
-    if base.denominator == 1:  # exact singular point: substitute the limit
-        return (k0 * large * large + (r - k0) * small * small) / float(N) ** 2
-
-    def sin_sq(turns: Fraction) -> float:
-        return _sin_turns(turns.numerator, turns.denominator) ** 2
-
-    numerator = k0 * sin_sq(base * large) + (r - k0) * sin_sq(base * small)
-    return numerator / (sin_sq(base) * float(N) ** 2)
+    a, b = (sig * r / N).as_integer_ratio()
+    return (k0 * fejer_kernel(M0 + 2, b, a) + (r - k0) * fejer_kernel(M0 + 1, b, a)) / float(N) ** 2
 
 
 def _sin_turns(num: int, den: int) -> float:
@@ -379,13 +371,15 @@ def _peak_blocks(inst: ProblemInstance, info: OrderInfo):
 
 
 def peak_deviation_prob(d: int, delta_nu: float) -> float:
-    """Within-peak weight of integer deviation d for displacement delta_nu.
+    """Within-peak weight of integer deviation d for real displacement delta_nu.
 
     sin^2(pi*delta) / (pi * (d - delta))^2, with the delta -> 0 limit
     (all weight on d = 0) substituted exactly at delta_nu == 0.
     """
-    if not 0.0 <= delta_nu < 1.0:
-        raise DomainError(f"delta_nu must lie in [0, 1), got {delta_nu}")
+    # compared exactly before float() rounds it, and refused if it rounds to 1
+    if not (isinstance(delta_nu, numbers.Real) and 0 <= delta_nu < 1 and float(delta_nu) < 1):
+        raise DomainError(f"delta_nu must be a real in [0, 1), got {delta_nu!r}")
+    delta_nu = float(delta_nu)
     if delta_nu == 0.0:
         return 1.0 if d == 0 else 0.0
     s = _sin_turns(*delta_nu.as_integer_ratio())

@@ -160,8 +160,6 @@ def recover_order(c: int, inst: ProblemInstance) -> RecoveryResult:
     """
     if not 0 <= c < inst.N:
         raise DomainError(f"c must lie in [0, N), got {c}")
-    if c == 0:
-        return RecoveryResult(c=0, recovered=None, r_candidate=None, verified=False)
     est = _bounded_convergent(inst.N, c, inst.n)
     if est is None:
         return RecoveryResult(c=c, recovered=None, r_candidate=None, verified=False)

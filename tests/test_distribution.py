@@ -441,6 +441,15 @@ class TestPeakDeviation:
         with pytest.raises(DomainError):
             peak_deviation_prob(0, -0.1)
 
+    def test_any_real_displacement_is_its_float(self):
+        mpmath = pytest.importorskip("mpmath")
+        for d in (-1, 0, 1, 2):
+            expected = peak_deviation_prob(d, 0.25)
+            assert peak_deviation_prob(d, mpmath.mpf("0.25")) == expected
+            assert peak_deviation_prob(d, Fraction(1, 4)) == expected
+        with pytest.raises(DomainError):
+            peak_deviation_prob(0, "0.25")
+
     @pytest.mark.parametrize("n,x,q_A", [(15, 2, 8), (21, 10, 9), (35, 11, 11)])
     def test_approximates_exact_peak_shape(self, n, x, q_A):
         # within a peak, r * P(c_nu + d) tracks the deviation weight to O(1/n)

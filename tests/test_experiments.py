@@ -700,6 +700,31 @@ class TestNeighborCheck:
             assert results[0] == results[1] == (rep.r, probe.nu)
         assert rep.changed_within_guarantee == 0
 
+    @pytest.mark.parametrize("extra_qubits", [0, 1])
+    def test_results_match_the_run_route(self, extra_qubits):
+        # the probe reads the bounded convergent directly; the run route's
+        # recover_order of the same cell, reduced to its (numerator,
+        # denominator), is the oracle
+        from shorsim.pipeline import recover_order
+
+        def run_route(c, inst):
+            recovered = recover_order(c, inst).recovered
+            return None if recovered is None else (recovered.numerator, recovered.denominator)
+
+        probed = 0
+        for n, _p, _q in semiprimes_below(100):
+            q_A = ProblemInstance.default_q_A(n) + extra_qubits
+            for x in range(2, n):
+                if math.gcd(x, n) != 1:
+                    continue
+                inst = ProblemInstance.create(n, x, q_A)
+                for probe in neighbor_state_check(n, x, q_A).probes:
+                    assert [d for d, _ in probe.results] == [-1, 0, 1, 2]
+                    for d, result in probe.results:
+                        assert result == run_route((probe.c_nu + d) % inst.N, inst), (n, x, q_A, d)
+                        probed += 1
+        assert probed > 1000
+
     def test_far_from_peak_fails_regardless_of_neighbors(self):
         from shorsim.distribution import ProblemInstance
         from shorsim.pipeline import recover_order

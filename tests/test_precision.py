@@ -13,9 +13,11 @@ machine or a kernel):
   and 10; 1.4e-12 at (4087, 5, 16), r = 330;
 * oracle: 2.7e-13, 7.6e-14, 2.2e-14 at (21, 10, 12), (341, 2, 12),
   (1007, 5, 13);
-* envelope: 6.7e-16 at most, on the two-term machines and (21, 10, 12),
-  at cells and between them.  It folds its three angles into [0, 1/2]
-  turns in exact rationals; reduced mod 2 turns alone, they gave 3.0e-12;
+* envelope: 6.8e-16 at most, on the two-term machines and (21, 10, 12),
+  at cells and between them.  Each of its two class terms is
+  ``fejer_kernel`` at sigma*r/N in lowest terms, whose angles are folded
+  into [0, 1/2] turns in integers; reduced mod 2 turns alone, the
+  envelope's angles gave 3.0e-12;
 * Fejer acceptance: 8.9e-16 at most.  ``fejer_kernel`` folds both angles
   into [0, pi/2] exactly in integers, so it meets the target already;
 * within-peak deviation weight: 6.9e-16 at most, with its angle folded
