@@ -7,14 +7,13 @@ re-running a command reproduces its output byte for byte.
 Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
 64 usage error, 74 write error on stdout or --out, 130 interrupted.
 
-The tables (dist, fig1, census, peaks, and the neighbors CSV) are
-returned as a stream of ASCII byte chunks that is written as it is
-formatted, so the full text is never held; other output is one string,
-written as its UTF-8 bytes.  Each chunk is a set of columns that
-``render.render_rows`` turns into the stdlib's exact text, as bytes and
-with no Python call per number, one block of the package's one block
-size (``distribution._blocks``) a chunk.  Output goes to the binary
-file under stdout, so every platform writes ``\n``.
+Every command returns its output as ASCII byte chunks, written as they
+are made: a record as one chunk, a table (dist, fig1, census, peaks,
+neighbors) one block of ``distribution._blocks`` a chunk, or one probe a
+chunk for the neighbors JSON, so its text is never held whole.
+``render.render_rows`` turns a chunk's columns of numbers into the
+stdlib's exact text, with no Python call per number.  Output goes to the
+binary file under stdout, so every platform writes ``\n``.
 ``distribution`` makes, caps, evaluates and primes every pass over the
 register (``_register_values``) and over the peaks (``_peak_blocks``),
 and the census CSV and JSON aggregate take each block's columns from the
@@ -59,6 +58,7 @@ EXIT_IOERR = 74
 EXIT_INTERRUPTED = 130
 
 SCHEMA_VERSION = 1
+_JSON = json.JSONEncoder(indent=2)  # json.dumps(obj, indent=2) is _JSON.encode(obj)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json(obj: dict) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, **obj}, indent=2) + "\n"
+    return _JSON.encode({"schema_version": SCHEMA_VERSION, **obj}) + "\n"
 
 
 def _kv_csv(obj: dict) -> str:
@@ -86,8 +86,8 @@ def _kv_csv(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(args, obj: dict) -> str:
-    return _json(obj) if args.format == "json" else _kv_csv(obj)
+def _render(args, obj: dict) -> list:
+    return [(_json(obj) if args.format == "json" else _kv_csv(obj)).encode()]
 
 
 def _render_rows(row_format: str, columns) -> bytearray:
@@ -110,37 +110,33 @@ def _csv_chunks(header: str, row_format: str, column_chunks):
 
 def _json_chunks(obj: dict, arrays: dict):
     """`_json(obj)` as byte chunks, with each placeholder `obj[key] = None`
-    replaced by the JSON array whose elements `arrays[key] = (element,
-    column_chunks)` renders chunk by chunk, each by the format `element`.
-    The keys come in the order of obj.
-
-    json.dumps prints a finite float as its repr, so ``%r`` gives the same
-    bytes; the floats printed are finite.
-    """
+    replaced by the JSON array whose elements come in the byte chunks of
+    `arrays[key]`, each element led by ",\n    ".  The keys come in the
+    order of obj."""
     text = _json(obj).encode()
-    for key, (element, column_chunks) in arrays.items():
+    for key, chunks in arrays.items():
         head, _, text = text.partition(f'"{key}": null'.encode())
         yield head + f'"{key}": ['.encode()
         first = True
-        for columns in column_chunks:
-            # each element follows ",\n    ", the first one "[\n    "
-            rows = _render_rows(",\n    " + element, columns)
-            if rows:
-                yield rows[1:] if first else rows
+        for chunk in chunks:
+            if chunk:
+                # the first element follows "[\n    ", not ",\n    "
+                yield chunk[1:] if first else chunk
                 first = False
         yield b"]" if first else b"\n  ]"
     yield text
 
 
+def _json_rows(element: str, column_chunks):
+    """The `_json_chunks` chunks of the rows of `column_chunks`, each by the
+    format `element`.  json.dumps prints a finite float as its repr, so
+    ``%r`` gives the same bytes; the floats printed are finite."""
+    return (_render_rows(",\n    " + element, columns) for columns in column_chunks)
+
+
 def _distribution_csv(cell_values):
     """The `c,P(c)` table of the pairs of ``_register_values`` as byte chunks."""
     return _csv_chunks("c,P(c)", "%d,%.15e\n", cell_values)
-
-
-def _probabilities_json(cell_values):
-    """The `_json_chunks` entry of the float array P(0..N-1) from the pairs
-    of ``_register_values``."""
-    return "%r", map(lambda pair: pair[1:], cell_values)
 
 
 def _cmd_dist(args):
@@ -152,7 +148,7 @@ def _cmd_dist(args):
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N,
             "method": "two_term_form",
             "probabilities": None,
-        }, {"probabilities": _probabilities_json(cell_values)})
+        }, {"probabilities": _json_rows("%r", (pair[1:] for pair in cell_values))})
     return _distribution_csv(cell_values)
 
 
@@ -170,7 +166,7 @@ def _cmd_peaks(args):
         return _json_chunks({
             "n": args.n, "x": args.x, "qA": inst.q_A, "N": inst.N, "r": info.r,
             "peaks": None,
-        }, {"peaks": (_PEAK_JSON, chunks)})
+        }, {"peaks": _json_rows(_PEAK_JSON, chunks)})
     return _csv_chunks(_PEAK_HEADER, _PEAK_ROW, chunks)
 
 
@@ -188,12 +184,12 @@ def _cmd_fig1(args):
             "n": inst.n, "x": inst.x, "qA": inst.q_A, "N": inst.N,
             "probabilities": None,
             "peaks": None,
-        }, {"probabilities": _probabilities_json(_register_values(inst, info)),
-            "peaks": (_PEAK_JSON, _peak_blocks(inst, info))})
+        }, {"probabilities": _json_rows("%r", (pair[1:] for pair in _register_values(inst, info))),
+            "peaks": _json_rows(_PEAK_JSON, _peak_blocks(inst, info))})
     return _fig1_csv(inst, info)
 
 
-def _cmd_run(args) -> str:
+def _cmd_run(args):
     policy = RetryPolicy(max_mu=args.max_mu, max_resamples=args.max_resamples)
     outcome = run_with_retries(args.n, args.x, policy=policy, seed=args.seed, q_A=args.qa)
     rec = outcome.recovery
@@ -220,7 +216,7 @@ def _cmd_census(args):
     if args.format == "json":
         agg = _census_chunks_aggregate(chunks)
         band = (1 / 3 - 0.1, 1 / 3 + 0.1)
-        return _json({
+        return _render(args, {
             "nmax": args.nmax,
             "count": agg.count,
             "total_x": agg.total_x,
@@ -241,7 +237,7 @@ def _cmd_census(args):
                         for c in chunks))
 
 
-def _cmd_mc_valuation(args) -> str:
+def _cmd_mc_valuation(args):
     res = valuation_model_mc(args.trials, seed=args.seed)
     return _render(args, {
         "trials": res.trials,
@@ -253,7 +249,7 @@ def _cmd_mc_valuation(args) -> str:
     })
 
 
-def _cmd_capture(args) -> str:
+def _cmd_capture(args):
     rep = capture_rate_empirical(args.n, args.x, args.qa, args.samples, seed=args.seed)
     return _render(args, {
         "n": rep.n, "x": rep.x, "qA": rep.q_A,
@@ -263,7 +259,7 @@ def _cmd_capture(args) -> str:
     })
 
 
-def _cmd_guarantee(args) -> str:
+def _cmd_guarantee(args):
     inst = ProblemInstance.create(args.n, args.x, args.qa)
     rep = order_recovery_guarantee(inst)
     return _render(args, {
@@ -280,24 +276,21 @@ def _cmd_guarantee(args) -> str:
 def _cmd_neighbors(args):
     rep = neighbor_state_check(args.n, args.x, args.qa)
     if args.format == "csv":
-        rows = [(p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ)) for p in rep.probes]
-        return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n",
-                           (tuple(zip(*rows[start:stop])) for start, stop in _blocks(len(rows))))
-    return _json({
+        return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n", (
+            tuple(zip(*((p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))
+                        for p in rep.probes[start:stop])))
+            for start, stop in _blocks(len(rep.probes))))
+    # a chunk a probe: the probe as json.dumps(indent=2) prints it, four spaces further in
+    return _json_chunks({
         "n": rep.n, "x": rep.x, "qA": rep.q_A, "r": rep.r,
         "changed_neighbors": rep.changed_neighbors,
         "changed_within_guarantee": rep.changed_within_guarantee,
-        "probes": [
-            {
-                "nu": p.nu,
-                "c_nu": p.c_nu,
-                "delta_nu": p.delta_nu,
-                "results": {str(d): (list(v) if v else None) for d, v in p.results},
-                "neighbors_differ": list(p.neighbors_differ),
-            }
-            for p in rep.probes
-        ],
-    })
+        "probes": None,
+    }, {"probes": ((",\n    " + _JSON.encode({
+        "nu": p.nu, "c_nu": p.c_nu, "delta_nu": p.delta_nu,
+        "results": {str(d): (list(v) if v else None) for d, v in p.results},
+        "neighbors_differ": list(p.neighbors_differ),
+    }).replace("\n", "\n    ")).encode() for p in rep.probes)})
 
 
 def build_parser() -> _Parser:
@@ -385,8 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help exits 0; usage errors exit 64
         return int(exc.code or 0)
     try:
-        output = args.func(args)
-        return _write([output.encode()] if isinstance(output, str) else output, args.out)
+        return _write(args.func(args), args.out)
     except ResourceError as exc:
         print(f"shorsim: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

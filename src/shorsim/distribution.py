@@ -84,9 +84,9 @@ MAX_RUN_MODULUS = 1 << 31
 
 #: Cap on the order for the routes that list every peak.  ``shorsim
 #: peaks`` streams its rows from ``peak_columns`` chunk by chunk, so its
-#: memory does not grow with r and its time does, about 1 us a peak
-#: (2-CPU host, r = 988 288: 0.5 s and 35 MB as CSV, 1.0 s and 44 MB as
-#: JSON, whose text is 2.3 times longer): about 1 s at the cap.
+#: memory does not grow with r and its time does (2-CPU host, r = 988 288:
+#: 0.7 s and 34 MB as CSV at q_A 8 and at the default 62; as JSON 1.2-1.4 s
+#: and 42 MB at q_A 8, 2.1-2.3 s and 45 MB at 62): about 2.5 s at the cap.
 MAX_PEAKS_ORDER = 1 << 20
 
 class _ProblemInstanceFields(NamedTuple):
@@ -348,18 +348,21 @@ def _sin_turns(num: int, den: int) -> float:
 def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) -> tuple:
     """The fields (nu, sigma_nu, c_nu, delta_nu) of peaks start..stop-1 as
     four arrays, from exact integers: c_nu = floor(nu*N/r) and delta_nu =
-    (nu*N mod r)/r rounded once.  They are int64 and float64 arrays when
-    nu*N fits int64 (float64 holds r and nu*N mod r < r < 2^31 exactly, so
-    the quotient rounds as Python's int / int does), else object arrays of
-    Python ints and floats."""
+    (nu*N mod r)/r rounded once, taken from N = whole*r + part and
+    nu*part < r^2 so that no term passes N.  They are int64 and float64
+    arrays when N fits int64 (float64 holds r and nu*N mod r < r < 2^31
+    exactly, so the quotient rounds as Python's int / int does), else
+    object arrays of Python ints and floats."""
     import numpy as np
 
     nu = np.arange(start, stop, dtype=np.int64)
-    if (stop - 1) * inst.N >= 1 << 63:
+    if inst.N >= 1 << 63:
         nu = nu.astype(object)
-    scaled = nu * inst.N
-    c_nu = scaled // info.r
-    delta_nu = (scaled - c_nu * info.r) / info.r
+    whole, part = divmod(inst.N, info.r)
+    scaled = nu * part
+    carry = scaled // info.r
+    c_nu = nu * whole + carry
+    delta_nu = (scaled - carry * info.r) / info.r
     return nu, c_nu + delta_nu, c_nu, delta_nu
 
 

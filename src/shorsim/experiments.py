@@ -63,9 +63,9 @@ from .rng import SplitMix64
 #: chunk of the CSV.
 MAX_CENSUS_NMAX = 10**7
 
-#: Cap on the order for the neighbor probe, about 0.03 ms a probed peak
-#: (2-CPU host): at r = 65 521, a prime, ``neighbors`` takes about 2.3 s and
-#: 104 MB peak RSS as CSV, and 5 s and 346 MB as JSON.
+#: Cap on the order for the neighbor probe, about 0.04 ms a probed peak
+#: (2-CPU host): at r = 65 521, a prime, ``neighbors`` takes 2.4-2.9 s as
+#: CSV and 5.3-6.6 s as JSON, both streamed, and 104-107 MB peak RSS.
 MAX_NEIGHBOR_ORDER = 1 << 16
 
 #: Cap on the trials of the valuation Monte Carlo, checked before any
@@ -402,7 +402,7 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     import numpy as np
 
     # no peak guard: N >= n^2 and q_A <= 24 keep r below 4096 peaks, and
-    # nu*N below 2^63, so c_nu is an int64 array
+    # N below 2^63, so c_nu is an int64 array
     c_nu = peak_columns(inst, info, 0, info.r)[2]
     pairs = two_term_at(inst, info, c_nu) + two_term_at(inst, info, c_nu + 1)
     exact = float(np.cumsum(pairs)[-1])  # in peak order, one term at a time
@@ -466,7 +466,7 @@ def neighbor_state_check(n: int, x: int, q_A: int | None) -> NeighborReport:
         changed_guaranteed += sum(1 for d in differ if d in guaranteed)
         probes.append(NeighborProbe(
             nu=nu, c_nu=c_nu, delta_nu=delta_nu,
-            results=tuple(sorted(results.items())),
+            results=tuple(results.items()),
             guaranteed_ds=guaranteed,
             neighbors_differ=differ,
         ))

@@ -699,6 +699,7 @@ class TestStreamedOutput:
         "peaks --n 1007 --x 5 --qa 16",  # 468 peaks
         "peaks --n 1007 --x 5 --qa 16 --format json",
         "neighbors --n 1007 --x 5 --format csv",
+        "neighbors --n 1007 --x 5",
     ])
     def test_chunk_size_does_not_change_bytes(self, capsys, monkeypatch, chunk_rows, command):
         monkeypatch.setattr(distribution, "_BLOCK", chunk_rows)
@@ -798,19 +799,35 @@ class TestStreamedOutput:
         assert sha256(text) == PINNED_OUTPUT["peaks --n 1007 --x 5 --qa 16 --format json"]
         assert len(json.loads(text)["peaks"]) == 468
 
-    @pytest.mark.parametrize("command", [
-        "dist --n 21 --x 10 --qa 8",
-        "dist --n 21 --x 10 --qa 8 --format json",
-        "dist --n 341 --x 2 --qa 12",
-        "dist --n 15 --x 2 --format json",
-        "fig1",
-        "fig1 --format json",
-        "peaks --n 21 --x 10 --qa 8",
-        "peaks --n 21 --x 10 --qa 8 --format json",
-        "census --nmax 10000",
-        "neighbors --n 21 --x 10 --format csv",
-    ])
-    def test_tables_reach_the_writer_as_bytes(self, capsys, monkeypatch, command):
+    def test_neighbors_json_is_streamed(self, monkeypatch):
+        # the probes are spread over chunks, none holding more than a block
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        args = cli.build_parser().parse_args("neighbors --n 1007 --x 5".split())
+        chunks = list(args.func(args))
+        text = b"".join(chunks).decode()
+        assert sha256(text) == PINNED_OUTPUT["neighbors --n 1007 --x 5"]
+        counts = [chunk.count(b'"nu": ') for chunk in chunks]
+        assert sum(counts) == len(json.loads(text)["probes"]) > 7
+        assert max(counts) <= 7
+
+    @pytest.mark.parametrize("command, expected", [pytest.param(command, expected, id=command)
+                                                   for command, expected in [
+        *((command, {bytes, bytearray}) for command in [
+            "dist --n 21 --x 10 --qa 8",
+            "dist --n 21 --x 10 --qa 8 --format json",
+            "dist --n 341 --x 2 --qa 12",
+            "dist --n 15 --x 2 --format json",
+            "fig1",
+            "fig1 --format json",
+            "peaks --n 21 --x 10 --qa 8",
+            "peaks --n 21 --x 10 --qa 8 --format json",
+            "census --nmax 10000",
+            "neighbors --n 21 --x 10 --format csv",
+        ]),
+        # renders no rows: each probe is encoded from its JSON text
+        ("neighbors --n 1007 --x 5", {bytes}),
+    ]])
+    def test_tables_reach_the_writer_as_bytes(self, capsys, monkeypatch, command, expected):
         # no text round trip: the rendered rows go to the writer as they are
         write, kinds = cli._write, set()
 
@@ -823,7 +840,7 @@ class TestStreamedOutput:
         code, out, _ = run_cli(capsys, *command.split())
         assert code == EXIT_OK
         assert sha256(out) == PINNED_OUTPUT[command]
-        assert kinds == {bytes, bytearray}
+        assert kinds == expected
 
     @pytest.mark.parametrize("command", [
         *CONSOLE_COMMANDS,

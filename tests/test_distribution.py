@@ -358,10 +358,13 @@ class TestPeaks:
         assert [p.c_nu for p in pk] == [0, 64, 128, 192]
 
     @pytest.mark.parametrize("n,x,q_A", [(21, 10, 9), (1007, 5, 20), (21, 10, 60), (21, 10, 61),
-                                         (21, 10, 62), (1007, 5, 70)])
+                                         (21, 10, 62), (1007, 5, 62), (1007, 5, 70)])
     def test_peaks_equal_the_literal_integer_split(self, n, x, q_A):
-        # from q_A 61 (r = 6) nu*N passes 2^63, where the columns are Python ints
+        # nu*N passes 2^63 from q_A 61 at r = 6, yet the columns stay int64
+        # while N fits there; from q_A 63 they are Python ints
         inst, info = build(n, x, q_A)
+        dtypes = [column.dtype for column in distribution.peak_columns(inst, info, 0, info.r)]
+        assert dtypes == ([np.int64, np.float64] * 2 if q_A < 63 else [object] * 4)
         literal = []
         for nu in range(info.r):
             scaled = nu * inst.N

@@ -89,6 +89,14 @@ def test_advance_rejects_negative_counts():
         SplitMix64(0).advance(-1)
 
 
+@pytest.mark.parametrize("block", ["uint64_block", "random_block"])
+def test_blocks_reject_negative_counts_before_drawing(block):
+    drawn, fresh = SplitMix64(5), SplitMix64(5)
+    with pytest.raises(ValueError):
+        getattr(drawn, block)(-1)
+    assert drawn.next_uint64() == fresh.next_uint64()  # no word was drawn
+
+
 # every state seed + i * gamma of a block from this seed wraps 2^64
 WRAPPING_SEED = 2**64 - 1
 # around the 2^14-word table of state offsets, and several tables long
