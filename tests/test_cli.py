@@ -810,9 +810,8 @@ class TestStreamedOutput:
         assert sum(counts) == len(json.loads(text)["probes"]) > 7
         assert max(counts) <= 7
 
-    @pytest.mark.parametrize("command, expected", [pytest.param(command, expected, id=command)
-                                                   for command, expected in [
-        *((command, {bytes, bytearray}) for command in [
+    @pytest.mark.parametrize("command, expected", [
+        *(pytest.param(command, {bytes, bytearray}, id=command) for command in [
             "dist --n 21 --x 10 --qa 8",
             "dist --n 21 --x 10 --qa 8 --format json",
             "dist --n 341 --x 2 --qa 12",
@@ -825,8 +824,8 @@ class TestStreamedOutput:
             "neighbors --n 21 --x 10 --format csv",
         ]),
         # renders no rows: each probe is encoded from its JSON text
-        ("neighbors --n 1007 --x 5", {bytes}),
-    ]])
+        pytest.param("neighbors --n 1007 --x 5", {bytes}, id="neighbors --n 1007 --x 5"),
+    ])
     def test_tables_reach_the_writer_as_bytes(self, capsys, monkeypatch, command, expected):
         # no text round trip: the rendered rows go to the writer as they are
         write, kinds = cli._write, set()
