@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 domain error, 2 resource-guard violation,
 Every command returns its output as ASCII byte chunks, written as they
 are made: a record as one chunk, a table (dist, fig1, census, peaks,
 neighbors) one block of ``distribution._blocks`` a chunk, or one probe a
-chunk for the neighbors JSON, so its text is never held whole.
-``render.render_rows`` turns a chunk's columns of numbers into the
-stdlib's exact text, with no Python call per number.  Output goes to the
+chunk for the neighbors JSON, so its text is never held whole.  One
+``render.Renderer`` a table turns each chunk's columns of numbers into
+the stdlib's exact text, with no Python call per number, and keeps its
+work arrays from the table's first chunk to its last.  Output goes to the
 binary file under stdout, so every platform writes ``\n``.
 ``distribution`` makes, caps, evaluates and primes every pass over the
 register (``_register_values``) and over the peaks (``_peak_blocks``),
@@ -25,6 +26,7 @@ error leaves no output.
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .distribution import (
     OrderInfo,
@@ -90,22 +92,22 @@ def _render(args, obj: dict) -> list:
     return [(_json(obj) if args.format == "json" else _kv_csv(obj)).encode()]
 
 
-def _render_rows(row_format: str, columns) -> bytearray:
-    """``render.render_rows``, imported with the first table written, so
-    that a command or a library caller that writes none does not build
-    the renderer's tables."""
-    from .render import render_rows
+def _rows(row_format: str):
+    """The ``rows`` of a ``render.Renderer`` for one table by
+    `row_format`, which keeps its work arrays from chunk to chunk.  The
+    renderer is imported with the first table made, so that a command or
+    a library caller that writes none does not build its tables."""
+    from .render import Renderer
 
-    return render_rows(row_format, columns)
+    return Renderer(row_format).rows
 
 
 def _csv_chunks(header: str, row_format: str, column_chunks):
     """A CSV document as byte chunks: the header, then the rows of each
     chunk of `column_chunks`, which gives one sequence per conversion of
-    `row_format` (see ``render_rows``)."""
-    yield f"# schema_version={SCHEMA_VERSION}\n{header}\n".encode()
-    for columns in column_chunks:
-        yield _render_rows(row_format, columns)
+    `row_format` (see ``render.Renderer``)."""
+    return chain([f"# schema_version={SCHEMA_VERSION}\n{header}\n".encode()],
+                 map(_rows(row_format), column_chunks))
 
 
 def _json_chunks(obj: dict, arrays: dict):
@@ -131,7 +133,7 @@ def _json_rows(element: str, column_chunks):
     """The `_json_chunks` chunks of the rows of `column_chunks`, each by the
     format `element`.  json.dumps prints a finite float as its repr, so
     ``%r`` gives the same bytes; the floats printed are finite."""
-    return (_render_rows(",\n    " + element, columns) for columns in column_chunks)
+    return map(_rows(",\n    " + element), column_chunks)
 
 
 def _distribution_csv(cell_values):
@@ -171,10 +173,10 @@ def _cmd_peaks(args):
 
 
 def _fig1_csv(inst, info):
+    peak_rows = _rows("# peak " + _PEAK_ROW)
     yield from _distribution_csv(_register_values(inst, info))
     yield f"# peaks: {_PEAK_HEADER}\n".encode()
-    for columns in _peak_blocks(inst, info):
-        yield _render_rows("# peak " + _PEAK_ROW, columns)
+    yield from map(peak_rows, _peak_blocks(inst, info))
 
 
 def _cmd_fig1(args):

@@ -780,9 +780,9 @@ class TestStreamedOutput:
                                                                   command):
         kernel_runs = []
         for conv, (kernel, text) in list(render._FIELDS.items()):
-            def forced(column, kernel=kernel):
+            def forced(column, work, kernel=kernel):
                 kernel_runs.append(conv)
-                width, write, _ = kernel(column)
+                width, write, _ = kernel(column, work)
                 return width, write, np.ones(len(column), dtype=bool)  # every element left to the stdlib
             monkeypatch.setitem(render._FIELDS, conv, (forced, text))
         code, out, _ = run_cli(capsys, *command.split())
@@ -798,6 +798,20 @@ class TestStreamedOutput:
         text = b"".join(chunks).decode()
         assert sha256(text) == PINNED_OUTPUT["peaks --n 1007 --x 5 --qa 16 --format json"]
         assert len(json.loads(text)["peaks"]) == 468
+
+    @pytest.mark.parametrize("command", [
+        "dist --n 21 --x 10 --qa 8",
+        "dist --n 21 --x 10 --qa 8 --format json",
+        "fig1",
+        "peaks --n 1007 --x 5 --qa 16",
+    ])
+    def test_chunks_held_together_keep_their_bytes(self, monkeypatch, command):
+        # a table's renderer reuses its row buffer: each chunk it returns is its own
+        monkeypatch.setattr(distribution, "_BLOCK", 100)
+        args = cli.build_parser().parse_args(command.split())
+        chunks = list(args.func(args))
+        assert len({id(chunk) for chunk in chunks}) == len(chunks) > 3
+        assert sha256(b"".join(chunks).decode()) == PINNED_OUTPUT[command]
 
     def test_neighbors_json_is_streamed(self, monkeypatch):
         # the probes are spread over chunks, none holding more than a block

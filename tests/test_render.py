@@ -1,6 +1,7 @@
 """The vectorised decimal kernel against the stdlib's formatting, byte for byte."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -191,8 +192,8 @@ def test_integers():
 
 
 def test_rows_are_the_row_buffer_as_bytes():
-    """The buffer the kernels filled is handed on, compacted only when a
-    row left slots empty; it is never decoded to text."""
+    """The rows come as the bytes of the buffer the kernels filled, less
+    the NULs of the slots a row left empty; never decoded to text."""
     full = render_rows("%d,%.15e\n", [[1, 2], [0.5, 1e-7]])  # no slot left empty
     assert isinstance(full, bytearray)
     assert full == b"1,5.000000000000000e-01\n2,1.000000000000000e-07\n"
@@ -230,3 +231,79 @@ def test_distribution_cells_rarely_need_the_stdlib():
     write(np.empty((inst.N, width), dtype=np.uint8))
     assert 0 < unsure.sum() <= 16
     assert np.all(np.frexp(p[unsure])[0] == 0.5)
+
+
+# Chunks through one renderer whose layouts differ from the chunk before:
+# a field wider or narrower, a kind of row that comes or goes.
+REUSE = {
+    "a %d width that crosses 10^5": ("%d|\n", [
+        [[99_998, 99_999]], [list(range(99_990, 100_010))], [[100_000, 123_456]], [[7, 42]]]),
+    "fixed-notation %r rows, then none": ("%r|\n", [
+        [[0.5, 123.25, 1.5e-7]], [[1.5e-7, 3e-20, 2.5e-8]]]),
+    "a three-digit exponent from a later chunk": ("%.15e,%r\n", [
+        [[1.5, 2e-5]] * 2, [[1.5, 2e-105, 0.25]] * 2, [[3.0]] * 2]),
+    # 0.5 is a power of two and -2e-5 negative: both the stdlib's
+    "a stdlib fallback, then none": ("%r;%.15e\n", [
+        [[0.5, 0.1], [-2e-5, 0.1]], [[0.1, 0.3, 7e-3]] * 2]),
+    # the same layout, the stdlib's wider text in another row
+    "a field widened by the stdlib in two chunks": ("%.15e|\n", [
+        [[-2e-5, 0.1, 0.2]], [[0.3, 0.4, -3e-5]], [[-4e-5, 0.5, 0.6]]]),
+}
+
+
+@pytest.mark.parametrize("case", REUSE)
+def test_one_renderer_over_chunks_of_other_layouts(case):
+    row_format, chunks = REUSE[case]
+    rows = render.Renderer(row_format).rows
+    texts = [rows(columns) for columns in chunks]  # all held at once: none is the buffer
+    assert texts == [stdlib(row_format, columns).encode("ascii") for columns in chunks]
+
+
+def test_one_renderer_over_chunks_of_every_size():
+    """Work arrays grown by a longer chunk and read as prefixes by shorter
+    ones, with three fields sharing the temporaries."""
+    rng = np.random.default_rng(9)
+    row_format = "%d,%.15e;%r|\n"
+    rows = render.Renderer(row_format).rows
+    for size in (3, 700, 1, 2000, 50, 2000):
+        floats = rng.integers(0, 0x7FF0000000000000, size=size, dtype=np.int64).view(np.float64)
+        columns = [rng.integers(0, 10 ** int(rng.integers(1, 19)), size=size).tolist(),
+                   floats.tolist(), rng.permutation(floats).tolist()]
+        assert rows(columns) == stdlib(row_format, columns).encode("ascii")
+
+
+def register_chunks(count):
+    """`count` 2^14-row chunks of a dist table, cells and P(c), past the
+    cells whose digit count changes."""
+    from shorsim.distribution import OrderInfo, ProblemInstance, two_term_at
+
+    inst = ProblemInstance.create(943, 2, 19)
+    info = OrderInfo.from_instance(inst)
+    cells = [np.arange(start << 14, (start + 1) << 14, dtype=np.int64) for start in range(8, 8 + count)]
+    return [(c, two_term_at(inst, info, c)) for c in cells]
+
+
+@pytest.mark.parametrize("row_format", ["%d,%.15e\n", ",\n    %r"])
+def test_a_table_allocates_only_the_bytes_of_its_later_chunks(row_format):
+    """After the first chunk, a renderer's chunk allocates nothing
+    block-sized but the bytes it returns: its kernels, temporaries and
+    row buffer are the ones the first chunk made."""
+    chunks = [columns[-row_format.count("%"):] for columns in register_chunks(4)]
+    renderer = render.Renderer(row_format)
+    tracemalloc.start()
+    try:
+        for i, columns in enumerate(chunks):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text = renderer.rows(columns)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert i == 0 or peak <= len(text) + (64 << 10), (i, peak, len(text))
+            assert text == stdlib(row_format, [column.tolist() for column in columns]).encode("ascii")
+            del text
+            # and the arrays are the first chunk's, not new ones of the same size
+            arrays = {(i, name): id(array) for i, (*_, work) in enumerate(renderer.fields)
+                      for name, array in [*work.kept.items(), *work.temps.items()]}
+            assert i == 0 or arrays == first_arrays
+            first_arrays = arrays
+    finally:
+        tracemalloc.stop()
