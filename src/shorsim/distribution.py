@@ -225,8 +225,10 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     two-term form.
 
     k0 classes hold M0+2 exponents and r-k0 hold M0+1, so the per-class
-    sum reduces to two weighted closed-form terms.  The exact int64 angle
-    reduction needs q_A <= 31.
+    sum reduces to two weighted closed-form terms.  The cap is q_A <= 31,
+    but not for the angle reduction: the int64 product a*c wraps mod 2**64,
+    which 2N divides, so its residue mod 2N is exact up to q_A 62.  The
+    precision is measured up to q_A 24 (ROADMAP item 3).
     """
     guard("q_A", inst.q_A, 31, "the int64 angle reduction")
     import numpy as np

@@ -20,10 +20,12 @@ read from primitive-root tables, is the test suite's differential oracle.
 The census is computed as columns: ``_census_chunks`` runs the closed form
 on a block of int64 arrays of (p, q) at a time, ``census_sweep`` makes rows
 from those columns, and ``failure_census`` runs the same formula on Python
-ints.  At nmax = 10**7 (1 555 366 semiprimes, 2-CPU host) the CSV of
-``shorsim census``, rendered from the columns, takes about 1.5 s, and its
-JSON aggregate, summed from the columns by ``_census_chunks_aggregate``,
-about 0.5 s.
+ints.  The (p, q) come in order of n with no sort: n is odd, so
+``_semiprime_factors_below`` marks each n = p*q with p at index n // 2 of
+one array, and the marked indices come back in order.  At nmax = 10**7
+(1 555 366 semiprimes, 2-CPU host) the CSV of ``shorsim census``, rendered
+from the columns, takes about 0.8 s, and its JSON aggregate, summed from
+the columns by ``_census_chunks_aggregate``, about 0.35 s.
 
 Under the random-prime heuristic v2(p-1) = s with density 2**-s, a unit's
 order is odd with probability 1/3 (not the idealized model's 1/2), and the
@@ -56,11 +58,12 @@ from .rng import SplitMix64
 
 #: Cap on the census route.  Time and memory grow about linearly with
 #: nmax: at nmax = 10**7 (1 555 366 semiprimes, 2-CPU host) the CSV takes
-#: about 1.3-1.6 s and 82 MB peak RSS, and the JSON aggregate, read from
-#: the same columns, 0.5 s and 82 MB.  The int64 arrays of the
-#: semiprimes take 32 bytes a semiprime while they are sorted, 16 after;
-#: the census itself is streamed in blocks of ``_blocks``, each block one
-#: chunk of the CSV.
+#: about 0.7-0.9 s and 72 MB peak RSS, and the JSON aggregate, read from
+#: the same columns, 0.3-0.4 s and 72 MB.  The semiprimes are placed, not
+#: sorted: one uint16 array of nmax // 2 entries (a byte a value of n)
+#: holds each one's smaller prime, and the int64 arrays of p and q read
+#: back from it take 16 bytes a semiprime; the census itself is streamed
+#: in blocks of ``_blocks``, each block one chunk of the CSV.
 MAX_CENSUS_NMAX = 10**7
 
 #: Cap on the order for the neighbor probe, about 0.04 ms a probed peak
@@ -179,22 +182,23 @@ def _sieve_primes(limit: int) -> np.ndarray:
 
 def _semiprime_factors_below(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 arrays of p and q, for every n = p*q < limit with p < q odd
-    primes, in order of n (32 bytes a semiprime at most, while sorting)."""
+    primes, in order of n: each odd n is marked with its p at index n // 2,
+    so the marked indices come back in order of n, with no sort."""
     import numpy as np
 
     primes = _sieve_primes(limit // 3 + 1)[1:]  # odd primes
-    products = []  # the n = p*q of each p, in order of q
+    # p < sqrt(limit) <= sqrt(MAX_CENSUS_NMAX) < 2**16, so uint16 holds it
+    smaller = np.zeros(max(limit, 0) // 2, dtype=np.uint16)
     for i, p in enumerate(primes.tolist()):
         if p * p >= limit:
             break
-        products.append(p * primes[i + 1 : np.searchsorted(primes, (limit - 1) // p, side="right")])
-    counts = [len(n) for n in products]
-    n = np.concatenate(products) if products else np.empty(0, dtype=np.int64)
-    del products
-    p = np.repeat(primes[: len(counts)], counts)
-    p = p[np.argsort(n)]  # n is unique
-    n.sort()
-    return p, n // p
+        smaller[p * primes[i + 1 : np.searchsorted(primes, (limit - 1) // p, side="right")] // 2] = p
+    q = np.flatnonzero(smaller)  # n // 2, made q in place
+    p = smaller[q].astype(np.int64)
+    q *= 2
+    q += 1
+    q //= p
+    return p, q
 
 
 def _census_columns(p, q) -> FailureCensus:

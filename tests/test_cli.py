@@ -226,11 +226,12 @@ class TestCensus:
         assert obj["heuristic_limit"] == 7 / 27
         assert obj["aggregate_bad_fraction"] == 0.289314364554564
 
+    @pytest.mark.parametrize("nmax", ["-5", "0", "15"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_no_semiprimes_is_a_domain_error(self, capsys, fmt):
-        code, out, err = run_cli(capsys, "census", "--nmax", "15", "--format", fmt)
+    def test_no_semiprimes_is_a_domain_error(self, capsys, fmt, nmax):
+        code, out, err = run_cli(capsys, "census", "--nmax", nmax, "--format", fmt)
         assert code == EXIT_DOMAIN and out == ""
-        assert err == "shorsim: error: no odd distinct-prime semiprimes below 15\n"
+        assert err == f"shorsim: error: no odd distinct-prime semiprimes below {nmax}\n"
 
     def test_known_row_rendering_is_stable(self, capsys):
         _, out, _ = run_cli(capsys, "census", "--nmax", "25")
@@ -950,6 +951,43 @@ class TestStreamedOutput:
             writer.kill()
             writer.wait()
         assert err == b""
+
+
+# starts `shorsim argv` and prints its exit code, peak RSS in KiB and minor
+# page faults.  Run from a fresh interpreter, never from pytest: on Linux a
+# forked child's ru_maxrss starts at its parent's RSS.
+BUDGET_LAUNCHER = textwrap.dedent("""
+    import os, subprocess, sys
+    child = subprocess.Popen([sys.executable, "-m", "shorsim.cli", *sys.argv[1:]],
+                             stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux reports it")
+@pytest.mark.parametrize("command,measure,bound", [
+    # the probes are streamed a chunk a probe: 57 MB at r = 62 748, where
+    # the report built as one string took 121 MB
+    ("neighbors --n 130007 --x 2", "peak_mb", 90),
+    # one renderer a table keeps its work arrays: about 5 600 minor faults
+    # for the 2^22 rows, where arrays allocated and freed a chunk at a time
+    # faulted their pages back in, 66 700 in all
+    ("dist --n 4087 --x 5 --qa 22", "minor_faults", 20_000),
+    # the semiprimes are placed by n, not sorted: 72 MB, against 82 MB
+    ("census --nmax 10000000", "peak_mb", 77),
+])
+def test_command_keeps_its_budget(command, measure, bound):
+    code, peak_kib, faults = map(int, fresh_interpreter("-c", BUDGET_LAUNCHER,
+                                                        *command.split()).stdout.split())
+    measured = {"peak_mb": peak_kib / 1024, "minor_faults": faults}
+    assert code == EXIT_OK and measured[measure] <= bound, measured
+
+
+def test_version_is_pyprojects():
+    # no tomllib before Python 3.11
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert shorsim.__version__ == re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
 
 
 class TestPasses:

@@ -217,7 +217,7 @@ class TestSemiprimeEnumeration:
         values = {t[0] for t in semiprimes_below(200)}
         assert {9, 25, 27, 45, 49, 63, 75, 99, 105, 121, 125, 135, 147, 165, 169, 175, 189, 195} & values == set()
 
-    @pytest.mark.parametrize("limit", [0, 15, 16, 22, 3000])
+    @pytest.mark.parametrize("limit", [-5, 0, 1, 2, 3, 9, 15, 16, 22, 3000])
     @pytest.mark.parametrize("size", [1, 7, 1 << 16])
     def test_matches_a_literal_scan_in_any_chunks(self, monkeypatch, limit, size):
         monkeypatch.setattr(distribution, "_BLOCK", size)
