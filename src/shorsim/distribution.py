@@ -85,8 +85,9 @@ MAX_RUN_MODULUS = 1 << 31
 #: Cap on the order for the routes that list every peak.  ``shorsim
 #: peaks`` streams its rows from ``peak_columns`` chunk by chunk, so its
 #: memory does not grow with r and its time does (2-CPU host, r = 988 288:
-#: 0.7 s and 34 MB as CSV at q_A 8 and at the default 62; as JSON 1.2-1.4 s
-#: and 42 MB at q_A 8, 2.1-2.3 s and 45 MB at 62): about 2.5 s at the cap.
+#: as CSV 0.3-0.4 s and 34-35 MB at q_A 8 and at the default 62, 0.9-1.2 s
+#: and 39 MB at 100; as JSON 0.6-0.7 s and 44 MB at q_A 8, 0.8-1.0 s and
+#: 44 MB at 62, 1.2-1.4 s and 48 MB at 100): about 1.5 s at the cap.
 MAX_PEAKS_ORDER = 1 << 20
 
 class _ProblemInstanceFields(NamedTuple):
@@ -230,7 +231,7 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     which 2N divides, so its residue mod 2N is exact up to q_A 62.  The
     precision is measured up to q_A 24 (ROADMAP item 3).
     """
-    guard("q_A", inst.q_A, 31, "the int64 angle reduction")
+    guard("q_A", inst.q_A, 31, "the two-term evaluator")
     import numpy as np
 
     N, r = inst.N, info.r
@@ -351,19 +352,19 @@ def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) 
     """The fields (nu, sigma_nu, c_nu, delta_nu) of peaks start..stop-1 as
     four arrays, from exact integers: c_nu = floor(nu*N/r) and delta_nu =
     (nu*N mod r)/r rounded once, taken from N = whole*r + part and
-    nu*part < r^2 so that no term passes N.  They are int64 and float64
-    arrays when N fits int64 (float64 holds r and nu*N mod r < r < 2^31
-    exactly, so the quotient rounds as Python's int / int does), else
-    object arrays of Python ints and floats."""
+    nu*part < r^2 < 2^62 so that no term passes N or int64.  nu is int64
+    and delta_nu float64 (float64 holds r and nu*N mod r < r < 2^31
+    exactly, so the quotient rounds as Python's int / int does); c_nu is
+    int64 and sigma_nu float64 when N fits int64, else both are object
+    arrays, of Python ints and floats, from the one product nu*whole
+    taken in Python ints."""
     import numpy as np
 
     nu = np.arange(start, stop, dtype=np.int64)
-    if inst.N >= 1 << 63:
-        nu = nu.astype(object)
     whole, part = divmod(inst.N, info.r)
     scaled = nu * part
     carry = scaled // info.r
-    c_nu = nu * whole + carry
+    c_nu = (nu if inst.N < 1 << 63 else nu.astype(object)) * whole + carry
     delta_nu = (scaled - carry * info.r) / info.r
     return nu, c_nu + delta_nu, c_nu, delta_nu
 

@@ -21,23 +21,25 @@ after the exact product each err by at most 2^-53 of a term below 32.
 
 * ``%.15e``: the 16 digits are X/10 rounded to nearest, with I // 10 and
   the remainder in int64, since float64 holds no integer above 2^53
-  exactly.  A rounding that carries to 10^16 moves to the next decade.
+  exactly.  A rounding that carries to 10^16 is left to the stdlib.
 * ``%r``: v reads back from every decimal strictly inside its rounding
   interval, X +- H with H = X / (2m), m being v's 53-bit integer
   significand.  The shortest digits come from the largest j for which
   X lies within H of a multiple of 10^j (17 digits, j = 0, always do);
-  of those multiples, the nearest to X is X rounded at 10^j.  They are
-  laid out as Python's ``'r'`` format does: fixed notation for decimal
-  exponents -4 <= e10 < 16, else scientific.
+  of those multiples, the nearest to X is X rounded at 10^j (one that
+  carries 9.99... to 10 is left to the stdlib).  They are laid out as
+  Python's ``'r'`` format does: fixed notation for decimal exponents -4
+  <= e10 < 16, else scientific.
 
 Every decision an element takes (which way a rounding goes, whether a
 candidate lies inside the interval) is certified by a margin of
 ``_EPS``, a hundred thousand times the error bound.  An element with a
 decision inside the margin (a tie or an interval boundary), and a
-negative (-0.0 too), non-finite, subnormal or out-of-range value, or a
-power of two (whose interval is asymmetric), is formatted by the stdlib
-instead; +0.0 is in range, X = 0 at exponent 0.  So the text equals the
-stdlib's by construction.
+negative (-0.0 too), non-finite, subnormal or out-of-range value, a
+power of two (whose interval is asymmetric), or an X that leaves [10^16,
+10^17) (log10 rounded across a decade, or a rounding that carries into
+the next), is formatted by the stdlib instead; +0.0 is in range, X = 0
+at exponent 0.  So the text equals the stdlib's by construction.
 
 Rows are assembled in a uint8 buffer of equal rows, one row repeated:
 the literal text, and NUL slots for each field as wide as its column
@@ -49,9 +51,11 @@ stdlib text may widen a field.  A kernel writes only the bytes a row
 prints: 4-digit groups as uint32 words, an exponent as a uint32 and a
 byte, the head of '%.15e' as one 5-byte item.  Fixed-notation '%r' rows
 are written only where a column has them, left-aligned, their digits
-moved past the point as shifts of uint64 words.  Dropping the NULs of the
-slots a row leaves unused gives the text: the chunk's bytes are that copy
-of the buffer, which the caller writes with no decode and no re-encode.
+moved past the point as shifts of uint64 words.  The stdlib's texts of a
+field are one array of strings, NUL-padded to the field's slots, placed
+over their rows in one assignment.  Dropping the NULs of the slots a row
+leaves unused gives the text: the chunk's bytes are that copy of the
+buffer, which the caller writes with no decode and no re-encode.
 
 A renderer keeps its work arrays from a table's first chunk to its last
 (``_Work``): each field the few arrays its write reads (the digits, the
@@ -61,10 +65,11 @@ and the table its row buffer, which keeps the row laid over it while the
 row does not change.  Every ufunc and ``np.take`` writes into them, so
 after the first chunk a chunk allocates nothing block-sized but the bytes
 it returns, and the index arrays of the rows that take a rarer path
-(fixed notation, the stdlib); a chunk with more rows, or wider rows, than
-any before grows what it needs.  Arrays allocated and freed a chunk at a
-time cost more than their arithmetic: the allocator hands the freed pages
-back to the system, and the next chunk faults them in again.
+(fixed notation, the stdlib) and the stdlib's texts; a chunk with more
+rows, or wider rows, than any before grows what it needs.  Arrays
+allocated and freed a chunk at a time cost more than their arithmetic:
+the allocator hands the freed pages back to the system, and the next
+chunk faults them in again.
 """
 
 import re
@@ -82,10 +87,6 @@ _V_MIN, _V_MAX = 1e-280, 1e280
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 _X_LO, _X_HI = 10 ** 16, 10 ** 17
 _P10 = np.array([10 ** j for j in range(19)], dtype=np.int64)
-
-
-def _ascii(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
 def _power_table(k_min: int, k_max: int) -> tuple[np.ndarray, ...]:
@@ -231,8 +232,9 @@ def _scaled(v: np.ndarray, e10: np.ndarray, work: _Work) -> tuple[np.ndarray, np
 class _Floats:
     """A float column scaled for the kernel: e10 and X = I + f of each
     element (0 for +0.0, 1.0's in place of another value outside the
-    kernel's range), and the mask of elements left to the stdlib.  e10
-    is the field's own (int16); v, I, f and the masks are temps."""
+    kernel's range, I = 10^16 where log10 rounded across a decade), and
+    the mask of elements left to the stdlib.  e10 is the field's own
+    (int16); v, I, f and the masks are temps."""
 
     def __init__(self, values, work: _Work):
         self.work = work
@@ -255,13 +257,10 @@ class _Floats:
         e10 = work.keep("e10", n, np.int16)
         np.copyto(e10, np.floor(log, out=log), casting="unsafe")
         I, f = _scaled(v, e10, work)
-        off = np.less(I, _X_LO, out=flag)
+        off = np.less(I, _X_LO, out=flag)  # log10 rounded across a decade
         off |= np.greater_equal(I, _X_HI, out=inside)
-        off = np.flatnonzero(off)
-        if off.size:  # log10 rounded across a decade
-            e10[off] += 2 * (I[off] >= _X_HI) - 1
-            I[off], f[off] = _scaled(v[off], e10[off], _Work())
-            self.unsure[off[(I[off] < _X_LO) | (I[off] >= _X_HI)]] = True
+        self.unsure |= off
+        np.copyto(I, _X_LO, where=off)
         np.copyto(I, 0, where=self.zero)  # +0.0: X = 0 at exponent 0, in place of 1.0's 10^16
         self.e10, self.I, self.f = e10, I, f
 
@@ -294,11 +293,10 @@ def _sci_field(column, work: _Work | None = None):
     fl = _Floats(column, work)
     n = len(fl.I)
     D = fl.round_at(1, work.keep("D", n, np.int64))
-    carry = np.equal(D, 10 ** 16, out=work.temp("carry", n, bool))
-    if carry.any():
-        np.copyto(D, 10 ** 15, where=carry)
+    carry = np.equal(D, 10 ** 16, out=work.temp("flag", n, bool))  # the next decade's 1.000...
+    fl.unsure |= carry
+    np.copyto(D, 10 ** 15, where=carry)
     e10 = fl.e10
-    e10 += carry
     wide = bool(max(e10.max(), -e10.min()) >= 100)
 
     def write(slots):
@@ -354,21 +352,17 @@ def _shortest(fl: _Floats):
     D = fl.round_at(j, mod)
     mod = work.temp("t2", n, np.int64)
     p = np.subtract(17, j, out=work.keep("p", n, np.int64))
-    carry = np.equal(D, _take(_P10, p, mod), out=work.temp("carry", n, bool))  # 9.99... rounded up to 10
     np.floor_divide(D, 10, out=mod)
     mod *= -10
     mod += D
     last_zero = np.equal(mod, 0, out=flag)
     last_zero &= np.greater(p, 1, out=work.temp("flag2", n, bool))
-    last_zero &= np.logical_not(carry, out=work.temp("flag2", n, bool))
     fl.unsure |= last_zero
     D17 = np.multiply(D, _take(_P10, j, mod), out=work.keep("D17", n, np.int64))
-    if carry.any():
-        np.copyto(p, 1, where=carry)
-        np.copyto(D17, _X_LO, where=carry)
-    e10 = fl.e10
-    e10 += carry
-    return D17, p, e10
+    carry = np.equal(D17, _X_HI, out=flag)  # 9.99... rounded up to 10
+    fl.unsure |= carry
+    np.copyto(D17, _X_LO, where=carry)
+    return D17, p, fl.e10
 
 
 def _fixed_layouts() -> tuple[np.ndarray, ...]:
@@ -386,7 +380,7 @@ def _fixed_layouts() -> tuple[np.ndarray, ...]:
             at = decpt + 3, p - 1
             if decpt <= 0:  # 0.000ddd: the digits after "0." and -decpt zeros
                 shift[at] = 2 - decpt
-                text[at][:2 - decpt] = _ascii("0.000")[:2 - decpt]
+                text[at][:2 - decpt] = list(b"0.000"[:2 - decpt])
                 moved[at][2 - decpt:2 - decpt + p] = 0xFF
             else:  # ddd.ddd, or ddd000.0 with the padding's zeros
                 keep[at][:decpt] = 0xFF
@@ -572,9 +566,10 @@ class Renderer:
         fields = []
         for (kernel, stdlib, work), column, literal in zip(self.fields, columns, self.literals[1:]):
             width, write, unsure = kernel(column, work)
-            fallback = [(i, _ascii(stdlib(column[i]))) for i in np.flatnonzero(unsure).tolist()]
-            wider = max([width, *(len(digits) for _, digits in fallback)])
-            fields.append((len(row), width, wider, write, fallback))
+            stdlib_rows = np.flatnonzero(unsure)
+            texts = np.array([stdlib(column[i]) for i in stdlib_rows.tolist()], dtype=bytes)
+            wider = max(width, texts.itemsize)
+            fields.append((len(row), width, wider, write, stdlib_rows, texts.astype(f"S{wider}")))
             row += bytes(wider) + literal.encode("ascii")
         # the row repeated over the buffer, unless the last chunk left it there
         size = len(row) * len(columns[0])
@@ -583,13 +578,11 @@ class Renderer:
         else:
             del self.text[size:]
         buf = np.frombuffer(self.text, dtype=np.uint8).reshape(-1, len(row))
-        for at, width, wider, write, fallback in fields:
+        for at, width, wider, write, stdlib_rows, texts in fields:
             slots = buf[:, at:at + wider]
             slots[:, width:] = 0  # a kernel's row fills `width` slots, a stdlib text may be wider
             write(slots)
-            for i, digits in fallback:
-                slots[i] = 0
-                slots[i, :len(digits)] = digits
+            slots[stdlib_rows] = texts.view(np.uint8).reshape(-1, wider)
         # the rows without the NULs of the slots a row left empty, a copy,
         # so that the buffer serves the next chunk
         return self.text.replace(b"\0", b"")

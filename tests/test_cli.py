@@ -121,6 +121,25 @@ class TestPeaks:
         cells = [int(r.split(",")[2]) for r in lines[2:]]
         assert cells == [0, 42, 85, 128, 170, 213]
 
+    def test_a_register_past_int64_prints_the_literal_integer_split(self, capsys):
+        # N = 2^70: c_nu past int64 comes as Python ints, each printed by %d
+        inst = ProblemInstance.create(1007, 5, 70)
+        r = OrderInfo.from_instance(inst).r
+        literal = []
+        for nu in range(r):
+            c_nu, rest = divmod(nu * inst.N, r)
+            literal.append((nu, c_nu + rest / r, c_nu, rest / r))
+        code, out, _ = run_cli(capsys, "peaks", "--n", "1007", "--x", "5", "--qa", "70")
+        assert code == EXIT_OK
+        assert out == "# schema_version=1\nnu,sigma_nu,c_nu,delta_nu\n" + "".join(
+            "%d,%.15e,%d,%.15e\n" % row for row in literal)
+        code, out, _ = run_cli(capsys, "peaks", "--n", "1007", "--x", "5", "--qa", "70", "--format", "json")
+        assert code == EXIT_OK
+        head = f'"n": 1007,\n  "x": 5,\n  "qA": 70,\n  "N": {inst.N},\n  "r": {r}'
+        assert out == '{\n  "schema_version": 1,\n  ' + head + ',\n  "peaks": [\n    ' + ",\n    ".join(
+            '{\n      "nu": %d,\n      "sigma_nu": %r,\n      "c_nu": %d,\n      "delta_nu": %r\n    }' % row
+            for row in literal) + "\n  ]\n}\n"
+
 
 class TestFig1:
     def test_emits_256_rows_plus_peak_annotations(self, capsys):
@@ -976,6 +995,9 @@ BUDGET_LAUNCHER = textwrap.dedent("""
     ("dist --n 4087 --x 5 --qa 22", "minor_faults", 20_000),
     # the semiprimes are placed by n, not sorted: 72 MB, against 82 MB
     ("census --nmax 10000000", "peak_mb", 77),
+    # most sigma_nu at q_A 62 are the stdlib's, placed as one block a
+    # chunk: 44 MB, against 47-48 MB for a list of texts and a row loop
+    ("peaks --n 2146654199 --x 1519629142 --format json", "peak_mb", 46),
 ])
 def test_command_keeps_its_budget(command, measure, bound):
     code, peak_kib, faults = map(int, fresh_interpreter("-c", BUDGET_LAUNCHER,

@@ -361,10 +361,12 @@ class TestPeaks:
                                          (21, 10, 62), (1007, 5, 62), (1007, 5, 70)])
     def test_peaks_equal_the_literal_integer_split(self, n, x, q_A):
         # nu*N passes 2^63 from q_A 61 at r = 6, yet the columns stay int64
-        # while N fits there; from q_A 63 they are Python ints
+        # while N fits there; from q_A 63 c_nu and sigma_nu are Python ints
+        # and floats, while nu and delta_nu stay int64 and float64
         inst, info = build(n, x, q_A)
         dtypes = [column.dtype for column in distribution.peak_columns(inst, info, 0, info.r)]
-        assert dtypes == ([np.int64, np.float64] * 2 if q_A < 63 else [object] * 4)
+        wide = [np.int64, object, object, np.float64]
+        assert dtypes == ([np.int64, np.float64] * 2 if q_A < 63 else wide)
         literal = []
         for nu in range(info.r):
             scaled = nu * inst.N

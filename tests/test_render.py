@@ -136,6 +136,28 @@ def test_mixed_blocks(row_format):
         assert_same(row_format, *columns)
 
 
+# Elements whose scaling or rounding leaves the kernel's decade, each the
+# stdlib's: log10 rounded across a decade (the float just below 10^k, whose
+# log10 rounds up to k), and a rounding that carries 9.99... to 10
+LEFT_THE_DECADE = {
+    "a decade crossing": (["%.15e", "%r"], [9.999999999999999e-05, 99999.99999999999]),
+    "a %.15e carry": (["%.15e"], [1e-280]),
+    "a %r carry": (["%r"], [1e-280, 1e-200, 1e200, 1e23]),
+}
+
+
+@pytest.mark.parametrize("case", LEFT_THE_DECADE)
+def test_elements_that_leave_the_decade_are_the_stdlibs(case):
+    conversions, values = LEFT_THE_DECADE[case]
+    for conversion in conversions:
+        kernel = render._FIELDS[conversion[1:]][0]
+        width, write, unsure = kernel(np.array(values))
+        write(np.zeros((len(values), width), dtype=np.uint8))
+        assert unsure.all(), (conversion, values)
+        assert_same(conversion + "\n", values)
+        assert_same(conversion + ";%d\n", values + [0.1], range(len(values) + 1))
+
+
 def repr_width(values):
     return render._repr_field(np.array(values))[0]
 
