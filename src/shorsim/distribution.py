@@ -85,9 +85,9 @@ MAX_RUN_MODULUS = 1 << 31
 #: Cap on the order for the routes that list every peak.  ``shorsim
 #: peaks`` streams its rows from ``peak_columns`` chunk by chunk, so its
 #: memory does not grow with r and its time does (2-CPU host, r = 988 288:
-#: as CSV 0.3-0.4 s and 34-35 MB at q_A 8 and at the default 62, 0.9-1.2 s
-#: and 39 MB at 100; as JSON 0.6-0.7 s and 44 MB at q_A 8, 0.8-1.0 s and
-#: 44 MB at 62, 1.2-1.4 s and 48 MB at 100): about 1.5 s at the cap.
+#: as CSV 0.4-0.5 s and 34-35 MB at q_A 8 and at the default 62, 0.9-1.3 s
+#: and 39 MB at 100; as JSON 0.7-0.9 s and 44 MB at q_A 8, 0.9-1.2 s and
+#: 44 MB at 62, 1.2-1.6 s and 48 MB at 100): about 1.7 s at the cap.
 MAX_PEAKS_ORDER = 1 << 20
 
 class _ProblemInstanceFields(NamedTuple):
