@@ -67,4 +67,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.9.6"
+__version__ = "0.9.7"

@@ -6,8 +6,7 @@ takes the columns' values row after row.  ``row_format`` holds literal
 text and three conversions: ``%d`` (an integer), ``%.15e`` (a float, 16
 significant digits) and ``%r`` (a float's ``repr``, the shortest digits
 that read back to it, which is also how ``json.dumps`` prints a float).
-A table makes one renderer and hands it each chunk of its rows in turn;
-``render_rows(row_format, columns)`` is a table of one chunk.
+A table makes one renderer and hands it each chunk of its rows in turn.
 
 Digits are an integer problem (Adams, "Ryu: fast float-to-string
 conversion", PLDI 2018).  A float v in the kernel's range is scaled to
@@ -51,11 +50,12 @@ stdlib text may widen a field.  A kernel writes only the bytes a row
 prints: 4-digit groups as uint32 words, an exponent as a uint32 and a
 byte, the head of '%.15e' as one 5-byte item.  Fixed-notation '%r' rows
 are written only where a column has them, left-aligned, their digits
-moved past the point as shifts of uint64 words.  The stdlib's texts of a
-field are one array of strings, NUL-padded to the field's slots, placed
-over their rows in one assignment.  Dropping the NULs of the slots a row
-leaves unused gives the text: the chunk's bytes are that copy of the
-buffer, which the caller writes with no decode and no re-encode.
+moved past the point as shifts of each row's own uint64 words.  The
+stdlib's texts of a field are one array of strings, NUL-padded to the
+field's slots, placed over their rows in one assignment.  Dropping the
+NULs of the slots a row leaves unused gives the text: the chunk's bytes
+are that copy of the buffer, which the caller writes with no decode and
+no re-encode.
 
 A renderer keeps its work arrays from a table's first chunk to its last
 (``_Work``): each field the few arrays its write reads (the digits, the
@@ -91,20 +91,16 @@ _P10 = np.array([10 ** j for j in range(19)], dtype=np.int64)
 
 def _power_table(k_min: int, k_max: int) -> tuple[np.ndarray, ...]:
     """hi, its upper and lower split halves, and lo for 10^k, k_min <= k <=
-    k_max: hi is 10^k correctly rounded and lo the rest, rounded, both from
-    exact integers (int / int rounds correctly)."""
+    k_max: with 10^k = num / den, hi is num / den and lo, with a / b the
+    exact ratio of hi, (num * b - a * den) / (den * b), both int / int,
+    which rounds correctly."""
     his, los = [], []
     for k in range(k_min, k_max + 1):
-        if k < 0:
-            den = 10 ** -k
-            hi = 1 / den
-            a, b = hi.as_integer_ratio()
-            lo = (b - a * den) / (den * b)
-        else:
-            hi = float(10 ** k)
-            lo = float(10 ** k - int(hi))
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
         his.append(hi)
-        los.append(lo)
+        los.append((num * b - a * den) / (den * b))
     hi = np.array(his)
     t = _SPLIT * hi
     head = t - (t - hi)
@@ -286,10 +282,9 @@ class _Floats:
         return Q
 
 
-def _sci_field(column, work: _Work | None = None):
+def _sci_field(column, work: _Work):
     """'%.15e' into 21 slots, d.ddddddddddddddde-XX, or 22 when some
     exponent has three digits."""
-    work = work or _Work()
     fl = _Floats(column, work)
     n = len(fl.I)
     D = fl.round_at(1, work.keep("D", n, np.int64))
@@ -404,8 +399,8 @@ _KEPT = ((np.arange(16) < np.arange(-1, 17)[:, None]) * np.uint8(0xFF)).view(np.
 
 def _fixed(D17: np.ndarray, layout: np.ndarray, work: _Work) -> np.ndarray:
     """The fixed-notation text of each element, from its 17 digits D17 and
-    its layout (see _fixed_layouts), NUL-padded to 24 slots.  Uses the
-    temps t0-t5."""
+    its layout (see _fixed_layouts), NUL-padded to 24 slots, shifted in
+    the row's own three uint64 words.  Uses the temps t0-t5."""
     n = len(D17)
     digits = work.temp("fixed rows", 6 * n, np.uint32).reshape(n, 6)
     digits[:, 4:] = _ZEROS4
@@ -415,14 +410,13 @@ def _fixed(D17: np.ndarray, layout: np.ndarray, work: _Work) -> np.ndarray:
     last += D17
     last += ord("0")
     digits.view(np.uint8)[:, 16] = last
-    # word-major, so that each step runs over contiguous rows
-    words = work.temp("fixed words", 3 * n, np.uint64).reshape(3, n)
-    np.copyto(words, digits.view(np.uint64).T)
+    words = digits.view(np.uint64).T
     bits = _take(_FIXED_SHIFTS, layout, work.temp("t0", n, _FIXED_SHIFTS.dtype))
     back = np.subtract(64, bits, out=work.temp("t1", n, np.uint64))
     moved, mask = work.temp("t2", n, np.uint64), work.temp("t3", n, np.uint64)
-    # each slot bits / 8 slots right, across the words: last word first,
-    # so that the word before is still unchanged when its bytes move on
+    # each slot bits / 8 slots right, across the row's own words: last
+    # word first, so that the word before is still unchanged when its
+    # bytes move on
     for w in (2, 1, 0):
         _LATER(words[w], bits, out=moved)
         if w:
@@ -431,18 +425,15 @@ def _fixed(D17: np.ndarray, layout: np.ndarray, work: _Work) -> np.ndarray:
         words[w] &= _take(_FIXED_MASKS[w], layout, mask)
         words[w] |= moved
         words[w] |= _take(_FIXED_MASKS[6 + w], layout, mask)
-    rows = digits.view(np.uint64)
-    np.copyto(rows, words.T)
-    return rows.view(np.uint8)
+    return digits.view(np.uint8)
 
 
-def _repr_field(column, work: _Work | None = None):
+def _repr_field(column, work: _Work):
     """float.__repr__.  A scientific row takes 22 slots, 23 when some
     exponent has three digits: the first digit, '.', the 16 digits after
     it (NUL past the last), e, sign, exponent digits.  A fixed-notation
     row is left-aligned, NUL after its text (see _fixed_layouts), and is
     written over the scientific layout where a column has both."""
-    work = work or _Work()
     fl = _Floats(column, work)
     D17, p, e10 = _shortest(fl)
     n = len(D17)
@@ -484,11 +475,10 @@ def _repr_field(column, work: _Work | None = None):
     return width, write, fl.unsure
 
 
-def _int_field(column, work: _Work | None = None):
+def _int_field(column, work: _Work):
     """'%d' right-aligned in the width of the largest value, leading slots
     NUL where a value has fewer digits; a negative or beyond-int64 value
     is left to the stdlib."""
-    work = work or _Work()
     x = np.asarray(column)
     if x.dtype.kind not in "iu":
         return 0, lambda slots: None, np.ones(len(x), dtype=bool)
@@ -587,9 +577,3 @@ class Renderer:
         # so that the buffer serves the next chunk
         return self.text.replace(b"\0", b"")
 
-
-def render_rows(row_format: str, columns) -> bytearray:
-    """``(row_format * k) % fields`` for the k rows of the columns, one
-    column per conversion of ``row_format`` (``%d``, ``%.15e``, ``%r``),
-    as ASCII bytes: a table of one chunk."""
-    return Renderer(row_format).rows(columns)

@@ -1,8 +1,10 @@
 """The vectorised decimal kernel against the stdlib's formatting, byte for byte."""
 
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shorsim import render
-from shorsim.render import render_rows
 
 FLOAT_FORMATS = ["%.15e\n", "%r\n"]
+
+
+def significant_bits(x):
+    m = abs(x.as_integer_ratio()[0])
+    return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+
+def test_power_table_keeps_its_stated_bounds():
+    """For every 10^k of the scale table: hi is 10^k correctly rounded,
+    (hi, lo) is within 2^-106 of it, and hi splits exactly into two halves
+    of at most 26 significant bits each."""
+    for i, (hi, head, tail, lo) in enumerate(zip(render._HI.tolist(), render._HI_HEAD.tolist(),
+                                                 render._HI_TAIL.tolist(), render._LO.tolist())):
+        power = Fraction(10) ** (render._K_MIN + i)
+        assert abs(Fraction(hi) - power) <= Fraction(math.ulp(hi)) / 2, i
+        assert abs(Fraction(hi) + Fraction(lo) - power) <= power / 2 ** 106, i
+        assert Fraction(head) + Fraction(tail) == Fraction(hi), i
+        assert significant_bits(head) <= 26 and significant_bits(tail) <= 26, i
 
 
 def stdlib(row_format, columns):
@@ -22,7 +41,7 @@ def stdlib(row_format, columns):
 
 def assert_same(row_format, *columns):
     columns = [np.asarray(column).tolist() for column in columns]
-    assert render_rows(row_format, columns) == stdlib(row_format, columns).encode("ascii")
+    assert render.Renderer(row_format).rows(columns) == stdlib(row_format, columns).encode("ascii")
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,7 +170,7 @@ def test_elements_that_leave_the_decade_are_the_stdlibs(case):
     conversions, values = LEFT_THE_DECADE[case]
     for conversion in conversions:
         kernel = render._FIELDS[conversion[1:]][0]
-        width, write, unsure = kernel(np.array(values))
+        width, write, unsure = kernel(np.array(values), render._Work())
         write(np.zeros((len(values), width), dtype=np.uint8))
         assert unsure.all(), (conversion, values)
         assert_same(conversion + "\n", values)
@@ -159,7 +178,7 @@ def test_elements_that_leave_the_decade_are_the_stdlibs(case):
 
 
 def repr_width(values):
-    return render._repr_field(np.array(values))[0]
+    return render._repr_field(np.array(values), render._Work())[0]
 
 
 def test_layout_choices_repr():
@@ -188,8 +207,8 @@ def test_positive_zero_never_reaches_the_stdlib(monkeypatch):
 
 
 def test_layout_choices_sci():
-    assert render._sci_field(np.array([1.5, 2e-5]))[0] == 21
-    assert render._sci_field(np.array([1.5, 2e-105]))[0] == 22
+    assert render._sci_field(np.array([1.5, 2e-5]), render._Work())[0] == 21
+    assert render._sci_field(np.array([1.5, 2e-105]), render._Work())[0] == 22
     assert_same("%.15e\n", [1.5, 2e-5])  # every row as wide as its slots: no NUL to drop
     assert_same("%.15e\n", [1.5, 2e-105])
     assert_same("%.15e\n", [1.5, -2e-5, 0.0])  # a stdlib row wider than the kernel's
@@ -216,16 +235,16 @@ def test_integers():
 def test_rows_are_the_row_buffer_as_bytes():
     """The rows come as the bytes of the buffer the kernels filled, less
     the NULs of the slots a row left empty; never decoded to text."""
-    full = render_rows("%d,%.15e\n", [[1, 2], [0.5, 1e-7]])  # no slot left empty
+    full = render.Renderer("%d,%.15e\n").rows([[1, 2], [0.5, 1e-7]])  # no slot left empty
     assert isinstance(full, bytearray)
     assert full == b"1,5.000000000000000e-01\n2,1.000000000000000e-07\n"
-    short = render_rows("%d;%r\n", [[5, 123456789], [0.25, 1e-7]])  # NULs dropped
+    short = render.Renderer("%d;%r\n").rows([[5, 123456789], [0.25, 1e-7]])  # NULs dropped
     assert isinstance(short, bytearray)
     assert short == b"5;0.25\n123456789;1e-07\n"
 
 
 def test_literals_and_empty_columns():
-    assert render_rows("[%d]", [[]]) == b""
+    assert render.Renderer("[%d]").rows([[]]) == b""
     assert_same('{\n  "a": %d,\n  "b": %r\n},', [1, 22, 333], [0.5, 1e-7, 3.0])
 
 
@@ -237,7 +256,7 @@ def test_literals_and_empty_columns():
 ])
 def test_unsupported_formats_are_refused(row_format, columns):
     with pytest.raises(ValueError):
-        render_rows(row_format, columns)
+        render.Renderer(row_format).rows(columns)
 
 
 def test_distribution_cells_rarely_need_the_stdlib():
@@ -245,11 +264,11 @@ def test_distribution_cells_rarely_need_the_stdlib():
 
     inst = ProblemInstance.create(1007, 5, 17)
     p = two_term_at(inst, OrderInfo.from_instance(inst), np.arange(inst.N))
-    width, write, unsure = render._sci_field(p)
+    width, write, unsure = render._sci_field(p, render._Work())
     write(np.empty((inst.N, width), dtype=np.uint8))
     assert not unsure.any()
     # %r leaves the powers of two, the cells where r*c = 0 mod N
-    width, write, unsure = render._repr_field(p)
+    width, write, unsure = render._repr_field(p, render._Work())
     write(np.empty((inst.N, width), dtype=np.uint8))
     assert 0 < unsure.sum() <= 16
     assert np.all(np.frexp(p[unsure])[0] == 0.5)
@@ -329,3 +348,21 @@ def test_a_table_allocates_only_the_bytes_of_its_later_chunks(row_format):
             first_arrays = arrays
     finally:
         tracemalloc.stop()
+
+
+def test_a_fixed_notation_table_keeps_its_work_arrays_in_budget():
+    """The peaks JSON, whose %r rows are mostly fixed notation, keeps under
+    144 bytes a row of work arrays: the fixed-notation shifts run in the
+    rows' own words, with no word-major copy of them (24 bytes a row)."""
+    from shorsim.cli import _PEAK_JSON
+    from shorsim.distribution import OrderInfo, ProblemInstance, _peak_blocks
+
+    inst = ProblemInstance.create(2146654199, 1519629142, 8)
+    renderer = render.Renderer(",\n    " + _PEAK_JSON)
+    for columns in itertools.islice(_peak_blocks(inst, OrderInfo.from_instance(inst)), 2):
+        renderer.rows(columns)
+    rows = len(columns[0])
+    arrays = {id(array): array.nbytes for *_, work in renderer.fields
+              for array in [*work.kept.values(), *work.temps.values()]}
+    assert rows == 1 << 14
+    assert sum(arrays.values()) <= 144 * rows, sum(arrays.values()) / rows
