@@ -17,8 +17,9 @@ FLOAT_FORMATS = ["%.15e\n", "%r\n"]
 
 
 def significant_bits(x):
+    """The bits of float x from its highest set bit to its lowest."""
     m = abs(x.as_integer_ratio()[0])
-    return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+    return m.bit_length() - (m & -m).bit_length() + 1
 
 
 def test_power_table_keeps_its_stated_bounds():
