@@ -33,7 +33,6 @@ from .experiments import (
     CaptureReport,
     CensusAggregate,
     FailureCensus,
-    NeighborProbe,
     NeighborReport,
     ValuationModelResult,
     capture_rate_empirical,
@@ -67,4 +66,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.9.7"
+__version__ = "0.9.8"

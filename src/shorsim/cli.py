@@ -279,9 +279,9 @@ def _cmd_neighbors(args):
     rep = neighbor_state_check(args.n, args.x, args.qa)
     if args.format == "csv":
         return _csv_chunks("nu,c_nu,delta_nu,differs", "%d,%d,%.15e,%d\n", (
-            tuple(zip(*((p.nu, p.c_nu, p.delta_nu, len(p.neighbors_differ))
-                        for p in rep.probes[start:stop])))
-            for start, stop in _blocks(len(rep.probes))))
+            (rep.nu[start:stop], rep.c_nu[start:stop], rep.delta_nu[start:stop],
+             list(map(len, rep.neighbors_differ[start:stop])))
+            for start, stop in _blocks(len(rep.nu))))
     # a chunk a probe: the probe as json.dumps(indent=2) prints it, four spaces further in
     return _json_chunks({
         "n": rep.n, "x": rep.x, "qA": rep.q_A, "r": rep.r,
@@ -289,10 +289,11 @@ def _cmd_neighbors(args):
         "changed_within_guarantee": rep.changed_within_guarantee,
         "probes": None,
     }, {"probes": ((",\n    " + _JSON.encode({
-        "nu": p.nu, "c_nu": p.c_nu, "delta_nu": p.delta_nu,
-        "results": {str(d): (list(v) if v else None) for d, v in p.results},
-        "neighbors_differ": list(p.neighbors_differ),
-    }).replace("\n", "\n    ")).encode() for p in rep.probes)})
+        "nu": nu, "c_nu": c_nu, "delta_nu": delta_nu,
+        "results": {str(d): (list(v) if v else None) for d, v in zip(rep.results, results)},
+        "neighbors_differ": list(differ),
+    }).replace("\n", "\n    ")).encode() for nu, c_nu, delta_nu, results, differ in zip(
+        rep.nu, rep.c_nu, rep.delta_nu, zip(*rep.results.values()), rep.neighbors_differ))})
 
 
 def build_parser() -> _Parser:

@@ -298,8 +298,9 @@ def _register_values(inst: ProblemInstance, info: OrderInfo):
 
 
 def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple[np.ndarray, float]:
-    """The running sums P(0) + ... + P(c) at the sorted cells c, and the
-    total, from one pass over the register that holds no N-length array.
+    """The running sums P(0) + ... + P(c) at the cells c, sorted within
+    [0, N), and the total, from one pass over the register that holds no
+    N-length array.  Other cells are refused.
 
     The carry of the blocks before enters each block's first entry ahead
     of its ``np.cumsum``, which adds in sequence, so every sum has the
@@ -309,6 +310,9 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
     import numpy as np
 
     cells = np.asarray(cells, dtype=np.int64)
+    if len(cells) and not (0 <= cells[0] and cells[-1] < inst.N
+                           and np.all(cells[:-1] <= cells[1:])):
+        raise DomainError("the cells of the prefix sums must be sorted within [0, N)")
     sums = np.empty(len(cells))
     carry = 0.0
     for block, p in values:

@@ -66,9 +66,10 @@ from .rng import SplitMix64
 #: in blocks of ``_blocks``, each block one chunk of the CSV.
 MAX_CENSUS_NMAX = 10**7
 
-#: Cap on the order for the neighbor probe, about 0.04 ms a probed peak
-#: (2-CPU host): at r = 65 521, a prime, ``neighbors`` takes 2.4-2.9 s as
-#: CSV and 5.3-6.6 s as JSON, both streamed, and 104-107 MB peak RSS.
+#: Cap on the order for the neighbor probe.  The report holds its probes
+#: as columns, and both formats stream their text: at r = 65 521, a prime,
+#: ``neighbors`` takes 0.9-1.2 s and 77 MB peak RSS as CSV, 2.4-2.9 s and
+#: 74 MB as JSON (2-CPU host).
 MAX_NEIGHBOR_ORDER = 1 << 16
 
 #: Cap on the trials of the valuation Monte Carlo, checked before any
@@ -145,23 +146,19 @@ class CaptureReport(NamedTuple):
     sampled_fraction: float
 
 
-class NeighborProbe(NamedTuple):
-    """The bounded convergents of N/c at c = c_nu + d, d in {-1, 0, 1, 2}."""
-
-    nu: int
-    c_nu: int
-    delta_nu: float
-    results: tuple[tuple[int, tuple[int, int] | None], ...]
-    guaranteed_ds: tuple[int, ...]  # offsets whose distance beats delta_min
-    neighbors_differ: tuple[int, ...]  # d in {-1, 2} disagreeing with d = 0
-
-
 class NeighborReport(NamedTuple):
+    """The coprime peaks nu probed by ``neighbor_state_check``, as columns:
+    entry i of every list is the i-th probe."""
+
     n: int
     x: int
     q_A: int
     r: int
-    probes: list[NeighborProbe]
+    nu: list[int]
+    c_nu: list[int]
+    delta_nu: list[float]
+    results: dict[int, list[tuple[int, int] | None]]  # by d: the bounded convergents at c_nu + d
+    neighbors_differ: list[tuple[int, ...]]  # d in {-1, 2} disagreeing with d = 0
     changed_neighbors: int
     changed_within_guarantee: int  # expected 0
 
@@ -452,32 +449,22 @@ def neighbor_state_check(n: int, x: int, q_A: int | None) -> NeighborReport:
         raise DomainError(f"need N >= n^2 for the neighbor probe, got N={inst.N}, n={n}")
     info = OrderInfo.from_instance(inst)
     guard("r", info.r, MAX_NEIGHBOR_ORDER, "the neighbor probe")
-    probes = []
-    changed = 0
-    changed_guaranteed = 0
-    nus, _sigma, cells, deltas = (column.tolist() for column in peak_columns(inst, info, 0, info.r))
-    for nu, c_nu, delta_nu in zip(nus, cells, deltas):
-        if nu == 0 or math.gcd(nu, info.r) != 1:
-            continue
-        results = {d: _bounded_convergent(inst.N, (c_nu + d) % inst.N, inst.n)
-                   for d in (-1, 0, 1, 2)}
-        guaranteed = tuple(
-            d for d in (-1, 0, 1, 2)
-            if abs(d - delta_nu) / inst.N < info.delta_min
-        )
-        differ = tuple(d for d in (-1, 2) if results[d] != results[0])
-        changed += len(differ)
-        changed_guaranteed += sum(1 for d in differ if d in guaranteed)
-        probes.append(NeighborProbe(
-            nu=nu, c_nu=c_nu, delta_nu=delta_nu,
-            results=tuple(results.items()),
-            guaranteed_ds=guaranteed,
-            neighbors_differ=differ,
-        ))
+    import numpy as np
+
+    nus, _sigma, cells, deltas = peak_columns(inst, info, 0, info.r)
+    coprime = np.gcd(nus, info.r) == 1  # not nu = 0: r > 1, as 1 < x < n
+    nus, cells, deltas = (column[coprime].tolist() for column in (nus, cells, deltas))
+    results = {d: [_bounded_convergent(inst.N, (c_nu + d) % inst.N, inst.n) for c_nu in cells]
+               for d in (-1, 0, 1, 2)}
+    differ = [tuple(d for d, result in ((-1, left), (2, right)) if result != centre)
+              for left, centre, right in zip(results[-1], results[0], results[2])]
     return NeighborReport(
-        n=n, x=x, q_A=inst.q_A, r=info.r, probes=probes,
-        changed_neighbors=changed,
-        changed_within_guarantee=changed_guaranteed,
+        n=n, x=x, q_A=inst.q_A, r=info.r,
+        nu=nus, c_nu=cells, delta_nu=deltas, results=results, neighbors_differ=differ,
+        changed_neighbors=sum(map(len, differ)),
+        # the differing offsets within the recovery-guarantee distance
+        changed_within_guarantee=sum(abs(d - delta_nu) / inst.N < info.delta_min
+                                     for ds, delta_nu in zip(differ, deltas) for d in ds),
     )
 
 

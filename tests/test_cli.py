@@ -986,9 +986,13 @@ BUDGET_LAUNCHER = textwrap.dedent("""
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux reports it")
 @pytest.mark.parametrize("command,measure,bound", [
-    # the probes are streamed a chunk a probe: 57 MB at r = 62 748, where
-    # the report built as one string took 121 MB
-    ("neighbors --n 130007 --x 2", "peak_mb", 90),
+    # the report holds its probes as columns and the JSON is streamed a
+    # chunk a probe: 42-43 MB at r = 62 748, against 57 MB for a record a
+    # probe and 121 MB for the report built as one string
+    ("neighbors --n 130007 --x 2", "peak_mb", 50),
+    # at the cap (r = 65 521) the CSV's columns take 77 MB, against 107 MB
+    # for a record a probe
+    ("neighbors --n 1965633 --x 1024 --format csv", "peak_mb", 85),
     # one renderer a table keeps its work arrays: about 5 600 minor faults
     # for the 2^22 rows, where arrays allocated and freed a chunk at a time
     # faulted their pages back in, 66 700 in all

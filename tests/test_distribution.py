@@ -317,6 +317,11 @@ class TestRangeEvaluator:
         sums, total = two_term_prefix_sums(inst, info, cells)
         assert np.array_equal(sums, cdf[cells])
         assert total == cdf[-1]
+        # cells out of order or outside [0, N) are refused: neither left
+        # uninitialised nor met by a bare IndexError
+        for bad in ([3, inst.N + 5, -1], [min(20000, inst.N - 1), 3], [0, inst.N], [-1, 0]):
+            with pytest.raises(DomainError, match="sorted within"):
+                two_term_prefix_sums(inst, info, bad)
 
     @pytest.mark.parametrize("key", WHERE_CASES)
     def test_bits_equal_the_where_formula(self, key):

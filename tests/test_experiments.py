@@ -686,18 +686,14 @@ class TestNeighborCheck:
     def test_no_neighbor_changes_on_guaranteed_instance(self):
         rep = neighbor_state_check(21, 10, 9)
         assert rep.r == 6
-        assert {p.nu for p in rep.probes} == {1, 5}  # coprime peak indices
+        assert rep.nu == [1, 5]  # coprime peak indices
         assert rep.changed_within_guarantee == 0
-        for probe in rep.probes:
-            results = dict(probe.results)
-            assert results[0] == results[1] == (6, probe.nu)
+        assert rep.results[0] == rep.results[1] == [(6, nu) for nu in rep.nu]
 
     @pytest.mark.parametrize("n,x,q_A", [(15, 7, 8), (35, 11, 11), (57, 5, 12), (55, 21, 12)])
     def test_guaranteed_cells_always_agree(self, n, x, q_A):
         rep = neighbor_state_check(n, x, q_A)
-        for probe in rep.probes:
-            results = dict(probe.results)
-            assert results[0] == results[1] == (rep.r, probe.nu)
+        assert rep.results[0] == rep.results[1] == [(rep.r, nu) for nu in rep.nu]
         assert rep.changed_within_guarantee == 0
 
     @pytest.mark.parametrize("extra_qubits", [0, 1])
@@ -718,11 +714,17 @@ class TestNeighborCheck:
                 if math.gcd(x, n) != 1:
                     continue
                 inst = ProblemInstance.create(n, x, q_A)
-                for probe in neighbor_state_check(n, x, q_A).probes:
-                    assert [d for d, _ in probe.results] == [-1, 0, 1, 2]
-                    for d, result in probe.results:
-                        assert result == run_route((probe.c_nu + d) % inst.N, inst), (n, x, q_A, d)
+                rep = neighbor_state_check(n, x, q_A)
+                assert rep.nu == [nu for nu in range(1, rep.r) if math.gcd(nu, rep.r) == 1]
+                assert list(rep.results) == [-1, 0, 1, 2]
+                for d, results in rep.results.items():
+                    assert len(results) == len(rep.c_nu) == len(rep.delta_nu) == len(rep.nu)
+                    for c_nu, result in zip(rep.c_nu, results):
+                        assert result == run_route((c_nu + d) % inst.N, inst), (n, x, q_A, d)
                         probed += 1
+                # the guaranteed cells d in {0, 1} recover (r, nu) of every peak
+                assert rep.results[0] == rep.results[1] == [(rep.r, nu) for nu in rep.nu], (n, x, q_A)
+                assert rep.changed_within_guarantee == 0, (n, x, q_A)
         assert probed > 1000
 
     def test_far_from_peak_fails_regardless_of_neighbors(self):

@@ -19,7 +19,6 @@ from shorsim.experiments import (
     CaptureReport,
     CensusAggregate,
     FailureCensus,
-    NeighborProbe,
     NeighborReport,
     ValuationModelResult,
 )
@@ -689,15 +688,14 @@ class TestGuaranteeClosedForm:
 
 _INSTANCE = dict(n=21, x=10, q_A=9)
 _RECOVERY = dict(c=85, recovered=Fraction(6, 1), r_candidate=6, verified=True)
-_PROBE = dict(nu=1, c_nu=85, delta_nu=0.3333333333333333,
-              results=((-1, None), (0, (3, 7)), (1, (3, 7)), (2, None)),
-              guaranteed_ds=(0, 1), neighbors_differ=(-1, 2))
-_PROBE_REPR = ("NeighborProbe(nu=1, c_nu=85, delta_nu=0.3333333333333333, results=((-1, None), "
-               "(0, (3, 7)), (1, (3, 7)), (2, None)), guaranteed_ds=(0, 1), neighbors_differ=(-1, 2))")
+_NEIGHBORS = dict(n=21, x=10, q_A=9, r=6, nu=[1], c_nu=[85], delta_nu=[0.3333333333333333],
+                  results={-1: [None], 0: [(3, 7)], 1: [(3, 7)], 2: [None]},
+                  neighbors_differ=[(-1, 2)], changed_neighbors=2, changed_within_guarantee=0)
 
 #: (record, keyword fields, repr) for every public record; each repr was
 #: taken while the records were dataclasses, except ProblemInstance's,
-#: which has no q_B field since 0.8.0
+#: which has no q_B field since 0.8.0, and NeighborReport's, whose probes
+#: are columns since 0.9.8
 RECORDS = [
     (ProblemInstance, _INSTANCE, "ProblemInstance(n=21, x=10, q_A=9, N=512)"),
     (OrderInfo, dict(r=6, M0=84, k0=2, delta_min=1 / 420),
@@ -735,11 +733,10 @@ RECORDS = [
                          sampled_fraction=0.811),
      "CaptureReport(n=21, x=10, q_A=9, samples=1000, exact_value=0.8105694691387022, "
      "sampled_fraction=0.811)"),
-    (NeighborProbe, _PROBE, _PROBE_REPR),
-    (NeighborReport, dict(n=21, x=10, q_A=9, r=6, probes=[NeighborProbe(**_PROBE)],
-                          changed_neighbors=2, changed_within_guarantee=0),
-     f"NeighborReport(n=21, x=10, q_A=9, r=6, probes=[{_PROBE_REPR}], changed_neighbors=2, "
-     "changed_within_guarantee=0)"),
+    (NeighborReport, _NEIGHBORS,
+     "NeighborReport(n=21, x=10, q_A=9, r=6, nu=[1], c_nu=[85], delta_nu=[0.3333333333333333], "
+     "results={-1: [None], 0: [(3, 7)], 1: [(3, 7)], 2: [None]}, neighbors_differ=[(-1, 2)], "
+     "changed_neighbors=2, changed_within_guarantee=0)"),
     (FailureCensus, dict(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, good=6,
                          common_factor_skipped=8, fraction_odd=2 / 11,
                          fraction_trivial_sqrt=3 / 11, fraction_bad=5 / 11),
