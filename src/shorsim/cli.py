@@ -15,12 +15,12 @@ chunk for the neighbors JSON, so its text is never held whole.  One
 the stdlib's exact text, with no Python call per number, and keeps its
 work arrays from the table's first chunk to its last.  Output goes to the
 binary file under stdout, so every platform writes ``\n``.
-``distribution`` makes, caps, evaluates and primes every pass over the
-register (``_register_values``) and over the peaks (``_peak_blocks``),
-and the census CSV and JSON aggregate take each block's columns from the
-closed form, so none of them holds a vector or a list of rows; the CLI
-formats.  Every pass raises its errors before its first chunk, so an
-error leaves no output.
+``distribution`` makes, caps and evaluates every pass over the register
+(``_register_values``) and over the peaks (``_peak_blocks``), and the
+census CSV and JSON aggregate take each block's columns from the closed
+form, so none of them holds a vector or a list of rows; the CLI formats.
+Every pass checks its inputs and caps when it is made, and no block can
+fail once they pass, so an error leaves no output.
 """
 
 import argparse
@@ -33,7 +33,6 @@ from .distribution import (
     ProblemInstance,
     _blocks,
     _peak_blocks,
-    _primed,
     _register_values,
 )
 from .errors import DomainError, ResourceError
@@ -212,9 +211,9 @@ def _cmd_run(args):
 
 
 def _cmd_census(args):
-    chunks = _primed(_census_chunks(args.nmax))
-    if chunks is None:
+    if args.nmax <= 15:  # 15 = 3*5 is the least odd distinct-prime semiprime
         raise DomainError(f"no odd distinct-prime semiprimes below {args.nmax}")
+    chunks = _census_chunks(args.nmax)
     if args.format == "json":
         agg = _census_chunks_aggregate(chunks)
         band = (1 / 3 - 0.1, 1 / 3 + 0.1)
@@ -235,8 +234,7 @@ def _cmd_census(args):
         })
 
     return _csv_chunks("n,p1,p2,num_x,odd_r,trivial_sqrt,bad_fraction", "%d,%d,%d,%d,%d,%d,%.15e\n",
-                       ((c.n, c.p1, c.p2, c.num_x, c.odd_r, c.trivial_sqrt, c.fraction_bad)
-                        for c in chunks))
+                       chunks)
 
 
 def _cmd_mc_valuation(args):
@@ -336,7 +334,7 @@ def _write(chunks, path) -> int:
     """Write the byte chunks to the file at path, or to stdout when path is
     None: to its binary buffer, or as text to a stdout that has none (such
     as an ``io.StringIO``)."""
-    if path:
+    if path is not None:
         try:
             fh = open(path, "wb")
         except OSError as exc:

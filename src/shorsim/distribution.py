@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DomainError, guard
@@ -266,23 +266,11 @@ def _records(cls, columns):
     return map(tuple.__new__, repeat(cls), zip(*(column.tolist() for column in columns)))
 
 
-def _primed(items):
-    """The elements of `items` with the first made at once, so that the
-    errors of making it come before any output; None when there is none.
-
-    No element is held once it is taken: the first sits in a list iterator,
-    which drops the list when it is passed; a tuple would stay in
-    ``chain``'s arguments for the whole stream."""
-    items = iter(items)
-    for first in items:
-        return chain(iter([first]), items)
-    return None
-
-
 def _register_values(inst: ProblemInstance, info: OrderInfo):
     """The pairs (cells, P at the cells) over the register's int64 cell
     blocks, P by ``two_term_at``: the one pass over the register, capped
-    at MAX_REGISTER_QUBITS and primed by ``_primed``.
+    at MAX_REGISTER_QUBITS on the call.  No block can raise once the cap
+    has passed, so an error comes before any output.
 
     The pairs come from ``map``, which holds no block once it is taken; a
     generator holds its last block, and raised the peak RSS of ``dist`` by
@@ -294,7 +282,7 @@ def _register_values(inst: ProblemInstance, info: OrderInfo):
         cells = np.arange(*block, dtype=np.int64)
         return cells, two_term_at(inst, info, cells)
 
-    return _primed(map(values, _blocks(inst.N)))
+    return map(values, _blocks(inst.N))
 
 
 def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple[np.ndarray, float]:
@@ -335,10 +323,11 @@ def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
     converted to exact rationals, so angle reduction never loses precision.
     """
     N, r, k0, M0 = inst.N, info.r, info.k0, info.M0
-    sig = Fraction(sigma)
-    if not 0 <= sig < N:
-        raise DomainError(f"sigma must lie in [0, N), got {sigma}")
-    a, b = (sig * r / N).as_integer_ratio()
+    # checked before Fraction() converts it: NaN and the infinities fail the
+    # comparison, and a string is refused rather than parsed
+    if not (isinstance(sigma, numbers.Real) and 0 <= sigma < N):
+        raise DomainError(f"sigma must be a real in [0, N), got {sigma!r}")
+    a, b = (Fraction(sigma) * r / N).as_integer_ratio()
     return (k0 * fejer_kernel(M0 + 2, b, a) + (r - k0) * fejer_kernel(M0 + 1, b, a)) / float(N) ** 2
 
 

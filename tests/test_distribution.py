@@ -424,10 +424,11 @@ class TestEnvelope:
 
     def test_out_of_range_rejected(self):
         inst, info = build(21, 10, 8)
-        with pytest.raises(DomainError):
-            envelope(inst, info, -0.5)
-        with pytest.raises(DomainError):
-            envelope(inst, info, inst.N)
+        # refused before Fraction() converts it: no bare ValueError or
+        # OverflowError, and a string is not parsed
+        for sigma in (-0.5, inst.N, math.nan, math.inf, -math.inf, "3/2", None):
+            with pytest.raises(DomainError, match=r"^sigma must be a real in \[0, N\), got "):
+                envelope(inst, info, sigma)
 
 
 class TestPeakDeviation:

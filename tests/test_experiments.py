@@ -118,10 +118,6 @@ def sweep_census(n, p, q):
         num_x=num_x,
         odd_r=n_odd,
         trivial_sqrt=n_trivial,
-        good=num_x - n_odd - n_trivial,
-        common_factor_skipped=int((~coprime).sum()),
-        fraction_odd=n_odd / num_x,
-        fraction_trivial_sqrt=n_trivial / num_x,
         fraction_bad=(n_odd + n_trivial) / num_x,
     )
 
@@ -137,8 +133,6 @@ def closed_form_census(p, q):
     n_trivial = m1m2 * ((1 << 2 * min(s1, s2)) - 1) // 3
     return FailureCensus(
         n=p * q, p1=p, p2=q, num_x=num_x, odd_r=n_odd, trivial_sqrt=n_trivial,
-        good=num_x - n_odd - n_trivial, common_factor_skipped=p + q - 2,
-        fraction_odd=n_odd / num_x, fraction_trivial_sqrt=n_trivial / num_x,
         fraction_bad=(n_odd + n_trivial) / num_x,
     )
 
@@ -244,21 +238,24 @@ class TestFailureCensus:
         assert c.num_x == 11  # 1 < x < 21 coprime to 21
         assert c.odd_r == 2  # x in {4, 16}, order 3
         assert c.trivial_sqrt == 3  # x in {5, 17, 20}
-        assert c.good == 6
+        assert c.num_x - c.odd_r - c.trivial_sqrt == 6  # the good bases
         assert c.fraction_bad == pytest.approx(5 / 11)
 
     def test_counts_partition_tested_bases(self):
         for n in SEMIPRIMES:
             c = failure_census(n)
-            assert c.odd_r + c.trivial_sqrt + c.good == c.num_x
-            assert c.num_x + c.common_factor_skipped == n - 2
+            # odd, trivial and good split num_x: no class count is negative
+            assert min(c.odd_r, c.trivial_sqrt, c.num_x - c.odd_r - c.trivial_sqrt) >= 0
+            skipped = sum(math.gcd(x, n) != 1 for x in range(2, n))
+            assert skipped == c.p1 + c.p2 - 2
+            assert c.num_x + skipped == n - 2
 
     def test_common_factor_count_is_totient_complement(self):
         for n, p, q in semiprimes_below(200):
             c = failure_census(n)
             phi = (p - 1) * (q - 1)
             assert c.num_x == phi - 1  # x = 1 excluded
-            assert c.common_factor_skipped == (n - 2) - (phi - 1)
+            assert c.p1 + c.p2 - 2 == (n - 2) - (phi - 1)  # the bases sharing a factor
 
     @pytest.mark.parametrize("n", SEMIPRIMES)
     def test_matches_brute_force_classification(self, n):
@@ -268,7 +265,7 @@ class TestFailureCensus:
                 continue
             expected[brute_classification(n, x)] += 1
         c = failure_census(n)
-        assert (c.odd_r, c.trivial_sqrt, c.good) == (
+        assert (c.odd_r, c.trivial_sqrt, c.num_x - c.odd_r - c.trivial_sqrt) == (
             expected["odd"], expected["trivial"], expected["good"],
         )
 
@@ -441,7 +438,7 @@ class TestCensusColumns:
         assert all(p * q < MAX_CENSUS_NMAX for p, q in EXTREME_PAIRS)
         p, q = (np.array(column, dtype=np.int64) for column in zip(*EXTREME_PAIRS))
         columns = _census_columns(p, q)
-        assert [column.dtype for column in columns] == [np.int64] * 8 + [np.float64] * 3
+        assert [column.dtype for column in columns] == [np.int64] * 6 + [np.float64]
         rows = zip(*(column.tolist() for column in columns))
         for row, (a, b) in zip(rows, EXTREME_PAIRS, strict=True):
             assert_same_fields(row, closed_form_census(a, b))
@@ -449,14 +446,14 @@ class TestCensusColumns:
 
     def test_census_formula_takes_python_ints_beyond_2_53(self):
         # 2**53 < n < 2**63: int64 would not wrap, but float64 would round
-        # num_x, and fraction_odd would read 0.2499999999999999.  The
+        # num_x, and odd_r / num_x would read 0.2499999999999999.  The
         # formula failure_census runs takes the ints; failure_census itself
         # refuses an n this large before it trial-divides it.
         p, q = 131071, 68720525347
         assert p * q > 1 << 53
         row = _census_columns(p, q)
         assert_same_fields(row, closed_form_census(p, q))
-        assert row.fraction_odd == 0.24999999999999992
+        assert row.odd_r / row.num_x == 0.24999999999999992
         with pytest.raises(ResourceError):
             failure_census(p * q)
 
@@ -484,15 +481,14 @@ class TestCensusColumns:
     def test_row_repr_is_pinned(self):
         # taken while FailureCensus was a frozen dataclass
         assert repr(failure_census(21)) == (
-            "FailureCensus(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, good=6, "
-            "common_factor_skipped=8, fraction_odd=0.18181818181818182, "
-            "fraction_trivial_sqrt=0.2727272727272727, fraction_bad=0.45454545454545453)")
-        assert failure_census(21) == (21, 3, 7, 11, 2, 3, 6, 8, 2 / 11, 3 / 11, 5 / 11)
+            "FailureCensus(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, "
+            "fraction_bad=0.45454545454545453)")
+        assert failure_census(21) == (21, 3, 7, 11, 2, 3, 5 / 11)
 
     def test_rows_are_immutable(self):
         row = failure_census(21)
         with pytest.raises(AttributeError):
-            row.good = 0
+            row.odd_r = 0
         assert FailureCensus(**row._asdict()) == row
 
 
@@ -500,12 +496,12 @@ class TestValuationModel:
     def test_estimates_match_analytic_values(self):
         res = valuation_model_mc(1_000_000, seed=0)
         assert res.p_a == pytest.approx(0.25, abs=0.005)
-        assert res.estimate == pytest.approx(1 / 12, abs=0.005)
+        assert res.p_b == pytest.approx(1 / 12, abs=0.005)
         assert res.p_fail == pytest.approx(1 / 3, abs=0.01)
 
     def test_estimate_is_matched_over_trials(self):
         res = valuation_model_mc(10_000, seed=5)
-        assert res.estimate == res.matched_valuations / res.trials
+        assert res.p_b == res.matched_valuations / res.trials
         assert res.p_fail == (res.both_odd + res.matched_valuations) / res.trials
 
     def test_deterministic_per_seed(self):
@@ -517,7 +513,7 @@ class TestValuationModel:
         b = valuation_model_mc(trials, seed=2)
         p = 1 / 12
         sigma = math.sqrt(2 * p * (1 - p) / trials)
-        assert abs(a.estimate - b.estimate) <= 5 * sigma
+        assert abs(a.p_b - b.p_b) <= 5 * sigma
 
     def test_valuation_distribution_matches_model(self):
         # P(k = j) = 2^-(j+1): check the first few bins at 10 sigma
@@ -592,7 +588,9 @@ def sha256(text):
 
 # SHA-256 of capture_reprs(n) and valuation_reprs(trials), taken when
 # capture built the whole vector and drew from its CDF, and the valuation
-# model held whole arrays of trailing-zero counts.
+# model held whole arrays of trailing-zero counts.  The valuation digests
+# were taken again when the record lost its copy of p_b, from the same
+# values.
 PINNED_CAPTURE = {
     15: "9d9c30e0a4ac8b2303e46f5231838aca727f63ff3ce70207314b221518f7ac61",
     21: "a6a379acfed22ccbcc6d54b90d45af1cec8744368acc49b5e3e3a8d8293ac2e2",
@@ -600,12 +598,12 @@ PINNED_CAPTURE = {
     899: "18ae7e41dcc4146be09ba239d7a2bb6a4e72274bb52ed0e03651cffbd8e6fd2f",
 }
 PINNED_VALUATION = {
-    1: "d6be52c823889be07876f73e900499dcddccbc3de8d6631bd80951cdddad4f5c",
-    1000: "f052a519924054a3d392b1ff6d20b9660abba9d848c39a31419ab6311a1fc5c6",
-    (1 << 16) - 1: "1b6452212eb2f8ff4e45e2ab664d2ab304855ebbb7e5f0f3817ac7c58da146f2",
-    1 << 16: "09a9489bafd8205a52d8ec0079edab39c4ce50ee135d32bfd43f9b927d6a09da",
-    (1 << 16) + 1: "d5a592e59acc570db0f43b1406480a335ee9f2c7f0f2ef9cfadeff162023b7fe",
-    10**6: "32f1b34a6420126e7357073929d99a750a23c3f42f077a609778c62a8c2c74bf",
+    1: "a74455dda16b9a934d83b9156b9ea98f7804e2e12a5aeb53e42b4ee08b5426a0",
+    1000: "974456304a4882046895fd9e2f233efe2ce64432e54d8951db57ec14255d641e",
+    (1 << 16) - 1: "652c905b8949f9e212c54f40ed7e61029cdad059a94a1fbc5fe88f24b984f9b7",
+    1 << 16: "99b046c309027925464dc3d814a98ed0fc3841ffb61daebd31ff0b4021fd581f",
+    (1 << 16) + 1: "3ea4efcbbe5d79999f9b8b14c198b1196bb8259eff70d80a3393e0ddc5fca648",
+    10**6: "54325a803f98380e92c68c6769ab213f2f4fbc2bb4fcbdf3fd9c49aa3b1d5fc6",
 }
 BLOCK_SIZES = (1, 7, (1 << 16) + 1)
 

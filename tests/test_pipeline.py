@@ -726,9 +726,9 @@ RECORDS = [
      "aggregate_bad_fraction=0.3684210526315789, mean_bad_fraction=0.375, "
      "max_bad_fraction=0.45454545454545453, bound_ok=True)"),
     (ValuationModelResult, dict(trials=1000, matched_valuations=80, both_odd=250,
-                                estimate=0.08, p_a=0.25, p_b=0.08, p_fail=0.33),
+                                p_a=0.25, p_b=0.08, p_fail=0.33),
      "ValuationModelResult(trials=1000, matched_valuations=80, both_odd=250, "
-     "estimate=0.08, p_a=0.25, p_b=0.08, p_fail=0.33)"),
+     "p_a=0.25, p_b=0.08, p_fail=0.33)"),
     (CaptureReport, dict(n=21, x=10, q_A=9, samples=1000, exact_value=0.8105694691387022,
                          sampled_fraction=0.811),
      "CaptureReport(n=21, x=10, q_A=9, samples=1000, exact_value=0.8105694691387022, "
@@ -737,12 +737,10 @@ RECORDS = [
      "NeighborReport(n=21, x=10, q_A=9, r=6, nu=[1], c_nu=[85], delta_nu=[0.3333333333333333], "
      "results={-1: [None], 0: [(3, 7)], 1: [(3, 7)], 2: [None]}, neighbors_differ=[(-1, 2)], "
      "changed_neighbors=2, changed_within_guarantee=0)"),
-    (FailureCensus, dict(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, good=6,
-                         common_factor_skipped=8, fraction_odd=2 / 11,
-                         fraction_trivial_sqrt=3 / 11, fraction_bad=5 / 11),
-     "FailureCensus(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, good=6, "
-     "common_factor_skipped=8, fraction_odd=0.18181818181818182, "
-     "fraction_trivial_sqrt=0.2727272727272727, fraction_bad=0.45454545454545453)"),
+    (FailureCensus, dict(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3,
+                         fraction_bad=5 / 11),
+     "FailureCensus(n=21, p1=3, p2=7, num_x=11, odd_r=2, trivial_sqrt=3, "
+     "fraction_bad=0.45454545454545453)"),
 ]
 
 
