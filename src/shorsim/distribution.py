@@ -200,36 +200,19 @@ def _sin_sq(N: int, a: int, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.square(x, out=x)
 
 
-def _denominator_parts(N: int, r: int, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The singular cells (r*c = 0 mod N, found by the exact integer test)
-    and sin^2(pi*r*c/N) with 1 put at them, so no division meets a zero."""
-    import numpy as np
-
-    den = _sin_sq(N, r, c, t)
-    singular = np.flatnonzero((t & (N - 1)) == 0)
-    den[singular] = 1.0
-    return singular, den
-
-
-def _sin_sq_ratio(N: int, r: int, size: int, c: np.ndarray, t: np.ndarray,
-                  singular: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """sin^2(pi*size*r*c/N) / sin^2(pi*r*c/N) with the exact limit size^2
-    put at the singular cells."""
-    ratio = _sin_sq(N, size * r, c, t)
-    ratio /= den
-    ratio[singular] = float(size * size)
-    return ratio
-
-
 def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     """P(c) at the cells of a one-dimensional integer index array, by the
     two-term form.
 
     k0 classes hold M0+2 exponents and r-k0 hold M0+1, so the per-class
-    sum reduces to two weighted closed-form terms.  The cap is q_A <= 31,
-    but not for the angle reduction: the int64 product a*c wraps mod 2**64,
-    which 2N divides, so its residue mod 2N is exact up to q_A 62.  The
-    precision is measured up to q_A 24 (ROADMAP item 3).
+    sum reduces to two weighted closed-form terms
+    sin^2(pi*size*r*c/N) / sin^2(pi*r*c/N), each with its exact limit
+    size^2 put at the singular cells (r*c = 0 mod N, found by the exact
+    integer test), where the denominator is set to 1 so that no division
+    meets a zero.  The cap is q_A <= 31, but not for the angle reduction:
+    the int64 product a*c wraps mod 2**64, which 2N divides, so its residue
+    mod 2N is exact up to q_A 62.  The precision is measured up to q_A 24
+    (ROADMAP item 3).
     """
     guard("q_A", inst.q_A, 31, "the two-term evaluator")
     import numpy as np
@@ -237,18 +220,23 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     N, r = inst.N, info.r
     c = np.asarray(c, dtype=np.int64)
     t = np.empty_like(c)
-    singular, den = _denominator_parts(N, r, c, t)
-    large = _sin_sq_ratio(N, r, info.M0 + 2, c, t, singular, den)
-    small = _sin_sq_ratio(N, r, info.M0 + 1, c, t, singular, den)
-    # (k0*large + (r-k0)*small) / N^2, in place.  Each weight is an integer
+    den = _sin_sq(N, r, c, t)
+    singular = np.flatnonzero((t & (N - 1)) == 0)
+    den[singular] = 1.0
+    # (k0*large + (r-k0)*small) / N^2, summed in the first term's array (a
+    # zeroed one a block slowed capture by a tenth).  Each weight is an integer
     # over the power of two N^2, so exact, and a power-of-two scale commutes
     # with rounding while no term is subnormal (the least nonzero, at q_A
     # 31, is about 5e-37).  The sum of two products has the same bits in
     # either order.
-    large *= info.k0 / float(N) ** 2
-    small *= (r - info.k0) / float(N) ** 2
-    large += small
-    return large
+    p = None
+    for size, weight in ((info.M0 + 2, info.k0), (info.M0 + 1, r - info.k0)):
+        term = _sin_sq(N, size * r, c, t)
+        term /= den
+        term[singular] = float(size * size)
+        term *= weight / float(N) ** 2
+        p = term if p is None else np.add(p, term, out=p)
+    return p
 
 
 def _blocks(count: int):

@@ -22,10 +22,9 @@ from typing import NamedTuple
 from shorsim.distribution import (
     OrderInfo,
     ProblemInstance,
-    _denominator_parts,
     _peak_blocks,
     _records,
-    _sin_sq_ratio,
+    _sin_sq,
 )
 from shorsim.errors import DomainError
 from shorsim.number_theory import multiplicative_order
@@ -75,10 +74,16 @@ def per_k_at(inst: ProblemInstance, info: OrderInfo, c):
     N, r = inst.N, info.r
     c = np.asarray(c, dtype=np.int64)
     t = np.empty_like(c)
-    singular, den = _denominator_parts(N, r, c, t)
+    den = _sin_sq(N, r, c, t)
+    singular = np.flatnonzero((t & (N - 1)) == 0)  # r*c = 0 mod N
+    den[singular] = 1.0
     total = np.zeros(len(c))
     for k in range(r):
-        total += _sin_sq_ratio(N, r, _class_size(N, r, k), c, t, singular, den)
+        size = _class_size(N, r, k)
+        term = _sin_sq(N, size * r, c, t)
+        term /= den
+        term[singular] = float(size * size)
+        total += term
     return total / float(N) ** 2
 
 

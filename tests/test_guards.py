@@ -58,7 +58,7 @@ CAPS = [
                      ((experiments, "peak_columns"), (experiments, "two_term_at"))),
                  id="capture-q_A"),
     pytest.param(Cap("q_A", 31, None, two_term_route,
-                     ((distribution, "_denominator_parts"),)), id="two_term_at-q_A"),
+                     ((distribution, "_sin_sq"),)), id="two_term_at-q_A"),
     pytest.param(Cap("q_A", 62, (pipeline, "MAX_RUN_QUBITS"),
                      cli_route("run", "--n", "21", "--x", "10", "--qa", "{}"),
                      ((pipeline, "semiprime_factors"),)), id="run-q_A"),
