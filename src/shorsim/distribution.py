@@ -200,6 +200,19 @@ def _sin_sq(N: int, a: int, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.square(x, out=x)
 
 
+def _int64_cells(c) -> np.ndarray:
+    """The cells c as an int64 array.  An array of another kind than the
+    integers is refused, where a cast would truncate 1.5 to 1 and parse
+    '3' as 3; an empty list, which numpy types as float64, has no cell to
+    truncate and passes."""
+    import numpy as np
+
+    c = np.asarray(c)
+    if c.dtype.kind not in "iu" and c.size:
+        raise DomainError(f"cells must be integers, got an array of {c.dtype}")
+    return c.astype(np.int64, copy=False)
+
+
 def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     """P(c) at the cells of a one-dimensional integer index array, by the
     two-term form.
@@ -218,7 +231,7 @@ def two_term_at(inst: ProblemInstance, info: OrderInfo, c) -> np.ndarray:
     import numpy as np
 
     N, r = inst.N, info.r
-    c = np.asarray(c, dtype=np.int64)
+    c = _int64_cells(c)
     t = np.empty_like(c)
     den = _sin_sq(N, r, c, t)
     singular = np.flatnonzero((t & (N - 1)) == 0)
@@ -276,7 +289,8 @@ def _register_values(inst: ProblemInstance, info: OrderInfo):
 def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple[np.ndarray, float]:
     """The running sums P(0) + ... + P(c) at the cells c, sorted within
     [0, N), and the total, from one pass over the register that holds no
-    N-length array.  Other cells are refused.
+    N-length array.  Other cells, and cells that are not integers, are
+    refused.
 
     The carry of the blocks before enters each block's first entry ahead
     of its ``np.cumsum``, which adds in sequence, so every sum has the
@@ -285,7 +299,7 @@ def two_term_prefix_sums(inst: ProblemInstance, info: OrderInfo, cells) -> tuple
     values = _register_values(inst, info)
     import numpy as np
 
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = _int64_cells(cells)
     if len(cells) and not (0 <= cells[0] and cells[-1] < inst.N
                            and np.all(cells[:-1] <= cells[1:])):
         raise DomainError("the cells of the prefix sums must be sorted within [0, N)")
@@ -338,7 +352,12 @@ def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) 
     exactly, so the quotient rounds as Python's int / int does); c_nu is
     int64 and sigma_nu float64 when N fits int64, else both are object
     arrays, of Python ints and floats, from the one product nu*whole
-    taken in Python ints."""
+    taken in Python ints.  Peaks 0..r-1 exist: start and stop are
+    integers with 0 <= start <= stop <= r, or refused."""
+    if not (isinstance(start, numbers.Integral) and isinstance(stop, numbers.Integral)
+            and 0 <= start <= stop <= info.r):
+        raise DomainError(f"need integers 0 <= start <= stop <= r = {info.r}, "
+                          f"got start={start!r}, stop={stop!r}")
     import numpy as np
 
     nu = np.arange(start, stop, dtype=np.int64)
@@ -361,8 +380,12 @@ def peak_deviation_prob(d: int, delta_nu: float) -> float:
     """Within-peak weight of integer deviation d for real displacement delta_nu.
 
     sin^2(pi*delta) / (pi * (d - delta))^2, with the delta -> 0 limit
-    (all weight on d = 0) substituted exactly at delta_nu == 0.
+    (all weight on d = 0) substituted exactly at delta_nu == 0.  d is an
+    integer with |d| < 2^511, so that (d - delta)^2 is a finite float
+    (2^1022 at most).
     """
+    if not (isinstance(d, numbers.Integral) and -(1 << 511) < d < 1 << 511):
+        raise DomainError(f"d must be an integer with |d| < 2^511, got {d!r}")
     # compared exactly before float() rounds it, and refused if it rounds to 1
     if not (isinstance(delta_nu, numbers.Real) and 0 <= delta_nu < 1 and float(delta_nu) < 1):
         raise DomainError(f"delta_nu must be a real in [0, 1), got {delta_nu!r}")
@@ -431,8 +454,13 @@ def fejer_kernel(L: int, Np: int, t: int) -> float:
     """sin^2(pi*L*t/Np) / sin^2(pi*t/Np) on Z_Np, with the limit L^2 at t = 0.
 
     Both angles are folded by ``_sin_turns``, so the zeros (L*t = 0 mod
-    Np) come out exactly 0.
+    Np) come out exactly 0.  L, Np and t are Python ints, whose products
+    cannot wrap, with L >= 0 and Np >= 1, or refused; the test is a few
+    type and sign checks, as the kernel runs once a proposal.
     """
+    if not (isinstance(L, int) and isinstance(Np, int) and isinstance(t, int)
+            and L >= 0 and Np >= 1):
+        raise DomainError(f"need ints L >= 0, Np >= 1 and t, got L={L!r}, Np={Np!r}, t={t!r}")
     if t % Np == 0:
         return float(L * L)
     return (_sin_turns(L * t, Np) / _sin_turns(t, Np)) ** 2

@@ -337,6 +337,14 @@ class TestRangeEvaluator:
             assert got.tobytes() == where_two_term(inst, info, cells).tobytes()
         assert np.all(two_term_at(inst, info, singular) > 0.0)
 
+    @pytest.mark.parametrize("at, cells", [(two_term_at, [1.5]), (two_term_at, ["3"]),
+                                           (two_term_prefix_sums, [1.5, 2.7])])
+    def test_non_integer_cells_are_refused(self, at, cells):
+        # not truncated to cells 1 and 2, nor parsed as cell 3
+        inst, info = build(21, 10, 8)
+        with pytest.raises(DomainError, match=r"^cells must be integers, got an array of [^\n]*$"):
+            at(inst, info, cells)
+
     def test_int64_angle_cap(self):
         inst = ProblemInstance.create(1_000_003 * 3, 2, q_A=32)
         info = OrderInfo(r=4, M0=(inst.N - 4) // 4, k0=0, delta_min=0.0)
@@ -381,6 +389,13 @@ class TestPeaks:
         assert repr(got) == repr(literal)
         columns = [c.tolist() for c in distribution.peak_columns(inst, info, 2, info.r - 1)]
         assert repr(list(zip(*columns))) == repr(literal[2:-1])
+
+    @pytest.mark.parametrize("start, stop", [(0, 8), (-5, 2), (0.5, 3)])
+    def test_peaks_outside_0_to_r_are_refused(self, start, stop):
+        # r = 6: peaks 6 and 7 would sit past N, and 0.5 would be cut to 0
+        inst, info = build(21, 10, 8)
+        with pytest.raises(DomainError, match=r"^need integers 0 <= start <= stop <= r = 6, got [^\n]*$"):
+            distribution.peak_columns(inst, info, start, stop)
 
     def test_center_splits_exactly(self):
         for p in peaks(*build(21, 10, 9)):
@@ -451,6 +466,12 @@ class TestPeakDeviation:
             peak_deviation_prob(0, 1.0)
         with pytest.raises(DomainError):
             peak_deviation_prob(0, -0.1)
+
+    @pytest.mark.parametrize("d", [0.5, pytest.param(10**400, id="10**400")])
+    def test_deviation_that_is_no_integer_or_too_large_is_rejected(self, d):
+        # no bare ZeroDivisionError or OverflowError
+        with pytest.raises(DomainError, match=r"^d must be an integer with \|d\| < 2\^511, got [^\n]*$"):
+            peak_deviation_prob(d, 0.5)
 
     def test_any_real_displacement_is_its_float(self):
         mpmath = pytest.importorskip("mpmath")

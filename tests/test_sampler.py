@@ -138,6 +138,12 @@ class TestExactLaw:
         with pytest.raises(DomainError):
             FejerProposal(0, 8)
 
+    @pytest.mark.parametrize("L, Np, t", [(4, 0, 3), (4, -8, 3), (-2, 16, 3), (2.5, 16, 3), (4, 16, 0.5)])
+    def test_kernel_rejects_arguments_outside_its_domain(self, L, Np, t):
+        # no bare ZeroDivisionError, and no value for a negative or fractional size
+        with pytest.raises(DomainError, match=r"^need ints L >= 0, Np >= 1 and t, got [^\n]*$"):
+            fejer_kernel(L, Np, t)
+
 
 def chi_square_pvalue(draws, probabilities):
     """Pearson p-value, cells with expected count below 5 pooled into one."""
