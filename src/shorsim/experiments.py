@@ -78,9 +78,11 @@ MAX_NEIGHBOR_ORDER = 1 << 16
 MAX_MC_TRIALS = 8 * 10**8
 
 #: Cap on the draws of the capture Monte Carlo, checked before any work.
-#: A draw costs about 21 ns (its word, its sort and its count, 2-CPU
-#: host), on top of one pass over the register (1.3 s at q_A 24), so the
-#: cap takes about 10 s at any register and holds about 32 MB.
+#: A draw costs about 10-13 ns (its word, its sort and its count, 2-CPU
+#: host), on top of a pass over one half period of the register (at q_A
+#: 24, 0.30-0.34 s when gcd(r, N) = 1, the widest, and 0.14 s at (4087, 5)
+#: with gcd 2), so the cap takes about 5 s at any register (4.7 s at
+#: (4087, 9), gcd 1) and holds about 30 MB.
 MAX_CAPTURE_SAMPLES = 4 * 10**8
 
 #: Heuristic limit of the census's base-weighted bad fraction as nmax
@@ -384,9 +386,10 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     The exact value reads the 2r peak cells alone.  The sampled fraction
     is that of inverse-CDF draws u * total from the seed's uniforms, but
     no draw is placed in a cell: a draw lands on peak cell c exactly when
-    cdf(c-1) <= u < cdf(c), so one pass over the register keeps only
-    those running sums, and the draws are counted against them block by
-    block.  q_A None is the default register of n.
+    cdf(c-1) <= u < cdf(c), so only those running sums are taken, by
+    ``two_term_prefix_sums`` from a pass over one half period of the
+    register, and the draws are counted against them block by block.
+    q_A None is the default register of n.
     """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")

@@ -231,6 +231,32 @@ PER_K_BLOCK_CASES = [(key, size) for key, size in BLOCK_CASES
                      if -(-(1 << key[2]) // size) * multiplicative_order(key[1], key[0]) <= 20_000]
 
 
+def prefix_sum_bound(N):
+    """How far ``two_term_prefix_sums`` may lie from ``np.cumsum`` over the
+    whole register of N cells, from its two sources, to first order in the
+    unit roundoff u = 2^-53.
+
+    The evaluator's mirror asymmetry (ROADMAP Baseline): the half-period
+    route reads P at a cell j in place of a cell c with the same r*c mod N
+    up to sign, and each is rounded on its own path.  A sine's argument
+    fl(t * fl(pi) / N), t < 2N, is off by at most 2u * 2pi, and sin is
+    1-Lipschitz; where it is not 0 it is at least sin(pi/N) >= 2/N, so its
+    relative error is at most 2pi*N*u + u (libm).  Two squares, a quotient,
+    a scale and the sum of two terms make P's relative error at most
+    8pi*N*u + 9u (a numerator zero at t = N reads sin^2(fl(pi)) ~ 1.5e-32
+    instead, far below it), and the two routes' errors add over a mass of
+    at most 1.
+
+    The summation rounding: the whole cumsum adds N terms of mass 1 in
+    sequence, N*u at most; the half route adds N/(2g) + 1 of them, forms
+    T, multiplies it by k <= g and rounds three times more, (N/2 + 6)u.
+
+    ROADMAP item 3's fold makes the symmetry exact, which leaves the second
+    source alone."""
+    u = 2.0 ** -53
+    return (2 * (8 * math.pi * N + 9) + 1.5 * N + 6) * u
+
+
 def digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
@@ -308,20 +334,63 @@ class TestRangeEvaluator:
         assert p.dtype == np.float64 and p.shape == (0,)
 
     @pytest.mark.parametrize("key, size", BLOCK_CASES)
-    def test_prefix_sums_equal_the_whole_cumsum(self, monkeypatch, key, size):
-        monkeypatch.setattr(distribution, "_BLOCK", size)
+    def test_prefix_sums_agree_with_the_whole_cumsum(self, monkeypatch, key, size):
         inst, info = build(*key)
         cdf = np.cumsum(whole(two_term_at, inst, info))
         cells = np.unique(np.random.default_rng(2).integers(0, inst.N, 300))
         cells = np.union1d(cells, [0, inst.N - 1])
+        at_default = two_term_prefix_sums(inst, info, cells)
+        monkeypatch.setattr(distribution, "_BLOCK", size)
         sums, total = two_term_prefix_sums(inst, info, cells)
-        assert np.array_equal(sums, cdf[cells])
-        assert total == cdf[-1]
+        # the carry makes the block size invisible, bit for bit
+        assert sums.tobytes() == at_default[0].tobytes() and total == at_default[1]
+        bound = prefix_sum_bound(inst.N)
+        assert np.max(np.abs(sums - cdf[cells])) <= bound
+        assert abs(total - cdf[-1]) <= bound
         # cells out of order or outside [0, N) are refused: neither left
         # uninitialised nor met by a bare IndexError
         for bad in ([3, inst.N + 5, -1], [min(20000, inst.N - 1), 3], [0, inst.N], [-1, 0]):
             with pytest.raises(DomainError, match="sorted within"):
                 two_term_prefix_sums(inst, info, bad)
+
+    @pytest.mark.parametrize("key, g", [((55, 16, 12), 1), ((17, 3, 4), 16)])
+    def test_prefix_sums_agree_on_the_extreme_periods(self, key, g):
+        # g = 1, where the period is the register, and g = N (r = 16), where
+        # it is one cell; BLOCK_CASES has neither
+        inst, info = build(*key)
+        assert math.gcd(info.r, inst.N) == g
+        cdf = np.cumsum(whole(two_term_at, inst, info))
+        cells = np.arange(inst.N)
+        sums, total = two_term_prefix_sums(inst, info, cells)
+        assert np.max(np.abs(sums - cdf)) <= prefix_sum_bound(inst.N)
+        assert abs(total - cdf[-1]) <= prefix_sum_bound(inst.N)
+
+    @pytest.mark.parametrize("key, g", [((1007, 5, 20), 4), ((899, 7, 20), 1)])
+    def test_prefix_sums_evaluate_the_half_period_alone(self, monkeypatch, key, g):
+        inst, info = build(*key)
+        N = inst.N
+        assert math.gcd(info.r, N) == g
+        period, half = N // g, N // (2 * g)
+        cdf = np.cumsum(whole(two_term_at, inst, info))
+        evaluated = []
+
+        def counted(inst, info, c):
+            evaluated.append(len(c))
+            return two_term_at(inst, info, c)
+
+        monkeypatch.setattr(distribution, "two_term_at", counted)
+        # j = 0, h, h + 1 and p - 1 in the first and the last period, and N - 1
+        cells = sorted({k * period + j for k in (0, g - 1) for j in (0, half, half + 1, period - 1)}
+                       | {N - 1})
+        sums, total = two_term_prefix_sums(inst, info, cells)
+        assert sum(evaluated) <= N // (2 * g) + 1
+        bound = prefix_sum_bound(N)
+        assert np.max(np.abs(sums - cdf[cells])) <= bound
+        assert abs(total - cdf[-1]) <= bound
+        evaluated.clear()
+        sums, no_cells_total = two_term_prefix_sums(inst, info, [])
+        assert sums.shape == (0,) and no_cells_total == total
+        assert sum(evaluated) <= N // (2 * g) + 1
 
     @pytest.mark.parametrize("key", WHERE_CASES)
     def test_bits_equal_the_where_formula(self, key):
