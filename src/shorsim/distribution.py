@@ -54,19 +54,17 @@ recovers orders never imports it.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import DomainError, guard
-from .number_theory import carmichael_lambda, order_from_multiple
+from .errors import DomainError, guard, integer, real
+from .number_theory import MAX_RUN_MODULUS, carmichael_lambda, order_from_multiple
 from .rng import SplitMix64
 
 #: Cap on the exponent-register width of the routes that visit every
 #: state (dist, fig1, capture).  They hold a block of cells at a time,
 #: so the cap bounds their time, which grows in proportion to N.
-#: ``sample_states`` visits no state and has no cap.
 MAX_REGISTER_QUBITS = 24
 
 #: Cap on every register: N = 2^q_A must convert to a float (q_A <= 1023),
@@ -80,10 +78,9 @@ MAX_QUBITS = 1023
 #: stay a few MB.
 _BLOCK = 1 << 14
 
-#: Cap on the modulus of every route that needs the order r.  r is reduced
-#: from lambda(n), and lambda(n) needs n trial-divided, about sqrt(n)/2
-#: steps: a few milliseconds below 2^31, unbounded above it.
-MAX_RUN_MODULUS = 1 << 31
+#: Cap on the draws of one ``sample_states`` call: 11-18 us a draw (2-CPU
+#: host, q_A 20 to 62), so 1.1-1.8 s at the cap.
+MAX_SAMPLE_COUNT = 10**5
 
 #: Cap on the order for the routes that list every peak.  ``shorsim
 #: peaks`` streams its rows from ``peak_columns`` chunk by chunk, so its
@@ -116,14 +113,11 @@ class ProblemInstance(_ProblemInstanceFields):
     __slots__ = ()
 
     def __new__(cls, n: int, x: int, q_A: int):
-        if n < 3:
-            raise DomainError(f"modulus n must be >= 3, got {n}")
-        if not 1 < x < n:
-            raise DomainError(f"base must satisfy 1 < x < n, got x={x}, n={n}")
+        integer("n", n, 3)
+        integer("x", x, 2, n)
         if math.gcd(x, n) != 1:
             raise DomainError(f"gcd({x}, {n}) != 1; precheck the base first")
-        if q_A < 1:
-            raise DomainError(f"the register width q_A must be positive, got {q_A}")
+        integer("q_A", q_A, 1)
         guard("q_A", q_A, MAX_QUBITS, "a register, whose N = 2^q_A must fit a float")
         return tuple.__new__(cls, (n, x, q_A, 1 << q_A))
 
@@ -150,6 +144,7 @@ class ProblemInstance(_ProblemInstanceFields):
     @staticmethod
     def default_q_A(n: int) -> int:
         """The default measured-register width: the smallest q with 2^q >= n^2."""
+        integer("n", n, 3)
         return (n * n - 1).bit_length()
 
 
@@ -175,7 +170,6 @@ class OrderInfo(NamedTuple):
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "OrderInfo":
-        guard("n", inst.n, MAX_RUN_MODULUS - 1, "the order")
         return cls.from_multiple(inst, *carmichael_lambda(inst.n))
 
     @classmethod
@@ -204,13 +198,15 @@ def _sin_sq(N: int, a: int, c: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _int64_cells(c) -> np.ndarray:
-    """The cells c as an int64 array.  An array of another kind than the
-    integers is refused, where a cast would truncate 1.5 to 1 and parse
-    '3' as 3; an empty list, which numpy types as float64, has no cell to
-    truncate and passes."""
+    """The cells c as a one-dimensional int64 array.  An array of another
+    kind than the integers is refused, where a cast would truncate 1.5 to 1
+    and parse '3' as 3; an empty list, which numpy types as float64, has no
+    cell to truncate and passes.  A scalar or a table of cells is refused."""
     import numpy as np
 
     c = np.asarray(c)
+    if c.ndim != 1:
+        raise DomainError(f"cells must be a one-dimensional array, got {c.ndim} dimensions")
     if c.dtype.kind not in "iu" and c.size:
         raise DomainError(f"cells must be integers, got an array of {c.dtype}")
     return c.astype(np.int64, copy=False)
@@ -356,10 +352,7 @@ def envelope(inst: ProblemInstance, info: OrderInfo, sigma) -> float:
     converted to exact rationals, so angle reduction never loses precision.
     """
     N, r, k0, M0 = inst.N, info.r, info.k0, info.M0
-    # checked before Fraction() converts it: NaN and the infinities fail the
-    # comparison, and a string is refused rather than parsed
-    if not (isinstance(sigma, numbers.Real) and 0 <= sigma < N):
-        raise DomainError(f"sigma must be a real in [0, N), got {sigma!r}")
+    real("sigma", sigma, 0, N)  # before Fraction() converts it
     a, b = (Fraction(sigma) * r / N).as_integer_ratio()
     return (k0 * fejer_kernel(M0 + 2, b, a) + (r - k0) * fejer_kernel(M0 + 1, b, a)) / float(N) ** 2
 
@@ -385,10 +378,8 @@ def peak_columns(inst: ProblemInstance, info: OrderInfo, start: int, stop: int) 
     arrays, of Python ints and floats, from the one product nu*whole
     taken in Python ints.  Peaks 0..r-1 exist: start and stop are
     integers with 0 <= start <= stop <= r, or refused."""
-    if not (isinstance(start, numbers.Integral) and isinstance(stop, numbers.Integral)
-            and 0 <= start <= stop <= info.r):
-        raise DomainError(f"need integers 0 <= start <= stop <= r = {info.r}, "
-                          f"got start={start!r}, stop={stop!r}")
+    integer("stop", stop, 0, info.r + 1)
+    integer("start", start, 0, stop + 1)
     import numpy as np
 
     nu = np.arange(start, stop, dtype=np.int64)
@@ -415,12 +406,11 @@ def peak_deviation_prob(d: int, delta_nu: float) -> float:
     integer with |d| < 2^511, so that (d - delta)^2 is a finite float
     (2^1022 at most).
     """
-    if not (isinstance(d, numbers.Integral) and -(1 << 511) < d < 1 << 511):
-        raise DomainError(f"d must be an integer with |d| < 2^511, got {d!r}")
+    integer("d", d, 1 - (1 << 511), 1 << 511)
     # compared exactly before float() rounds it, and refused if it rounds to 1
-    if not (isinstance(delta_nu, numbers.Real) and 0 <= delta_nu < 1 and float(delta_nu) < 1):
-        raise DomainError(f"delta_nu must be a real in [0, 1), got {delta_nu!r}")
+    real("delta_nu", delta_nu, 0, 1)
     delta_nu = float(delta_nu)
+    real("delta_nu", delta_nu, 0, 1)
     if delta_nu == 0.0:
         return 1.0 if d == 0 else 0.0
     s = _sin_turns(*delta_nu.as_integer_ratio())
@@ -486,12 +476,11 @@ def fejer_kernel(L: int, Np: int, t: int) -> float:
 
     Both angles are folded by ``_sin_turns``, so the zeros (L*t = 0 mod
     Np) come out exactly 0.  L, Np and t are Python ints, whose products
-    cannot wrap, with L >= 0 and Np >= 1, or refused; the test is a few
-    type and sign checks, as the kernel runs once a proposal.
+    cannot wrap, with L >= 0 and Np >= 1, or refused.
     """
-    if not (isinstance(L, int) and isinstance(Np, int) and isinstance(t, int)
-            and L >= 0 and Np >= 1):
-        raise DomainError(f"need ints L >= 0, Np >= 1 and t, got L={L!r}, Np={Np!r}, t={t!r}")
+    integer("L", L, 0)
+    integer("Np", Np, 1)
+    integer("t", t)
     if t % Np == 0:
         return float(L * L)
     return (_sin_turns(L * t, Np) / _sin_turns(t, Np)) ** 2
@@ -513,10 +502,8 @@ class FejerProposal:
     """
 
     def __init__(self, L: int, Np: int):
-        # the int tests of ``fejer_kernel``: a float size would build and
-        # fail in ``_bounded`` on the first draw
-        if not (isinstance(L, int) and isinstance(Np, int) and L >= 1 and Np >= 1):
-            raise DomainError(f"need ints L >= 1 and Np >= 1, got L={L!r}, Np={Np!r}")
+        integer("L", L, 1)  # a float size would fail in ``_bounded`` on a draw
+        integer("Np", Np, 1)
         self.L, self.Np = L, Np
         self.h = min(Np // (2 * L), (Np - 1) // 2)
         self.T = Np // 2
@@ -588,11 +575,8 @@ def sample_states(inst: ProblemInstance, info: OrderInfo, rng: SplitMix64, count
     takes about ten 64-bit words at any N; the stream is deterministic
     given `rng`.
     """
-    # run calls this once a draw: the test takes 25 ns, where one against
-    # numbers.Integral takes 0.4 us (timeit, 2-CPU host); type() also
-    # refuses bool, whose True would draw one state
-    if not (type(count) is int and count >= 0):
-        raise DomainError(f"count must be a non-negative int, got {count!r}")
+    integer("count", count, 0)  # True would draw one state
+    guard("count", count, MAX_SAMPLE_COUNT, "the sampler")
     N, r = inst.N, info.r
     g = math.gcd(r, N)
     Np = N // g

@@ -43,7 +43,6 @@ from typing import NamedTuple
 
 from .distribution import (
     MAX_REGISTER_QUBITS,
-    MAX_RUN_MODULUS,
     OrderInfo,
     ProblemInstance,
     _blocks,
@@ -52,7 +51,7 @@ from .distribution import (
     two_term_at,
     two_term_prefix_sums,
 )
-from .errors import DomainError, guard
+from .errors import DomainError, guard, integer
 from .number_theory import _bounded_convergent, semiprime_factors
 from .rng import SplitMix64
 
@@ -237,7 +236,6 @@ def _census_columns(p, q) -> FailureCensus:
 def failure_census(n: int) -> FailureCensus:
     """Classify every coprime base 1 < x < n as odd-order, trivial square
     root (x**(r/2) = -1 mod n), or good, counted in closed form, n < 2^31."""
-    guard("n", n, MAX_RUN_MODULUS - 1, "a census row")
     factors = semiprime_factors(n)
     if factors is None:
         raise DomainError(f"n={n} is not an odd semiprime with distinct prime factors")
@@ -248,6 +246,7 @@ def _census_chunks(nmax: int = 10_000) -> Iterator[FailureCensus]:
     """The census of every odd distinct-prime semiprime below nmax, in order
     of n, as FailureCensus chunks whose fields are arrays, one chunk per
     block of ``_blocks``.  The cap is checked on the call."""
+    integer("nmax", nmax)
     guard("nmax", nmax, MAX_CENSUS_NMAX, "the census")
     p, q = _semiprime_factors_below(nmax)
     return (_census_columns(p[start:stop], q[start:stop]) for start, stop in _blocks(len(p)))
@@ -345,8 +344,7 @@ def valuation_model_mc(trials: int, seed: int = 0) -> ValuationModelResult:
     agree - both_odd.  The tallies are exact integers, made block by
     block in place on the block's words.
     """
-    if trials < 1:
-        raise DomainError("trials must be positive")
+    integer("trials", trials, 1)
     guard("trials", trials, MAX_MC_TRIALS, "the valuation Monte Carlo")
     import numpy as np
 
@@ -391,9 +389,9 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     register, and the draws are counted against them block by block.
     q_A None is the default register of n.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
+    integer("samples", samples, 1)
     guard("samples", samples, MAX_CAPTURE_SAMPLES, "the capture Monte Carlo")
+    rng = SplitMix64(seed)
     inst = ProblemInstance.create(n, x, q_A)
     if inst.N < n * n:
         raise DomainError(f"need N >= n^2 for capture analysis, got N={inst.N}, n={n}")
@@ -417,7 +415,6 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
         raise DomainError(f"distribution is not normalized: total={total!r}")
     # peak nu's draws lie in [edges[2 nu], edges[2 nu + 1])
     edges = np.concatenate(([0.0], sums))
-    rng = SplitMix64(seed)
     hits = 0
     for start, stop in _blocks(samples):
         u = rng.random_block(stop - start)

@@ -19,7 +19,15 @@ selection over the whole list of convergents (``continued_fraction`` in
 
 import math
 
-from .errors import DomainError, NoOrderError
+from .errors import DomainError, NoOrderError, guard, integer
+
+#: Cap on every trial division: of n, about sqrt(n)/2 steps, a few
+#: milliseconds below 2^31 and unbounded above it.
+MAX_RUN_MODULUS = 1 << 31
+
+#: Cap on the brute order walk: up to n - 2 steps, about 10.5 M a second
+#: (2-CPU host), so about 1.6 s at the cap.
+MAX_WALK_MODULUS = 1 << 24
 
 
 def multiplicative_order(x: int, n: int) -> int:
@@ -29,10 +37,9 @@ def multiplicative_order(x: int, n: int) -> int:
     do not replace it with anything cleverer.  Raises NoOrderError when
     gcd(x, n) != 1, in which case no power of x is 1 mod n.
     """
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
-    if not 1 <= x < n:
-        raise DomainError(f"x must satisfy 1 <= x < n, got x={x}, n={n}")
+    integer("n", n, 2)
+    guard("n", n, MAX_WALK_MODULUS - 1, "the order walk")
+    integer("x", x, 1, n)
     if math.gcd(x, n) != 1:
         raise NoOrderError(f"gcd({x}, {n}) != 1: x**r = 1 (mod n) has no solution")
     value = x % n
@@ -40,8 +47,6 @@ def multiplicative_order(x: int, n: int) -> int:
     while value != 1:
         value = value * x % n
         order += 1
-        if order > n:  # unreachable for coprime x; guards against misuse
-            raise AssertionError("order walk exceeded the group size")
     return order
 
 
@@ -62,7 +67,9 @@ def _distinct_prime_factors(m: int) -> list[int]:
 
 
 def semiprime_factors(n: int) -> tuple[int, int] | None:
-    """(p, q) with p < q odd primes and p*q = n, else None."""
+    """(p, q) with p < q odd primes and p*q = n < MAX_RUN_MODULUS, else None."""
+    integer("n", n)
+    guard("n", n, MAX_RUN_MODULUS - 1, "trial division")
     if n % 2 == 0:
         return None
     factors = _distinct_prime_factors(n)
@@ -73,7 +80,7 @@ def semiprime_factors(n: int) -> tuple[int, int] | None:
 
 def carmichael_lambda(n: int) -> tuple[int, list[int]]:
     """Carmichael's lambda(n), the exponent of the unit group mod n >= 2,
-    with its distinct primes.
+    with its distinct primes, for n below MAX_RUN_MODULUS.
 
     lambda is the lcm over the prime powers p**e exactly dividing n of
     p**(e-1)*(p-1), except that lambda(2**e) = 2**(e-2) for e >= 3.  The
@@ -81,8 +88,8 @@ def carmichael_lambda(n: int) -> tuple[int, list[int]]:
     p-1, and p itself where p**2 divides n, collected while n is factored:
     lambda itself is never trial-divided.
     """
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
+    integer("n", n, 2)
+    guard("n", n, MAX_RUN_MODULUS - 1, "trial division")
     return _carmichael_lambda(n, _distinct_prime_factors(n))
 
 
@@ -106,17 +113,21 @@ def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None 
     """Exact multiplicative order of x mod n, given any positive multiple of it.
 
     Peels prime factors off the multiple while the power stays 1.  Its
-    primes are found by trial division (cheap for desk-scale inputs),
-    unless the caller passes a list that holds them all; primes of the
-    list that do not divide the multiple are skipped, and a multiple with
-    a prime outside the list is a DomainError.
+    primes are found by trial division, for a multiple below
+    MAX_RUN_MODULUS, unless the caller passes a list that holds them all;
+    primes of the list that do not divide the multiple are skipped, and a
+    multiple with a prime outside the list is a DomainError.
     """
-    if n < 2 or multiple < 1:
-        raise DomainError(f"need a modulus >= 2 and a positive multiple, got {n} and {multiple}")
+    integer("x", x)
+    integer("n", n, 2)
+    integer("multiple", multiple, 1)
     if pow(x, multiple, n) != 1:
         raise DomainError(f"{multiple} is not a multiple of the order of {x} mod {n}")
+    if primes is None:
+        guard("multiple", multiple, MAX_RUN_MODULUS - 1, "trial division")
+        primes = _distinct_prime_factors(multiple)
     m = rest = multiple
-    for f in _distinct_prime_factors(multiple) if primes is None else primes:
+    for f in primes:
         while rest % f == 0:
             rest //= f
         while m % f == 0 and pow(x, m // f, n) == 1:

@@ -20,17 +20,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distribution import MAX_RUN_MODULUS, OrderInfo, ProblemInstance, sample_states
-from .errors import ContractError, DomainError, guard
-from .number_theory import _bounded_convergent, _carmichael_lambda, semiprime_factors
+from .distribution import OrderInfo, ProblemInstance, sample_states
+from .errors import ContractError, DomainError, guard, integer
+from .number_theory import MAX_RUN_MODULUS, _bounded_convergent, _carmichael_lambda, semiprime_factors
 from .rng import SplitMix64
 
-#: Resource guard of the run route, which costs microseconds per draw at
-#: any register width.  What grows with the input is trial division of n
-#: (semiprime validation, which also gives lambda(n)), so the modulus
-#: stays below MAX_RUN_MODULUS, checked before validation; the register
-#: stays at or below the default width of such a modulus (N >= n^2 at
-#: q_A <= 62).
+#: Cap on the register of the run route, which costs microseconds a draw at
+#: any width: the default width of a modulus below MAX_RUN_MODULUS, the cap
+#: of its trial division (N >= n^2 at q_A <= 62).
 MAX_RUN_QUBITS = 62
 
 
@@ -72,13 +69,16 @@ class RetryPolicy(_RetryPolicyFields):
 
     def __new__(cls, *args, **kwargs):
         policy = super().__new__(cls, *args, **kwargs)
-        if policy.max_mu < 1 or policy.max_resamples < 0:
-            raise DomainError("policy requires max_mu >= 1 and max_resamples >= 0")
+        integer("max_mu", policy.max_mu, 1)
+        integer("max_resamples", policy.max_resamples, 0)
         return policy
 
     @classmethod
     def _make(cls, fields) -> "RetryPolicy":
         return cls(*fields)
+
+
+_DEFAULT_POLICY = RetryPolicy()
 
 
 class RetryEvent(NamedTuple):
@@ -145,8 +145,8 @@ class RunOutcome(_RunOutcomeFields):
 def precheck(n: int, x: int) -> int | None:
     """gcd screen before any machine is built: a shared factor of x and n
     is itself the answer.  Returns the factor, or None to proceed."""
-    if not 1 < x < n:
-        raise DomainError(f"base must satisfy 1 < x < n, got x={x}, n={n}")
+    integer("n", n, 3)
+    integer("x", x, 2, n)
     g = math.gcd(x, n)
     return g if g > 1 else None
 
@@ -158,8 +158,7 @@ def recover_order(c: int, inst: ProblemInstance) -> RecoveryResult:
     its numerator is the order candidate and its denominator the peak
     index.  c = 0 carries no information and recovers nothing.
     """
-    if not 0 <= c < inst.N:
-        raise DomainError(f"c must lie in [0, N), got {c}")
+    integer("c", c, 0, inst.N)
     est = _bounded_convergent(inst.N, c, inst.n)
     if est is None:
         return RecoveryResult(c=c, recovered=None, r_candidate=None, verified=False)
@@ -177,8 +176,9 @@ def extract_factors(n: int, x: int, r: int) -> tuple[Classification, tuple[int, 
     must pass the exact order; a proper multiple makes y = 1 and is
     reported as a contract violation.
     """
-    if r < 1:
-        raise DomainError(f"an order is positive, got r={r}")
+    integer("n", n, 3)
+    integer("x", x, 2, n)
+    integer("r", r, 1)
     if pow(x, r, n) != 1:
         raise ContractError(f"x**r != 1 (mod n) for x={x}, r={r}, n={n}")
     if r % 2 == 1:
@@ -228,8 +228,9 @@ def _resolve(n: int, x: int, rec: RecoveryResult,
 
 def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None) -> RunOutcome:
     """The run route: one attempt, then retries under policy (none when None)."""
-    guard("n", n, MAX_RUN_MODULUS - 1, "the run route")
+    rng = SplitMix64(seed)
     if q_A is not None:
+        integer("q_A", q_A, 1)
         guard("q_A", q_A, MAX_RUN_QUBITS, "the run route")
     pq = semiprime_factors(n)
     if pq is None:
@@ -243,7 +244,6 @@ def _run(n: int, x: int, q_A: int | None, seed: int, policy: RetryPolicy | None)
         )
     inst = ProblemInstance.create(n, x, q_A)
     info = OrderInfo.from_multiple(inst, *_carmichael_lambda(n, pq))
-    rng = SplitMix64(seed)
     events: list[RetryEvent] = []
 
     rec = recover_order(sample_states(inst, info, rng, 1)[0], inst)
@@ -312,7 +312,7 @@ def run_with_retries(
     new x.  Exhausted budgets yield an Exhausted outcome carrying the
     last attempt.
     """
-    return _run(n, x, q_A, seed, policy or RetryPolicy())
+    return _run(n, x, q_A, seed, policy or _DEFAULT_POLICY)
 
 
 def order_recovery_guarantee(inst: ProblemInstance) -> GuaranteeReport:

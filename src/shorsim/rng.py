@@ -26,12 +26,17 @@ may draw blocks from several threads at once.
 
 from __future__ import annotations
 
+from .errors import guard, integer
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _DOUBLE_UNIT = 2.0 ** -53
 _OFFSET_WORDS = 1 << 14
+#: Cap on the words of one block: 16 bytes a word with its scratch, so
+#: 256 MB and about 0.5 s at the cap (2-CPU host).
+MAX_BLOCK_WORDS = 1 << 24
 _offsets = None  # (i + 1) * gamma mod 2^64 for i < _OFFSET_WORDS, read-only
 
 
@@ -58,6 +63,7 @@ class SplitMix64:
     """64-bit deterministic generator with scalar and vectorized output."""
 
     def __init__(self, seed: int):
+        integer("seed", seed)
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
@@ -74,8 +80,7 @@ class SplitMix64:
         The state after i draws is seed + i * gamma (mod 2^64), so skipping
         is one multiply-add; `count` is taken mod 2^64.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        integer("count", count, 0)
         self._state = (self._state + count * _GAMMA) & _MASK64
         return self
 
@@ -86,8 +91,8 @@ class SplitMix64:
         an arithmetic sequence, which is what makes batching possible without
         changing the stream.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        integer("count", count, 0)
+        guard("count", count, MAX_BLOCK_WORDS, "a block of random words")
         import numpy as np
 
         offsets = _offset_table()

@@ -70,7 +70,7 @@ class TestProblemInstance:
     @pytest.mark.parametrize("n, x", [(2, 1), (2, 5), (0, 1), (-5, 3)])
     def test_small_modulus_rejected(self, n, x):
         # q_A defaults from n first; the instance's own check decides
-        with pytest.raises(DomainError, match=f"^modulus n must be >= 3, got {n}$"):
+        with pytest.raises(DomainError, match=f"^n must be an integer >= 3, got {n}$"):
             ProblemInstance.create(n, x)
 
 
@@ -463,7 +463,7 @@ class TestPeaks:
     def test_peaks_outside_0_to_r_are_refused(self, start, stop):
         # r = 6: peaks 6 and 7 would sit past N, and 0.5 would be cut to 0
         inst, info = build(21, 10, 8)
-        with pytest.raises(DomainError, match=r"^need integers 0 <= start <= stop <= r = 6, got [^\n]*$"):
+        with pytest.raises(DomainError, match=r"^(start|stop) must be an integer in \[0, \d\), got [^\n]*$"):
             distribution.peak_columns(inst, info, start, stop)
 
     def test_center_splits_exactly(self):
@@ -511,7 +511,7 @@ class TestEnvelope:
         # refused before Fraction() converts it: no bare ValueError or
         # OverflowError, and a string is not parsed
         for sigma in (-0.5, inst.N, math.nan, math.inf, -math.inf, "3/2", None):
-            with pytest.raises(DomainError, match=r"^sigma must be a real in \[0, N\), got "):
+            with pytest.raises(DomainError, match=r"^sigma must be a real in \[0, 256\), got "):
                 envelope(inst, info, sigma)
 
 
@@ -539,7 +539,7 @@ class TestPeakDeviation:
     @pytest.mark.parametrize("d", [0.5, pytest.param(10**400, id="10**400")])
     def test_deviation_that_is_no_integer_or_too_large_is_rejected(self, d):
         # no bare ZeroDivisionError or OverflowError
-        with pytest.raises(DomainError, match=r"^d must be an integer with \|d\| < 2\^511, got [^\n]*$"):
+        with pytest.raises(DomainError, match=r"^d must be an integer in \[-\d+, \d+\), got [^\n]*$"):
             peak_deviation_prob(d, 0.5)
 
     def test_any_real_displacement_is_its_float(self):

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import pytest
 
 import shorsim
-from shorsim import distribution, experiments, pipeline
+from shorsim import distribution, experiments, number_theory, pipeline, rng
 from shorsim.cli import EXIT_RESOURCE, main
 from shorsim.distribution import OrderInfo, ProblemInstance, two_term_at
 from shorsim.errors import ResourceError
@@ -36,6 +36,11 @@ def two_term_route(q_A):
     return two_term_at(inst, OrderInfo.from_instance(inst), [0, 1])
 
 
+def sampler_route(count):
+    inst = ProblemInstance.create(21, 10, 8)
+    return distribution.sample_states(inst, OrderInfo.from_instance(inst), rng.SplitMix64(0), count)
+
+
 class Cap(NamedTuple):
     name: str      # the capped quantity, as the message names it
     cap: int       # the largest value admitted
@@ -44,7 +49,8 @@ class Cap(NamedTuple):
     work: tuple    # (owner, name) of the first work behind the guard
 
 
-MODULUS = distribution.MAX_RUN_MODULUS - 1
+MODULUS = number_theory.MAX_RUN_MODULUS - 1
+TRIAL_DIVISION = ((number_theory, "_distinct_prime_factors"),)
 
 CAPS = [
     pytest.param(Cap("q_A", 1023, (distribution, "MAX_QUBITS"),
@@ -62,14 +68,14 @@ CAPS = [
     pytest.param(Cap("q_A", 62, (pipeline, "MAX_RUN_QUBITS"),
                      cli_route("run", "--n", "21", "--x", "10", "--qa", "{}"),
                      ((pipeline, "semiprime_factors"),)), id="run-q_A"),
-    pytest.param(Cap("n", MODULUS, (distribution, "MAX_RUN_MODULUS"),
+    pytest.param(Cap("n", MODULUS, (number_theory, "MAX_RUN_MODULUS"),
                      cli_route("peaks", "--n", "{}", "--x", "3", "--qa", "8"),
-                     ((distribution, "carmichael_lambda"),)), id="order-n"),
-    pytest.param(Cap("n", MODULUS, (experiments, "MAX_RUN_MODULUS"), experiments.failure_census,
-                     ((experiments, "semiprime_factors"),)), id="census-row-n"),
-    pytest.param(Cap("n", MODULUS, (pipeline, "MAX_RUN_MODULUS"),
+                     TRIAL_DIVISION), id="order-n"),
+    pytest.param(Cap("n", MODULUS, (number_theory, "MAX_RUN_MODULUS"), experiments.failure_census,
+                     TRIAL_DIVISION), id="census-row-n"),
+    pytest.param(Cap("n", MODULUS, (number_theory, "MAX_RUN_MODULUS"),
                      cli_route("run", "--n", "{}", "--x", "3"),
-                     ((pipeline, "semiprime_factors"),)), id="run-n"),
+                     TRIAL_DIVISION), id="run-n"),
     pytest.param(Cap("r", 1 << 20, (distribution, "MAX_PEAKS_ORDER"),
                      with_order(cli_route("peaks", "--n", "21", "--x", "10", "--qa", "8")),
                      ((distribution, "peak_columns"),)), id="peaks-r"),
@@ -85,6 +91,11 @@ CAPS = [
     pytest.param(Cap("samples", 4 * 10**8, (experiments, "MAX_CAPTURE_SAMPLES"),
                      cli_route("capture", "--n", "21", "--x", "10", "--samples", "{}"),
                      ((experiments.ProblemInstance, "create"),)), id="capture-samples"),
+    pytest.param(Cap("count", 10**5, (distribution, "MAX_SAMPLE_COUNT"), sampler_route,
+                     ((distribution, "_bounded"),)), id="sampler-count"),
+    pytest.param(Cap("count", 1 << 24, (rng, "MAX_BLOCK_WORDS"),
+                     lambda count: rng.SplitMix64(0).uint64_block(count),
+                     ((rng, "_offset_table"),)), id="block-count"),
 ]
 
 
@@ -164,6 +175,32 @@ def test_only_errors_guard_makes_a_resource_error():
                             and node.name.startswith("guard_")]
     assert makers == ["errors.py:guard"]
     assert guard_functions == []
+
+
+def _hand_written_type_tests(tree):
+    """The line of each isinstance against a numbers ABC, int or float, of
+    each ``type(_) is`` int, float or bool, and of each import of numbers,
+    under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", None) in ("int", "float")
+                   or getattr(getattr(kind, "value", None), "id", None) == "numbers" for kind in kinds):
+                yield node.lineno
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and getattr(node.left.func, "id", None) == "type"
+              and any(getattr(kind, "id", None) in ("int", "float", "bool") for kind in node.comparators)):
+            yield node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "numbers" in _imported_modules(node):
+            yield node.lineno
+
+
+def test_only_errors_integer_and_real_test_an_argument_type():
+    # a hand-written type test would be a second place for the decision
+    package = Path(shorsim.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+             for line in _hand_written_type_tests(ast.parse(path.read_text(), str(path)))]
+    assert found == []
 
 
 def _imported_modules(tree):

@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import continued_fraction
-from shorsim.errors import DomainError, NoOrderError
+from shorsim.errors import DomainError, NoOrderError, ResourceError
 from shorsim.number_theory import (
+    MAX_RUN_MODULUS,
+    MAX_WALK_MODULUS,
     _bounded_convergent,
     _carmichael_lambda,
     carmichael_lambda,
@@ -113,6 +115,13 @@ class TestMultiplicativeOrder:
             multiplicative_order(21, 21)
         with pytest.raises(DomainError):
             multiplicative_order(2, 1)
+
+    def test_the_walk_is_capped_before_it_starts(self):
+        # 2^24 - 1, the largest modulus admitted, is walked: the order of 2 is 24
+        assert multiplicative_order(2, MAX_WALK_MODULUS - 1) == 24
+        for n in (MAX_WALK_MODULUS, 10**40):
+            with pytest.raises(ResourceError, match=f"^n={n} exceeds the cap of {MAX_WALK_MODULUS - 1} "):
+                multiplicative_order(3, n)
 
     def test_minimality_exhaustive_small_moduli(self):
         # walk the powers by hand; the order is the first hit of 1, every
@@ -345,6 +354,16 @@ class TestOrderFromMultiple:
         # 6 = 2 * 3 is a multiple of the order of 10 mod 21; [2] misses 3
         with pytest.raises(DomainError):
             order_from_multiple(10, 21, 6, [2])
+
+    def test_the_trial_division_of_the_multiple_is_capped(self):
+        # 2 * (2^61 - 1), a prime times 2, is a multiple of the order 2 of 2
+        # mod 3; its trial division would not end.  Given its primes, it
+        # is not trial-divided.
+        multiple = 2 * ((1 << 61) - 1)
+        with pytest.raises(ResourceError, match="^multiple=[0-9]+ exceeds the cap of "):
+            order_from_multiple(2, 3, multiple)
+        assert order_from_multiple(2, 3, multiple, [2, (1 << 61) - 1]) == 2
+        assert order_from_multiple(2, 3, MAX_RUN_MODULUS - 2) == 2
 
     def test_non_multiple_rejected(self):
         r = multiplicative_order(10, 21)  # 6
