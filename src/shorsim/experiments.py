@@ -386,8 +386,9 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
     no draw is placed in a cell: a draw lands on peak cell c exactly when
     cdf(c-1) <= u < cdf(c), so only those running sums are taken, by
     ``two_term_prefix_sums`` from a pass over one half period of the
-    register, and the draws are counted against them block by block.
-    q_A None is the default register of n.
+    register.  ``_interval_hits`` counts the draws between them block by
+    block on the raw words, against exact integer thresholds, with no
+    sort and no uniform made.  q_A None is the default register of n.
     """
     integer("samples", samples, 1)
     guard("samples", samples, MAX_CAPTURE_SAMPLES, "the capture Monte Carlo")
@@ -415,19 +416,108 @@ def capture_rate_empirical(n: int, x: int, q_A: int | None, samples: int,
         raise DomainError(f"distribution is not normalized: total={total!r}")
     # peak nu's draws lie in [edges[2 nu], edges[2 nu + 1])
     edges = np.concatenate(([0.0], sums))
-    hits = 0
-    for start, stop in _blocks(samples):
-        u = rng.random_block(stop - start)
-        u *= total
-        u.sort()
-        # a count ignores order
-        at = np.searchsorted(u, edges)
-        hits += int((at[1::2] - at[::2]).sum())
     return CaptureReport(
         n=n, x=x, q_A=inst.q_A, samples=samples,
         exact_value=exact,
-        sampled_fraction=hits / samples,
+        sampled_fraction=_interval_hits(rng, samples, edges, total) / samples,
     )
+
+
+# A uniform of ``SplitMix64.random_block`` is k * 2^-53, k the top 53 bits
+# of a word.  The top _BUCKET_BITS bits of k pick its bucket.
+_DRAW_BITS = 53
+_BUCKET_BITS = 16
+_MARK = 2  # a bucket whose draws are counted one by one
+
+
+def _draw_thresholds(edges, total: float):
+    """K[i], the least integer k in [0, 2^53] whose draw fl(fl(k 2^-53)
+    total) is at least edges[i] (2^53 when none is), as an int64 array.
+
+    Rounding never makes a draw smaller as k grows, so a draw is below
+    edges[i] exactly when its k is below K[i].  The float guess
+    ceil(edges[i] / total * 2^53) can miss by one or two; each threshold
+    is stepped by ones until f(K - 1) < edges[i] <= f(K) holds for it.
+    """
+    import numpy as np
+
+    top = 1 << _DRAW_BITS
+
+    def draw(k):
+        u = k.astype(np.float64)
+        u *= 2.0 ** -_DRAW_BITS
+        u *= total
+        return u
+
+    K = np.ceil(np.clip(edges / total, 0.0, 1.0) * top).astype(np.int64)
+    while True:
+        down = (K > 0) & (draw(K - 1) >= edges)
+        up = (K < top) & (draw(K) < edges)
+        if not (down.any() or up.any()):
+            return K
+        K -= down
+        K += up
+
+
+def _bucket_table(K):
+    """The uint8 table, over the top 16 bits of a word, of the count that
+    each draw of the bucket gets, sum_i (-1)**(i+1) [k < K_i], or _MARK.
+
+    A bucket's draws share that count unless a threshold lies inside it,
+    so those buckets are marked, as are those whose count is neither 0
+    nor 1 (there are none when K does not decrease).  The table is built
+    in place, mod 256: K_i adds -(-1)**(i+1) to each bucket from
+    ceil(K_i / 2^37) on (the signs of an even number of thresholds sum
+    to 0), and a running sum makes the counts.  A count lies between -D
+    and D + 1, D the number of descents of K, so it is exact below 255
+    descents; past that, every bucket is marked.
+    """
+    import numpy as np
+
+    shift = _DRAW_BITS - _BUCKET_BITS
+    table = np.zeros(1 << _BUCKET_BITS, dtype=np.uint8)
+    first = -(-K >> shift)  # the first bucket wholly at or above K_i
+    step = np.where(np.arange(len(K)) & 1, np.uint8(255), np.uint8(1))
+    below = first < len(table)
+    np.add.at(table, first[below], step[below])
+    np.add.accumulate(table, out=table)
+    np.minimum(table, _MARK, out=table)  # a count of -1 wraps to 255
+    table[K[(K & ((1 << shift) - 1)) != 0] >> shift] = _MARK
+    if np.count_nonzero(K[1:] < K[:-1]) >= 255:
+        table.fill(_MARK)
+    return table
+
+
+def _interval_hits(rng: SplitMix64, samples: int, edges, total: float) -> int:
+    """How many of the next `samples` draws u * total of rng's uniforms lie
+    in the intervals [edges[2j], edges[2j + 1]): the sum over the draws of
+    sum_i (-1)**(i+1) [u * total < edges[i]], for an even number of edges.
+
+    No uniform is made and nothing is sorted.  A draw is below edges[i]
+    exactly when its k = w >> 11 is below the integer threshold K_i
+    (``_draw_thresholds``), so the top 16 bits of each word w read its
+    count from ``_bucket_table``.  The draws of marked buckets, at most
+    two for each interval when the edges do not decrease, are settled
+    from their k: the thresholds at or below it that open an interval
+    less those that close one.
+    """
+    import numpy as np
+
+    K = _draw_thresholds(edges, total)
+    table = _bucket_table(K)
+    opens, closes = np.sort(K[::2]), np.sort(K[1::2])
+    # numpy < 2 makes a float of uint64 with a Python int, and takes
+    # int64 indices
+    to_bucket = np.uint64(64 - _BUCKET_BITS)
+    to_k = np.uint64(64 - _DRAW_BITS)
+    hits = 0
+    for start, stop in _blocks(samples):
+        w = rng.uint64_block(stop - start)
+        counts = table.take(np.right_shift(w, to_bucket).view(np.int64))
+        hits += int(np.count_nonzero(counts == 1))
+        k = np.right_shift(w[counts == _MARK], to_k).view(np.int64)
+        hits += int(np.searchsorted(opens, k, "right").sum() - np.searchsorted(closes, k, "right").sum())
+    return hits
 
 
 def neighbor_state_check(n: int, x: int, q_A: int | None) -> NeighborReport:

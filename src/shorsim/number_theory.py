@@ -114,13 +114,18 @@ def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None 
 
     Peels prime factors off the multiple while the power stays 1.  Its
     primes are found by trial division, for a multiple below
-    MAX_RUN_MODULUS, unless the caller passes a list that holds them all;
-    primes of the list that do not divide the multiple are skipped, and a
-    multiple with a prime outside the list is a DomainError.
+    MAX_RUN_MODULUS, unless the caller passes a list of ints >= 2 that
+    holds them all; primes of the list that do not divide the multiple are
+    skipped, and a multiple with a prime outside the list is a DomainError.
     """
     integer("x", x)
     integer("n", n, 2)
     integer("multiple", multiple, 1)
+    if primes is not None:
+        if not isinstance(primes, list):
+            raise DomainError(f"primes must be a list of integers >= 2, got {primes!r}")
+        for i, f in enumerate(primes):
+            integer(f"primes[{i}]", f, 2)
     if pow(x, multiple, n) != 1:
         raise DomainError(f"{multiple} is not a multiple of the order of {x} mod {n}")
     if primes is None:

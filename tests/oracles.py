@@ -14,6 +14,9 @@
   package's own ``peak_columns`` blocks; the tables stream those blocks.
 * ``sample_from`` draws by inverse CDF from a whole probability vector;
   the capture pass counts the same draws against prefix sums without one.
+* ``capture_hits_by_sort`` makes those draws as uniforms, sorts each
+  block and reads its counts from ``searchsorted`` at the edges; the
+  package counts the raw words against integer thresholds instead.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from typing import NamedTuple
 from shorsim.distribution import (
     OrderInfo,
     ProblemInstance,
+    _blocks,
     _peak_blocks,
     _records,
     _sin_sq,
@@ -157,3 +161,22 @@ def sample_from(p, rng: SplitMix64, count: int) -> list[int]:
     idx = np.searchsorted(cdf, u, side="right")
     np.clip(idx, 0, len(p) - 1, out=idx)
     return [int(i) for i in idx]
+
+
+def capture_hits_by_sort(rng: SplitMix64, samples: int, edges, total: float) -> int:
+    """How many of the next `samples` draws u * total of rng's uniforms lie
+    in the intervals [edges[2j], edges[2j + 1]), for an even number of
+    edges, block by block: each block's draws are sorted, and
+    ``searchsorted`` gives how many lie below each edge.  A pair of edges
+    that decreases counts its draws negatively."""
+    import numpy as np
+
+    edges = np.asarray(edges, dtype=np.float64)
+    hits = 0
+    for start, stop in _blocks(samples):
+        u = rng.random_block(stop - start)
+        u *= total
+        u.sort()
+        at = np.searchsorted(u, edges)
+        hits += int((at[1::2] - at[::2]).sum())
+    return hits

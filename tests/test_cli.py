@@ -769,8 +769,8 @@ class TestStreamedOutput:
                 return function(*args)
             return wrapper
 
-        # the random words of both Monte Carlo tallies (random_block draws
-        # through uint64_block), the census chunks, the cells of every
+        # the random words of both Monte Carlo tallies (each counts raw
+        # words of uint64_block), the census chunks, the cells of every
         # register pass (dist, fig1 and two_term_prefix_sums), and the peak
         # chunks
         monkeypatch.setattr(SplitMix64, "uint64_block",

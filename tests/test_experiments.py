@@ -11,7 +11,9 @@ The block-wise Monte Carlo routes are pinned by SHA-256 of their reprs,
 taken from the whole-array routes they replaced, and checked against
 those routes, kept here as oracles: trailing zeros of whole word arrays
 for the valuation model, and inverse-CDF draws from the built vector for
-the capture rate.
+the capture rate.  The capture's sort-free count is held to the sort
+route it replaced, ``capture_hits_by_sort``, on capture edges and on
+crafted ones.
 """
 
 import gc
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import peaks, sample_from
+from oracles import capture_hits_by_sort, peaks, sample_from
 from shorsim import distribution, experiments, number_theory
 from shorsim.distribution import (
     MAX_RUN_MODULUS,
@@ -678,6 +680,90 @@ class TestBlockwiseMonteCarlo:
             capture_rate_empirical(4087, 5, 24, MAX_CAPTURE_SAMPLES)
         with pytest.raises(ResourceError):
             capture_rate_empirical(4087, 5, 24, MAX_CAPTURE_SAMPLES + 1)
+
+
+# (n, x, q_A, samples): r | N with adjacent edges equal, g = 1, and wide
+# orders up to r = 1914 at the default q_A 24, where up to 3826 buckets
+# are marked
+SORT_CASES = [(15, 7, 8, 20_000), (55, 16, 12, 50_000), (831, 323, 20, 200_000),
+              (3953, 2, None, 200_000), (21, 10, 9, 50_000)]
+
+# the first uniform of seed 5, an edge that a draw lies on exactly
+ON_A_DRAW = float(SplitMix64(5).random_block(1)[0])
+CRAFTED_EDGES = {
+    "edge-on-a-draw": ([0.05, ON_A_DRAW, ON_A_DRAW, 0.95], 1.0),
+    # draws in [0.2, 0.3) count -1, and in [0.4, 0.6) of the second list 2
+    "decreasing-pair": ([0.6, 0.2, 0.3, 0.7], 1.0),
+    "overlapping-pairs": ([0.2, 0.6, 0.4, 0.8], 1.0),
+    "K=0": ([0.0, 0.3, -0.5, 0.6], 1.0),
+    "K=2^53": ([0.5, 1.0, 0.7, 3.0], 1.0),
+    "total=1+1e-9": ([0.1, 0.5, 0.5, 1 + 1e-9], 1 + 1e-9),
+    "total=1-1e-9": ([0.0, ON_A_DRAW * (1 - 1e-9), 0.9, 1 - 1e-9], 1 - 1e-9),
+    # far from 1, the float guess misses about one threshold in ten by one,
+    # either way
+    "total=0.7": (np.sort(np.random.default_rng(1).random(2000)).tolist(), 0.7),
+    # 256 nested intervals: a count of 256 wraps a uint8 to 0
+    "past-uint8": ([0.25, 0.75] * 256, 1.0),
+}
+
+
+def capture_counts(monkeypatch):
+    """The list that each later capture call appends its count's
+    (samples, edges, total, hits) to."""
+    calls = []
+    count = experiments._interval_hits
+
+    def recorded(rng, samples, edges, total):
+        hits = count(rng, samples, edges, total)
+        calls.append((samples, edges, total, hits))
+        return hits
+
+    monkeypatch.setattr(experiments, "_interval_hits", recorded)
+    return calls
+
+
+def assert_thresholds_are_fixpoints(edges, total):
+    """f(K - 1) < e <= f(K) for each edge e and its threshold K, with the
+    draw f(k) = fl(fl(k 2^-53) total) made in Python floats, f(-1) below
+    every edge and f(2^53) above it."""
+    K = experiments._draw_thresholds(np.asarray(edges, dtype=np.float64), total)
+    for e, k in zip(edges, K.tolist()):
+        assert 0 <= k <= 1 << 53
+        assert k == 0 or (k - 1) * 2.0 ** -53 * total < e
+        assert k == 1 << 53 or e <= k * 2.0 ** -53 * total
+
+
+class TestSortFreeCount:
+    @pytest.mark.parametrize("n, x, q_A, samples", SORT_CASES)
+    def test_capture_count_equals_the_sort_route(self, monkeypatch, n, x, q_A, samples):
+        calls = capture_counts(monkeypatch)
+        capture_rate_empirical(n, x, q_A, samples, seed=9)
+        [(_, edges, total, hits)] = calls
+        assert hits == capture_hits_by_sort(SplitMix64(9), samples, edges, total)
+        assert_thresholds_are_fixpoints(edges.tolist(), total)
+        if n == 15:
+            assert np.any(edges[1:] == edges[:-1])
+
+    @pytest.mark.parametrize("size, samples", [(7, 3000), ((1 << 16) + 1, 150_000)])
+    @pytest.mark.parametrize("n, x, q_A", [(55, 16, 12), (831, 323, 20)])
+    def test_count_does_not_depend_on_the_blocks(self, monkeypatch, n, x, q_A, size, samples):
+        patch_blocks(monkeypatch, size)
+        calls = capture_counts(monkeypatch)
+        capture_rate_empirical(n, x, q_A, samples, seed=2)
+        [(_, edges, total, hits)] = calls
+        assert hits == capture_hits_by_sort(SplitMix64(2), samples, edges, total)
+
+    @pytest.mark.parametrize("name", CRAFTED_EDGES)
+    def test_crafted_edges_count_as_the_sort_route(self, name):
+        edges, total = CRAFTED_EDGES[name]
+        hits = experiments._interval_hits(SplitMix64(5), 20_000, np.asarray(edges), total)
+        assert hits == capture_hits_by_sort(SplitMix64(5), 20_000, edges, total)
+        assert_thresholds_are_fixpoints(edges, total)
+
+    def test_thresholds_at_the_ends_and_on_a_draw(self):
+        k = int(SplitMix64(5).uint64_block(1)[0]) >> 11
+        K = experiments._draw_thresholds(np.array([-0.5, 0.0, ON_A_DRAW, 1.0, 3.0]), 1.0)
+        assert K.tolist() == [0, 0, k, 1 << 53, 1 << 53]
 
 
 class TestNeighborCheck:

@@ -79,7 +79,7 @@ CALLS = {
     "fejer_kernel": Call(fejer_kernel, dict(L=4, Np=16, t=3)),
     "multiplicative_order": Call(multiplicative_order, dict(x=10, n=21)),
     "neighbor_state_check": Call(neighbor_state_check, dict(n=21, x=10, q_A=9)),
-    "order_from_multiple": Call(order_from_multiple, dict(x=10, n=21, multiple=6)),
+    "order_from_multiple": Call(order_from_multiple, dict(x=10, n=21, multiple=6, primes=[2, 3])),
     "peak_columns": Call(lambda start, stop: peak_columns(INST, INFO, start, stop), dict(start=0, stop=6)),
     "peak_deviation_prob": Call(peak_deviation_prob, dict(d=0, delta_nu=0.25)),
     "precheck": Call(precheck, dict(n=21, x=10)),
@@ -161,9 +161,16 @@ def test_a_junk_argument_is_a_result_or_a_domain_or_resource_error(name, argumen
     (valuation_model_mc, (2.5,)),  # TypeError
     (lambda count: sample_states(INST, INFO, SplitMix64(0), count), (True,)),  # one state
     (lambda count: sample_states(INST, INFO, SplitMix64(0), count), (2.5,)),  # TypeError
+    (order_from_multiple, (10, 21, 6, 3)),  # TypeError
+    (order_from_multiple, (10, 21, 6, [1.5])),  # TypeError
+    (order_from_multiple, (10, 21, 6, ["3"])),  # TypeError
+    (order_from_multiple, (10, 21, 6, [0])),  # ZeroDivisionError
+    (order_from_multiple, (10, 21, 6, [True])),  # hung: rest % True is always 0
+    (order_from_multiple, (10, 21, 6, [np.int64(3)])),  # taken as a prime
 ], ids=["semiprime_factors-inf", "carmichael_lambda-inf", "multiplicative_order-10**40",
         "create-np.int64(64)", "run_once-np.int64(21)", "RetryPolicy-1.5", "capture-True",
-        "capture-2.5", "valuation-True", "valuation-2.5", "sample_states-True", "sample_states-2.5"])
+        "capture-2.5", "valuation-True", "valuation-2.5", "sample_states-True", "sample_states-2.5",
+        "primes-3", "primes-[1.5]", "primes-['3']", "primes-[0]", "primes-[True]", "primes-[np.int64(3)]"])
 def test_an_input_that_once_hung_or_slipped_through_is_refused(function, args):
     with pytest.raises((DomainError, ResourceError)):
         within(2.0, lambda: function(*args))
