@@ -77,11 +77,14 @@ MAX_NEIGHBOR_ORDER = 1 << 16
 MAX_MC_TRIALS = 8 * 10**8
 
 #: Cap on the draws of the capture Monte Carlo, checked before any work.
-#: A draw costs about 10-13 ns (its word, its sort and its count, 2-CPU
-#: host), on top of a pass over one half period of the register (at q_A
+#: A draw costs about 5-7 ns (its word, its table lookup and its count,
+#: 2-CPU host), and more as r grows, since about 2r of the 65 536 buckets
+#: are marked and their draws searched one by one: 14-18 ns at r = 1914.
+#: That is on top of a pass over one half period of the register (at q_A
 #: 24, 0.30-0.34 s when gcd(r, N) = 1, the widest, and 0.14 s at (4087, 5)
-#: with gcd 2), so the cap takes about 5 s at any register (4.7 s at
-#: (4087, 9), gcd 1) and holds about 30 MB.
+#: with gcd 2).  So the cap takes 2.7-3.3 s at (4087, 9) and (4087, 5),
+#: and 6.3-7.6 s at (3953, 2), r = 1914, the widest order near it, and
+#: holds about 30 MB.
 MAX_CAPTURE_SAMPLES = 4 * 10**8
 
 #: Heuristic limit of the census's base-weighted bad fraction as nmax
@@ -493,19 +496,22 @@ def _interval_hits(rng: SplitMix64, samples: int, edges, total: float) -> int:
     in the intervals [edges[2j], edges[2j + 1]): the sum over the draws of
     sum_i (-1)**(i+1) [u * total < edges[i]], for an even number of edges.
 
-    No uniform is made and nothing is sorted.  A draw is below edges[i]
+    No uniform is made and no draw is sorted.  A draw is below edges[i]
     exactly when its k = w >> 11 is below the integer threshold K_i
     (``_draw_thresholds``), so the top 16 bits of each word w read its
     count from ``_bucket_table``.  The draws of marked buckets, at most
-    two for each interval when the edges do not decrease, are settled
-    from their k: the thresholds at or below it that open an interval
-    less those that close one.
+    two buckets for each interval when the edges do not decrease, are
+    settled from their k: one search finds the j thresholds at or below
+    it, and level[j] counts those that open an interval less those that
+    close one.
     """
     import numpy as np
 
     K = _draw_thresholds(edges, total)
     table = _bucket_table(K)
-    opens, closes = np.sort(K[::2]), np.sort(K[1::2])
+    order = np.argsort(K)
+    lowest = K[order]
+    level = np.concatenate(([0], np.cumsum(np.where(order & 1, -1, 1))))
     # numpy < 2 makes a float of uint64 with a Python int, and takes
     # int64 indices
     to_bucket = np.uint64(64 - _BUCKET_BITS)
@@ -514,9 +520,10 @@ def _interval_hits(rng: SplitMix64, samples: int, edges, total: float) -> int:
     for start, stop in _blocks(samples):
         w = rng.uint64_block(stop - start)
         counts = table.take(np.right_shift(w, to_bucket).view(np.int64))
-        hits += int(np.count_nonzero(counts == 1))
         k = np.right_shift(w[counts == _MARK], to_k).view(np.int64)
-        hits += int(np.searchsorted(opens, k, "right").sum() - np.searchsorted(closes, k, "right").sum())
+        # every marked draw read a nonzero count
+        hits += int(np.count_nonzero(counts)) - len(k)
+        hits += int(level.take(np.searchsorted(lowest, k, "right")).sum())
     return hits
 
 
