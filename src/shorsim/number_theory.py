@@ -124,8 +124,8 @@ def order_from_multiple(x: int, n: int, multiple: int, primes: list[int] | None 
     if primes is not None:
         if not isinstance(primes, list):
             raise DomainError(f"primes must be a list of integers >= 2, got {primes!r}")
-        for i, f in enumerate(primes):
-            integer(f"primes[{i}]", f, 2)
+        for f in primes:
+            integer("each prime", f, 2)
     if pow(x, multiple, n) != 1:
         raise DomainError(f"{multiple} is not a multiple of the order of {x} mod {n}")
     if primes is None:
