@@ -66,4 +66,4 @@ from .pipeline import (
 )
 from .rng import SplitMix64
 
-__version__ = "0.9.12"
+__version__ = "0.9.13"
