@@ -709,13 +709,13 @@ CRAFTED_EDGES = {
 
 def capture_counts(monkeypatch):
     """The list that each later capture call appends its count's
-    (samples, edges, total, hits) to."""
+    (edges, total, hits) to."""
     calls = []
     count = experiments._interval_hits
 
     def recorded(rng, samples, edges, total):
         hits = count(rng, samples, edges, total)
-        calls.append((samples, edges, total, hits))
+        calls.append((edges, total, hits))
         return hits
 
     monkeypatch.setattr(experiments, "_interval_hits", recorded)
@@ -738,7 +738,7 @@ class TestSortFreeCount:
     def test_capture_count_equals_the_sort_route(self, monkeypatch, n, x, q_A, samples):
         calls = capture_counts(monkeypatch)
         capture_rate_empirical(n, x, q_A, samples, seed=9)
-        [(_, edges, total, hits)] = calls
+        [(edges, total, hits)] = calls
         assert hits == capture_hits_by_sort(SplitMix64(9), samples, edges, total)
         assert_thresholds_are_fixpoints(edges.tolist(), total)
         if n == 15:
@@ -750,7 +750,7 @@ class TestSortFreeCount:
         patch_blocks(monkeypatch, size)
         calls = capture_counts(monkeypatch)
         capture_rate_empirical(n, x, q_A, samples, seed=2)
-        [(_, edges, total, hits)] = calls
+        [(edges, total, hits)] = calls
         assert hits == capture_hits_by_sort(SplitMix64(2), samples, edges, total)
 
     @pytest.mark.parametrize("name", CRAFTED_EDGES)
